@@ -235,11 +235,6 @@ def omega_element(datum: RootDatum, k: int) -> AffineElement:
     return tau
 
 
-def omega_of_class(datum: RootDatum, x: AffineElement) -> AffineElement:
-    """The length-zero element in the same coset of X/(coroot lattice)."""
-    return stabilizer_descend(translation(datum, x.translation))
-
-
 # -- descent tables --------------------------------------------------------
 
 

@@ -187,10 +187,6 @@ def _translation_candidates(datum, bound: int, central_values, budget):
     return cached
 
 
-def _ceil(f: Fraction) -> int:
-    return -((-f.numerator) // f.denominator)
-
-
 def _floor(f: Fraction) -> int:
     return f.numerator // f.denominator
 

@@ -36,22 +36,21 @@ from .bg_poset import chain_length, defect, extrema, interval
 from .conjugacy import (
     DEFAULT_BFS_CAP,
     ClassInvariant,
+    ShiftClass,
     class_invariant,
-    conjugate_by_simple,
     is_min_len,
     is_straight,
     reflection_length,
     replay_moves,
 )
 from .errors import (
-    CapExceededError,
     InternalInvariantError,
     NotComparableError,
     NotMinLenError,
     NoUniqueExtremumError,
     UsageError,
 )
-from .linalg import all_principal_minors_positive, dot
+from .linalg import dot
 from .reduction_tree import build_tree, enumerate_paths, path_summary, summary_classes
 
 DEFAULT_SEEDS = tuple(range(10))
@@ -60,40 +59,19 @@ DEFAULT_SEEDS = tuple(range(10))
 # -- spherical parabolic subsets ---------------------------------------------
 
 
-def _affine_cartan_entry(datum, i, j):
-    """Pairing of gradient coroots of the affine simple roots i and j."""
-    simples = affine_simple_roots(datum)
-    gi = simples[i][1]
-    gj = simples[j][1]
-    return dot(datum.root_coroot[gi], gj)
-
-
-def is_spherical(datum, indices) -> bool:
-    """Whether the parabolic subgroup on these affine indices is finite.
-
-    Tested through the generalized Cartan submatrix: finite type is
-    equivalent to all principal minors being positive.
-    """
-    idx = sorted(indices)
-    sub = tuple(
-        tuple(_affine_cartan_entry(datum, i, j) for j in idx) for i in idx
-    )
-    return all_principal_minors_positive(sub)
-
-
 def spherical_subsets(datum):
-    """All spherical subsets of affine indices, by size then lexicographic."""
-    cached = getattr(datum, "_spherical_cache", None)
-    if cached is None:
-        indices = range(datum.rank + 1)
-        cached = [
-            subset
-            for size in range(datum.rank + 1)
-            for subset in itertools.combinations(indices, size)
-            if is_spherical(datum, subset)
-        ]
-        datum._spherical_cache = cached
-    return cached
+    """All spherical subsets of affine indices, by size then lexicographic.
+
+    Every supported affine Dynkin diagram is connected, so a set of
+    affine indices generates a finite parabolic subgroup exactly when it
+    is a proper subset.
+    """
+    indices = range(datum.rank + 1)
+    return [
+        subset
+        for size in range(datum.rank + 1)
+        for subset in itertools.combinations(indices, size)
+    ]
 
 
 # -- parabolic decomposition --------------------------------------------------
@@ -109,7 +87,7 @@ def coset_decompose(w: AffineElement, K):
     """
     datum = w.datum
     K = tuple(sorted(K))
-    if not is_spherical(datum, K):
+    if len(set(K)) != len(K) or not set(K) < set(range(datum.rank + 1)):
         raise UsageError(f"index set {K} is not spherical")
     x = w
     letters = []
@@ -243,29 +221,6 @@ class MinCoxWitness:
         }
 
 
-def _class_members_bfs(w: AffineElement, cap):
-    """Members of the shift class with shift sequences, in BFS order."""
-    datum = w.datum
-    base = length(w)
-    seen = {w}
-    out = [(w, ())]
-    queue = [(w, ())]
-    while queue:
-        nxt = []
-        for cur, path in queue:
-            for i in range(datum.rank + 1):
-                y = conjugate_by_simple(cur, i)
-                if y not in seen and length(y) == base:
-                    seen.add(y)
-                    entry = (y, path + (i,))
-                    out.append(entry)
-                    nxt.append(entry)
-                    if len(seen) > cap:
-                        raise CapExceededError(cap, "witness search BFS")
-        queue = nxt
-    return out
-
-
 def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
     """Search for a minimal Coxeter type witness; None when exhausted.
 
@@ -278,7 +233,7 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
         return datum._mincox_cache[w]
     if not is_min_len(w, cap=cap).is_min_len:
         raise NotMinLenError(f"{format_element(w)} is not of minimal length")
-    members = _class_members_bfs(w, cap)
+    members = list(ShiftClass.of(w, cap).bfs(w, range(datum.rank + 1)))
     witness = None
     for K in spherical_subsets(datum):
         for member, shifts in members:

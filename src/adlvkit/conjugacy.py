@@ -1,9 +1,14 @@
 """Twisted conjugation combinatorics: shifts, Newton and Kottwitz points.
 
 A cyclic shift replaces x by s_i x sigma(s_i) when that does not increase
-length; the mutual-reachability classes under such moves are finite and
-are explored by breadth-first search with a hard node cap. Class
-invariants pair the dominant Newton point with the Kottwitz point (the
+length. The elements reachable from x by length-preserving shifts form
+its finite shift class. Each class is explored once, by breadth-first
+search with a hard node cap, into a :class:`ShiftClass` graph that
+records every member's same-length neighbours and length-dropping
+indices. Minimality tests and their certificates, reduction moves and
+the Coxeter witness search all walk that one graph (He-Nie: cyclic
+shifts reach a minimal length element, so the class graph is the only
+search object needed). Class invariants pair the dominant Newton point with the Kottwitz point (the
 translation part in the twisted coinvariants of X modulo the coroot
 lattice); together these separate the conjugacy classes this package
 cares about.
@@ -11,6 +16,7 @@ cares about.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,30 +69,91 @@ def cyclic_shift(x: AffineElement, i: int) -> ShiftMove:
     return ShiftMove(index=i, before=x, after=after, delta_length=delta)
 
 
-def shift_class(x: AffineElement, cap: int = DEFAULT_BFS_CAP) -> frozenset:
-    """The full length-preserving conjugation class of x, by BFS closure."""
-    datum = x.datum
-    cached = datum._shift_class_cache.get(x)
-    if cached is not None:
-        return cached
-    base = length(x)
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        new = []
-        for cur in frontier:
-            for i in range(datum.rank + 1):
+class ShiftClass:
+    """The length-preserving twisted conjugation class as a graph.
+
+    Built once by a capped BFS from any member and shared by all of them
+    through the datum's shift class cache. It holds the members, each
+    member's same-length neighbours keyed by simple index, and, for the
+    members that have one, the indices whose conjugation drops the length
+    by 2; the class is minimal exactly when ``drops`` is empty.
+    Minimality, certificates, reduction moves and the Coxeter witness
+    search only read this graph; none of them conjugates again.
+    """
+
+    def __init__(self, x: AffineElement, cap: int):
+        base = length(x)
+        indices = range(x.datum.rank + 1)
+        self.neighbours = {}
+        self.drops = {}
+        queue = deque([x])
+        seen = {x}
+        while queue:
+            cur = queue.popleft()
+            flat = {}
+            drops = []
+            for i in indices:
                 y = conjugate_by_simple(cur, i)
-                if y not in seen and length(y) == base:
+                ylen = length(y)
+                if ylen == base:
+                    flat[i] = y
+                    if y not in seen:
+                        seen.add(y)
+                        queue.append(y)
+                        if len(seen) > cap:
+                            raise CapExceededError(cap, "shift class BFS")
+                elif ylen < base:
+                    drops.append(i)
+            self.neighbours[cur] = flat
+            if drops:
+                self.drops[cur] = frozenset(drops)
+        self.members = frozenset(seen)
+
+    @classmethod
+    def of(cls, x: AffineElement, cap: int = DEFAULT_BFS_CAP) -> "ShiftClass":
+        """The cached graph of the class of x, built on first use."""
+        cache = x.datum._shift_class_cache
+        graph = cache.get(x)
+        if graph is None:
+            graph = cls(x, cap)
+            for member in graph.members:
+                cache[member] = graph
+        return graph
+
+    def bfs(self, root: AffineElement, order):
+        """Yield (member, shifts from root) in BFS order, indices tried in order."""
+        seen = {root}
+        queue = deque([(root, ())])
+        while queue:
+            cur, path = queue.popleft()
+            yield cur, path
+            flat = self.neighbours[cur]
+            for i in order:
+                y = flat.get(i)
+                if y is not None and y not in seen:
                     seen.add(y)
-                    new.append(y)
-                    if len(seen) > cap:
-                        raise CapExceededError(cap, "shift class BFS")
-        frontier = new
-    out = frozenset(seen)
-    for member in out:
-        datum._shift_class_cache[member] = out
-    return out
+                    queue.append((y, path + (i,)))
+
+
+def shift_class(x: AffineElement, cap: int = DEFAULT_BFS_CAP) -> frozenset:
+    """The full length-preserving conjugation class of x."""
+    return ShiftClass.of(x, cap).members
+
+
+def first_drop(x: AffineElement, order, cap: int = DEFAULT_BFS_CAP):
+    """The first (member, index, shifts) with a length drop, or None.
+
+    Members are visited by ``bfs(x, order)`` and each member's drops are
+    tried in ``order``; None means the class of x is minimal.
+    """
+    graph = ShiftClass.of(x, cap)
+    if not graph.drops:
+        return None
+    for member, path in graph.bfs(x, order):
+        drops = graph.drops.get(member)
+        if drops:
+            return member, next(i for i in order if i in drops), path
+    raise InternalInvariantError("class flagged non-minimal but no drop found")
 
 
 @dataclass(frozen=True)
@@ -100,40 +167,18 @@ class MinLenResult:
 def is_min_len(x: AffineElement, cap: int = DEFAULT_BFS_CAP) -> MinLenResult:
     """Minimality of length under twisted conjugation, with certificate.
 
-    BFS over length-preserving moves; the class is minimal iff no member
-    admits a length-dropping move. The witness, when one exists, is the
-    first found in breadth-first order with indices tried in increasing
-    order, hence the lexicographically smallest among the shortest ones.
+    The class is minimal iff no member of its shift class graph admits a
+    length-dropping move. The witness, when one exists, is the first drop
+    met walking the graph breadth-first from x with indices tried in
+    increasing order: length-preserving shifts, then one drop by 2, so
+    it replays through :func:`cyclic_shift`. It is the lexicographically
+    smallest among the shortest such sequences.
     """
-    datum = x.datum
-    members = shift_class(x, cap=cap)
-    cached = datum._minlen_cache.get(members)
-    if cached is None:
-        cached = not any(
-            length(conjugate_by_simple(m, i)) < length(m)
-            for m in members
-            for i in range(datum.rank + 1)
-        )
-        datum._minlen_cache[members] = cached
-    if cached:
+    drop = first_drop(x, range(x.datum.rank + 1), cap)
+    if drop is None:
         return MinLenResult(True)
-    # reconstruct the canonical witness path from x
-    base = length(x)
-    seen = {x}
-    queue = [(x, ())]
-    while queue:
-        nxt = []
-        for cur, path in queue:
-            for i in range(datum.rank + 1):
-                y = conjugate_by_simple(cur, i)
-                ylen = length(y)
-                if ylen < base:
-                    return MinLenResult(False, path + (i,))
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append((y, path + (i,)))
-        queue = nxt
-    raise InternalInvariantError("class flagged non-minimal but no drop found")
+    _member, i, path = drop
+    return MinLenResult(False, path + (i,))
 
 
 def descend_to_min_len(x: AffineElement, cap: int = DEFAULT_BFS_CAP):
@@ -144,8 +189,7 @@ def descend_to_min_len(x: AffineElement, cap: int = DEFAULT_BFS_CAP):
         res = is_min_len(cur, cap=cap)
         if res.is_min_len:
             return cur, tuple(moves)
-        for i in res.witness:
-            cur = conjugate_by_simple(cur, i)
+        cur = replay_moves(cur, res.witness)
         moves.extend(res.witness)
 
 

@@ -44,10 +44,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def mat_transpose(m: Matrix) -> Matrix:
-    return tuple(tuple(col) for col in zip(*m))
-
-
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -126,11 +122,6 @@ def mat_inv(m: Matrix) -> Matrix:
     return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
-def mat_inv_int(m: Matrix) -> Matrix:
-    """Inverse of a unimodular integer matrix, returned with int entries."""
-    return as_int_matrix(mat_inv(m))
-
-
 def solve(m: Matrix, b: Vector):
     """One rational solution x of m @ x = b, or None if inconsistent.
 
@@ -163,46 +154,6 @@ def nullspace(m: Matrix):
             v[c] = -rows[r][fc]
         basis.append(tuple(v))
     return basis
-
-
-def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    rows = [[Fraction(a) for a in row] for row in m]
-    sign = 1
-    out = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        out *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return out * sign
-
-
-def all_principal_minors_positive(m: Matrix) -> bool:
-    """True iff every principal minor of ``m`` is positive.
-
-    For generalized Cartan matrices this characterizes finite type, which
-    is how parabolic subgroups are tested for sphericity. Exponential in
-    the size of ``m``, which never exceeds the affine rank here.
-    """
-    n = len(m)
-    from itertools import combinations
-
-    for k in range(1, n + 1):
-        for idx in combinations(range(n), k):
-            sub = tuple(tuple(m[i][j] for j in idx) for i in idx)
-            if det(sub) <= 0:
-                return False
-    return True
 
 
 def smith_normal_form(a: Matrix):
@@ -323,10 +274,6 @@ class LatticeQuotient:
             ((a + b) % d) if d else a + b
             for a, b, d in zip(k1, k2, self._diag)
         )
-
-    @property
-    def invariant_factors(self) -> tuple:
-        return self._diag
 
     @property
     def is_finite(self) -> bool:

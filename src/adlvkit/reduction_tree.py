@@ -2,16 +2,18 @@
 
 A non-minimal element w is conjugated (by length-preserving shifts) to
 some w' admitting an affine simple index a with s_a w' sigma(s_a) two
-shorter. The tree then branches to w' sigma(s_a) (type I, length drop 1)
-and to s_a w' sigma(s_a) (type II, length drop 2) and recurses; minimal
-length elements are the endpoints. Trees are stored as DAGs keyed by the
-canonical element form so revisited elements share subtrees, and every
-edge carries the shift sequence that witnesses it, so each claim can be
-re-checked by replaying moves.
+shorter; the pair (w', a) is read off the shift class graph of w that
+:mod:`conjugacy` builds once per class. The tree then branches to
+w' sigma(s_a) (type I, length drop 1) and to s_a w' sigma(s_a) (type II,
+length drop 2) and recurses; minimal length elements are the endpoints.
+Trees are stored as DAGs keyed by the canonical element form so revisited
+elements share subtrees, and every edge carries the shift sequence that
+witnesses it, so each claim can be re-checked by replaying moves.
 
-Construction is seed-dependent: the seed permutes both the BFS order over
-the conjugation class and the order indices are tried in, which yields a
-reproducible diversity of trees for the tree-independence tests.
+Construction is seed-dependent: the seed permutes the index order, which
+fixes both the BFS order over the shift class graph and the order drops
+are tried in, and yields a reproducible diversity of trees for the
+tree-independence tests.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .conjugacy import (
     DEFAULT_BFS_CAP,
     ClassInvariant,
     class_invariant,
-    conjugate_by_simple,
+    first_drop,
     replay_moves,
 )
-from .errors import CapExceededError, InternalInvariantError
+from .errors import InternalInvariantError
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,6 @@ class ReductionPath:
     count_I: int
     count_II: int
     end_class: ClassInvariant
-
-    @property
-    def num_edges(self):
-        return len(self.edges)
 
 
 class ReductionTree:
@@ -92,42 +90,18 @@ def find_reduction_move(
     """A pair (w', a, shifts) with s_a w' sigma(s_a) two shorter, or None.
 
     None is returned exactly when w has minimal length in its class. The
-    search walks the length-preserving conjugation class breadth-first in
-    seed-permuted index order and returns the first hit, so the choice is
-    deterministic for a given seed.
+    move is the first length drop met walking the shift class graph of w
+    breadth-first, with indices tried in seed-permuted order, so the
+    choice is deterministic for a given seed. Results are memoized per
+    (w, seed) on the datum.
     """
-    datum = w.datum
-    memo = datum._move_cache
+    memo = w.datum._move_cache
     key = (w, seed)
-    if key in memo:
-        return memo[key]
-    order = list(range(datum.rank + 1))
-    random.Random(seed).shuffle(order)
-    base = length(w)
-    seen = {w}
-    queue = [(w, ())]
-    result = None
-    while queue and result is None:
-        nxt = []
-        for cur, path in queue:
-            drop = None
-            for i in order:
-                y = conjugate_by_simple(cur, i)
-                ylen = length(y)
-                if ylen == base - 2:
-                    drop = (cur, i, path)
-                    break
-                if ylen == base and y not in seen:
-                    seen.add(y)
-                    nxt.append((y, path + (i,)))
-                    if len(seen) > cap:
-                        raise CapExceededError(cap, "reduction move BFS")
-            if drop is not None:
-                result = drop
-                break
-        queue = nxt
-    memo[key] = result
-    return result
+    if key not in memo:
+        order = list(range(w.datum.rank + 1))
+        random.Random(seed).shuffle(order)
+        memo[key] = first_drop(w, order, cap)
+    return memo[key]
 
 
 def build_tree(

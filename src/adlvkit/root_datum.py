@@ -196,7 +196,6 @@ class RootDatum:
         self._weyl_elements = None
         self._length_cache = {}
         self._shift_class_cache = {}
-        self._minlen_cache = {}
         self._class_cache = {}
         self._move_cache = {}
         self._summary_cache = {}
@@ -311,13 +310,6 @@ class RootDatum:
         """Canonical pairing of a lattice vector with a covector."""
         return dot(v, a)
 
-    def root_is_positive(self, root_cov) -> bool:
-        return dot(self._probe, root_cov) > 0
-
-    def apply_weyl(self, z, v):
-        """Apply a finite Weyl element (a lattice matrix) to a vector."""
-        return mat_vec(z, v)
-
     def apply_weyl_covector(self, z, a):
         """Transport a covector along z: returns a o z^(-1)."""
         return vec_mat(a, self.weyl_inverse(z))
@@ -343,10 +335,6 @@ class RootDatum:
                 return cur, z
 
     # -- finite Weyl group bookkeeping ------------------------------------
-
-    def finite_length(self, z) -> int:
-        """Coxeter length of a finite Weyl element given as a matrix."""
-        return len(self.weyl_word(z))
 
     def weyl_word(self, z):
         """Lexicographically least reduced word, as a tuple of indices.

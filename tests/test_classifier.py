@@ -6,6 +6,7 @@ from adlvkit import classifier as cl
 from adlvkit import conjugacy as cj
 from adlvkit import reduction_tree as rt
 from adlvkit.errors import NotMinLenError, UsageError
+from adlvkit.root_datum import build_root_datum
 from conftest import length_ball
 
 
@@ -39,10 +40,13 @@ def test_spherical_matches_subgroup_growth(a2, c2sc):
 
     import itertools
 
-    for datum in (a2, c2sc):
+    g2 = build_root_datum("G2:sc")
+    a3tw = build_root_datum("2A3:sc")
+    for datum in (a2, c2sc, g2, a3tw):
+        # sizes up to rank + 1, so the full index set meets the oracle too
         expected = [
             K
-            for size in range(datum.rank + 1)
+            for size in range(datum.rank + 2)
             for K in itertools.combinations(range(datum.rank + 1), size)
             if closes(datum, K)
         ]
@@ -82,9 +86,14 @@ def test_coset_decompose_stability_failure(a5gl):
     assert cl.coset_decompose(w, (1,)) is None
 
 
-def test_coset_decompose_rejects_affine_K(a1):
+def test_coset_decompose_rejects_affine_K(a1, a2):
     with pytest.raises(UsageError):
         cl.coset_decompose(aw.identity(a1), (0, 1))
+    # indices outside 0..rank and repeated indices name no spherical set
+    w = aw.parse_element(a2, "s1 s2")
+    for K in ((5,), (1, 3), (-1,), (1, 1)):
+        with pytest.raises(UsageError):
+            cl.coset_decompose(w, K)
 
 
 # -- twisted Coxeter test ----------------------------------------------------------

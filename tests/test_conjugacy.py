@@ -6,6 +6,7 @@ from adlvkit import affine_weyl as aw
 from adlvkit import conjugacy as cj
 from adlvkit.errors import CapExceededError, NotAShiftError
 from adlvkit.linalg import identity_matrix
+from adlvkit.root_datum import build_root_datum
 from conftest import length_ball
 
 
@@ -59,6 +60,23 @@ def test_min_len_basic(a1):
     # replaying the certificate really shortens the element
     end = cj.replay_moves(aw.parse_element(a1, "s0 s1 s0"), res.witness)
     assert aw.length(end) < 3
+
+
+def test_min_len_witness_stays_in_shift_class():
+    # the certificate shifts without changing length, then drops by 2;
+    # a search that also walks through longer conjugates returns
+    # (1, 2, 1, 3) here, whose first step raises the length
+    datum = build_root_datum("2A3:sc")
+    x = aw.parse_element(datum, "t(0,-1,1) s2 s1")
+    res = cj.is_min_len(x)
+    assert not res.is_min_len
+    assert res.witness == (2, 1, 2, 3)
+    deltas = []
+    for i in res.witness:
+        move = cj.cyclic_shift(x, i)
+        deltas.append(move.delta_length)
+        x = move.after
+    assert deltas == [0, 0, 0, -2]
 
 
 def test_min_len_zero_length(a5gl):

@@ -28,7 +28,7 @@ def test_inverse_roundtrip():
     for _ in range(30):
         n = rng.randint(1, 4)
         m = random_matrix(rng, n, n)
-        if la.det(m) == 0:
+        if la.mat_rank(m) < n:
             continue
         inv = la.mat_inv(m)
         prod = la.mat_mul(m, inv)
@@ -60,13 +60,14 @@ def test_rank():
     assert la.mat_rank(((0, 0),)) == 0
 
 
-def test_det_triangular():
-    assert la.det(((2, 5), (0, 3))) == 6
-    assert la.det(((0, 1), (1, 0))) == -1
-
-
 def _is_unimodular(m):
-    return abs(la.det(m)) == 1
+    if la.mat_rank(m) < len(m):
+        return False
+    try:
+        la.as_int_matrix(la.mat_inv(m))
+    except ValueError:
+        return False
+    return True
 
 
 def test_smith_normal_form_random():
@@ -123,9 +124,3 @@ def test_lattice_quotient_additive():
         v = tuple(rng.randint(-9, 9) for _ in range(3))
         assert q.key(la.vec_add(u, v)) == q.combine(q.key(u), q.key(v))
 
-
-def test_principal_minors_positive():
-    assert la.all_principal_minors_positive(((2, -1), (-1, 2)))
-    # affine A1 Cartan matrix is singular, hence not finite type
-    assert not la.all_principal_minors_positive(((2, -2), (-2, 2)))
-    assert not la.all_principal_minors_positive(((0,),))
