@@ -15,11 +15,22 @@ part of any straight element in the class; witnesses are found by
 exhaustive enumeration of straight elements (every class here has one of
 length exactly <nu, 2 rho>) and the independence of the witness choice is
 a tested invariant.
+
+The enumeration of t^lambda z up to a length bound reads the datum's
+finite Weyl table rather than the matrix length formula. Candidate
+translations come from an integer solve of the simple-root pairings.
+For each lambda the pairings p_k = <lambda, beta_k> with the positive
+roots are taken once; then len(t^lambda z) is |p| summed, corrected by
+-1 or +1 for each root in the inversion set of z (a bitmask in the
+table), so the whole group costs one popcount per element. A lambda
+whose lower bound over all z already exceeds the bound is skipped, and
+only the elements yielded are entered in the length cache.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,8 +139,6 @@ def defect(c: ClassInvariant) -> int:
 
 def _central_sum(datum, c: ClassInvariant):
     """The forced coordinate sum of translations in the class c (gl only)."""
-    from .linalg import mat_vec
-
     if mat_vec(datum.delta, datum.central_vector) != datum.central_vector:
         raise UsageError(
             "Kottwitz filters cannot pin the central direction when the "
@@ -147,17 +156,15 @@ def _translation_candidates(datum, bound: int, central_values, budget):
     ``central_values``: for a lattice with a central line, the admissible
     coordinate sums; must be None exactly when the root system spans.
     Enumeration runs over the tuples of simple-root pairings (plus the
-    central coordinate), which pin lambda by an exact linear solve; only
-    the integral solutions survive. The result is a superset of what any
-    element of length <= bound allows; exact length tests happen at the
-    caller.
+    central coordinate), which pin lambda: with M the matrix of those
+    rows and d the least common denominator of M^(-1), lambda is
+    (d M^(-1)) p / d, kept only when d divides every coordinate. The
+    result is a superset of what any element of length <= bound allows;
+    exact length tests happen at the caller. ``budget`` caps the number
+    of pairing tuples, checked before any cached result is returned.
     """
-    key = (bound, tuple(central_values) if central_values is not None else None)
-    cached = datum._translation_cache.get(key)
-    if cached is not None:
-        return cached
     b = bound + 1
-    rows = [tuple(Fraction(c) for c in alpha) for alpha in datum.simple_roots]
+    rows = list(datum.simple_roots)
     axes = [range(-b, b + 1)] * datum.rank
     if datum.central_rank:
         if central_values is None:
@@ -165,26 +172,62 @@ def _translation_candidates(datum, bound: int, central_values, budget):
                 "enumeration over a lattice with central directions needs "
                 "a Kottwitz filter or central normalization"
             )
-        rows.append(tuple(Fraction(c) for c in datum.central_vector))
+        rows.append(datum.central_vector)
         axes.append(list(central_values))
-    inv = mat_inv(tuple(rows))
     size = 1
     for axis in axes:
         size *= len(axis)
     if size > budget:
         raise CapExceededError(budget, "translation enumeration")
+    key = (bound, tuple(central_values) if central_values is not None else None)
+    cached = datum._translation_cache.get(key)
+    if cached is not None:
+        return cached
+    inv = mat_inv(tuple(rows))
+    denom = math.lcm(*(c.denominator for row in inv for c in row))
+    adj = tuple(tuple(int(c * denom) for c in row) for row in inv)
     out = []
     for pairings in itertools.product(*axes):
-        lam = mat_vec(inv, pairings)
-        if any(c.denominator != 1 for c in lam):
+        lam = tuple(dot(row, pairings) for row in adj)
+        if any(c % denom for c in lam):
             continue
-        lam = tuple(int(c) for c in lam)
+        lam = tuple(c // denom for c in lam)
         if all(abs(dot(lam, alpha)) <= b for alpha in datum.positive_roots):
             out.append(lam)
     out.sort()
     cached = tuple(out)
     datum._translation_cache[key] = cached
     return cached
+
+
+def _translation_lengths(datum, lam, max_length=None):
+    """The lengths of t^lam z for z in ``datum.weyl_elements()``, in order.
+
+    With p_k = <lam, beta_k> over the positive roots, base = sum |p_k|
+    and U = {k : p_k >= 1}, the length formula reads
+
+        len(t^lam z) = base + sum over k in N(z) of (-1 if k in U else +1)
+                     = base + len(z) - 2 |N(z) & U|
+
+    for the inversion set N(z) of the datum's Weyl table. Returns None,
+    without scanning the group, when the lower bound base - |U| already
+    exceeds ``max_length``.
+    """
+    base = 0
+    up = 0
+    for k, beta in enumerate(datum.positive_roots):
+        p = dot(lam, beta)
+        if p >= 1:
+            base += p
+            up |= 1 << k
+        else:
+            base -= p
+    if max_length is not None and base - up.bit_count() > max_length:
+        return None
+    return [
+        base + inv.bit_count() - 2 * (inv & up).bit_count()
+        for inv in datum.weyl_inversions()
+    ]
 
 
 def _floor(f: Fraction) -> int:
@@ -214,12 +257,18 @@ def iter_elements(
             central_values = list(range(datum.n))
     translations = _translation_candidates(datum, max_length, central_values, budget)
     kappa_key = kottwitz.kottwitz if kottwitz is not None else None
+    elements = datum.weyl_elements()
+    length_cache = datum._length_cache
     for lam in translations:
         if kappa_key is not None and datum.kottwitz_quotient.key(lam) != kappa_key:
             continue
-        for z in datum.weyl_elements():
-            x = AffineElement(datum, lam, z)
-            if length(x) <= max_length:
+        lengths = _translation_lengths(datum, lam, max_length)
+        if lengths is None:
+            continue
+        for z, ell in zip(elements, lengths):
+            if ell <= max_length:
+                x = AffineElement(datum, lam, z)
+                length_cache[x] = ell
                 yield x
 
 

@@ -96,51 +96,45 @@ def coroot(root):
     return vec_scale(root, Fraction(2, 1) / norm)
 
 
-def all_roots(simple):
-    """Close the simple roots under all simple reflections."""
+def positive_roots(simple):
+    """Positive roots sorted by (height, coordinates), with coefficients.
+
+    The closure runs on the integer coefficient vectors c over the simple
+    roots: s_i lowers c_i by <beta, alpha_i^> = sum_j c_j <alpha_j, alpha_i^>.
+    Every positive root other than alpha_i stays positive under s_i, so
+    the images with a negative coefficient (only -alpha_i) are dropped.
+    """
     simple = [tuple(Fraction(c) for c in r) for r in simple]
-    norms = [dot(a, a) for a in simple]
-    roots = set(simple)
-    frontier = list(simple)
+    r = len(simple)
+    pairing = [
+        [int(2 * dot(a, b) / dot(b, b)) for b in simple] for a in simple
+    ]
+    start = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    seen = set(start)
+    frontier = start
     while frontier:
         new = []
-        for beta in frontier:
-            for alpha, norm in zip(simple, norms):
-                c = 2 * dot(beta, alpha) / norm
-                img = vec_sub(beta, vec_scale(alpha, c))
-                if img not in roots:
-                    roots.add(img)
+        for c in frontier:
+            for i in range(r):
+                p = sum(c[j] * pairing[j][i] for j in range(r))
+                img = c[:i] + (c[i] - p,) + c[i + 1:]
+                if img[i] >= 0 and img not in seen:
+                    seen.add(img)
                     new.append(img)
         frontier = new
-    return roots
-
-
-def root_coefficients(root, simple):
-    """Coefficients of a root on the simple basis (exact, unique)."""
-    from .linalg import solve
-
-    m = len(simple[0])
-    mat = tuple(tuple(simple[j][i] for j in range(len(simple))) for i in range(m))
-    sol = solve(mat, root)
-    if sol is None:
-        raise ValueError("root outside the span of the simple roots")
-    return sol
-
-
-def positive_roots(simple):
-    """Positive roots sorted by (height, coordinates)."""
     pos = []
-    for beta in all_roots(simple):
-        coeffs = root_coefficients(beta, simple)
-        if all(c >= 0 for c in coeffs):
-            pos.append((sum(coeffs), beta, coeffs))
+    for c in seen:
+        beta = tuple(
+            sum(c[j] * simple[j][k] for j in range(r)) for k in range(len(simple[0]))
+        )
+        pos.append((sum(c), beta, c))
     pos.sort(key=lambda t: (t[0], t[1]))
     return [(beta, coeffs) for _h, beta, coeffs in pos]
 
 
-def highest_root(simple):
-    pos = positive_roots(simple)
-    theta, coeffs = pos[-1]
+def highest_root(simple, positive):
+    """The last of ``positive``, the output of ``positive_roots(simple)``."""
+    theta, coeffs = positive[-1]
     # the highest root is the unique dominant root of maximal height
     for alpha in simple:
         if 2 * dot(theta, alpha) / dot(alpha, alpha) < 0:

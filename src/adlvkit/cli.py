@@ -7,7 +7,8 @@ byte-identical JSON. Results can be cached in content-addressed files
 keyed by a hash of the full request plus the package version, so
 interrupted scans resume for free.
 
-Exit codes: 0 ok, 1 usage, 2 resource cap, 3 invariant failure.
+Exit codes: 0 ok, 1 usage, 2 resource cap, 3 invariant failure, 4 a scan
+whose worker pool failed after it had written rows.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from . import __version__, bg_poset, checks, classifier, conjugacy
 from .affine_weyl import format_element, length, parse_element
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CAP = 2
 EXIT_INVARIANT = 3
+EXIT_POOL = 4
 
 _VERIFY_FRACTION = 100  # re-verify roughly 1 in this many cache hits
 
@@ -216,6 +219,10 @@ def _report_table(data) -> str:
 # -- scan worker (module level so process pools can pickle it) ----------------
 
 
+class _PoolFailure(Exception):
+    """The scan's worker pool broke after some rows were already written."""
+
+
 _WORKER_STATE = {}
 
 
@@ -285,21 +292,34 @@ def _cmd_scan(args, out):
 
     def row_stream():
         if jobs > 1 and cache is None and len(texts) > 1:
+            rows = 0
             try:
                 with ProcessPoolExecutor(
                     max_workers=jobs,
                     initializer=_scan_worker_init,
                     initargs=(args.datum, seeds, args.cap_bfs),
                 ) as pool:
-                    yield from pool.map(_scan_worker, texts, chunksize=8)
+                    for data in pool.map(_scan_worker, texts, chunksize=8):
+                        rows += 1
+                        yield data
                     return
-            except (OSError, PermissionError):
-                pass  # no worker pool available here; fall through
+            except (OSError, BrokenProcessPool) as exc:
+                if rows:
+                    # a serial restart would repeat the rows already written
+                    raise _PoolFailure(
+                        f"worker pool failed after {rows} of {len(texts)} rows: {exc!r}"
+                    ) from exc
+                print(
+                    f"warning: worker pool failed before its first row ({exc!r}); "
+                    "scanning serially",
+                    file=sys.stderr,
+                )
         for text in texts:
             yield _classified(datum, text, seeds, args.cap_bfs, cache)
 
     emitted = 0
     truncated = None
+    code = EXIT_OK
     stream = row_stream()
     while True:
         try:
@@ -307,7 +327,11 @@ def _cmd_scan(args, out):
         except StopIteration:
             break
         except CapExceededError as exc:
-            truncated = str(exc)
+            truncated, code = str(exc), EXIT_CAP
+            break
+        except _PoolFailure as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            truncated, code = str(exc), EXIT_POOL
             break
         if any(not f(data) for f in filters):
             continue
@@ -327,7 +351,7 @@ def _cmd_scan(args, out):
             out.write(_stable_json({"truncated": True, "reason": truncated}) + "\n")
         else:
             out.write(f"# truncated: {truncated}\n")
-        return EXIT_CAP
+        return code
     if args.format == "table":
         out.write(f"# {emitted} of {len(texts)} elements shown\n")
     return EXIT_OK

@@ -17,7 +17,7 @@ cares about.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .affine_weyl import (
@@ -274,7 +274,6 @@ class ClassInvariant:
     datum: object
     newton: tuple
     kottwitz: tuple
-    _defect: list = field(default_factory=lambda: [None], repr=False)
 
     def __eq__(self, other):
         return (
@@ -290,15 +289,6 @@ class ClassInvariant:
     @property
     def pairing_two_rho(self):
         return dot(self.newton, self.datum.two_rho)
-
-    @property
-    def defect(self):
-        """Filled lazily through bg_poset.defect on first use."""
-        if self._defect[0] is None:
-            from .bg_poset import defect as _defect_of
-
-            self._defect[0] = _defect_of(self)
-        return self._defect[0]
 
     def sort_key(self):
         return (self.pairing_two_rho, self.kottwitz, self.newton)

@@ -18,8 +18,9 @@ presets are supported:
     familiar matrix-group realization. The lattice has a one-dimensional
     central direction.
 
-Everything is immutable after construction; the per-datum caches are
-write-once tables safe for concurrent readers.
+The lattice data are fixed at construction. The per-datum caches are
+not: any call may fill them lazily, entries are never removed, and there
+is no guarantee for concurrent use of one datum from several threads.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import cartan
 from .errors import UnsupportedDatumError, UsageError
@@ -123,7 +125,7 @@ class RootDatum:
         simple_amb = cartan.simple_roots_ambient(family, spec.rank)
         coroots_amb = [cartan.coroot(a) for a in simple_amb]
         pos_amb = cartan.positive_roots(simple_amb)
-        theta_amb = cartan.highest_root(simple_amb)
+        theta_amb = cartan.highest_root(simple_amb, pos_amb)
 
         basis = self._lattice_basis(simple_amb, coroots_amb)
         self.n = len(basis)
@@ -190,10 +192,11 @@ class RootDatum:
         self.central_rank = self.n - self.rank
         self.central_vector = (1,) * self.n if self.central_rank else None
 
-        # write-once caches, keyed by element data
+        # caches filled lazily by any call, keyed by element data
         self._word_cache = {}
         self._inv_cache = {}
         self._weyl_elements = None
+        self._weyl_inversions = None
         self._length_cache = {}
         self._shift_class_cache = {}
         self._class_cache = {}
@@ -386,21 +389,74 @@ class RootDatum:
     def weyl_elements(self):
         """All finite Weyl elements, sorted by (length, word)."""
         if self._weyl_elements is None:
-            seen = {identity_matrix(self.n)}
-            frontier = list(seen)
-            while frontier:
-                new = []
-                for z in frontier:
-                    for g in self.weyl_generators:
-                        zg = mat_mul(z, g)
-                        if zg not in seen:
-                            seen.add(zg)
-                            new.append(zg)
-                frontier = new
-            self._weyl_elements = tuple(
-                sorted(seen, key=lambda z: (len(self.weyl_word(z)), self.weyl_word(z)))
-            )
+            self._build_weyl_table()
         return self._weyl_elements
+
+    def weyl_inversions(self):
+        """Inversion sets aligned with :meth:`weyl_elements`, as bitmasks.
+
+        Bit k of the mask of z is set when z^(-1) maps the k-th positive
+        root to a negative root; len(z) bits are set.
+        """
+        if self._weyl_inversions is None:
+            self._build_weyl_table()
+        return self._weyl_inversions
+
+    def _build_weyl_table(self):
+        """Breadth-first search over the Weyl orbit of the probe.
+
+        z is tracked by v = z(probe), which determines it because the
+        probe is regular. The left descents of z are the i with
+        <v, alpha_i> < 0, so its least reduced word is (j,) + word(s_j z)
+        for the smallest such j, and its inversion set is the positive
+        roots beta with <v, beta> < 0. A step s_i v = v - <v, alpha_i>
+        alpha_i^ updates the matrix by the rank-one form
+        s_i z = z - alpha_i^ (alpha_i z). Every word goes into the word
+        cache.
+        """
+        roots, coroots = self.simple_roots, self.simple_coroots
+
+        def pairings(v, covectors):
+            return [sum(map(mul, v, a)) for a in covectors]
+
+        def reflect(v, i, p):
+            return tuple(a - p * b for a, b in zip(v, coroots[i]))
+
+        # v -> (matrix, least reduced word)
+        table = {self._probe: (identity_matrix(self.n), ())}
+        level = [self._probe]
+        while level:
+            nxt = []
+            for v in level:
+                z = table[v][0]
+                for i, p in enumerate(pairings(v, roots)):
+                    if p < 0:
+                        continue
+                    u = reflect(v, i, p)
+                    if u in table:
+                        continue
+                    az = [sum(map(mul, roots[i], col)) for col in zip(*z)]
+                    su = tuple(
+                        tuple(a - c * b for a, b in zip(row, az)) if c else row
+                        for row, c in zip(z, coroots[i])
+                    )
+                    j, q = next((k, q) for k, q in enumerate(pairings(u, roots)) if q < 0)
+                    table[u] = (su, (j + 1,) + table[reflect(u, j, q)][1])
+                    nxt.append(u)
+            level = nxt
+        entries = sorted(table.items(), key=lambda e: (len(e[1][1]), e[1][1]))
+        elements = []
+        inversions = []
+        for v, (z, word) in entries:
+            mask = 0
+            for k, p in enumerate(pairings(v, self.positive_roots)):
+                if p < 0:
+                    mask |= 1 << k
+            elements.append(z)
+            inversions.append(mask)
+            self._word_cache.setdefault(z, word)
+        self._weyl_elements = tuple(elements)
+        self._weyl_inversions = tuple(inversions)
 
     # ---------------------------------------------------------------------
 

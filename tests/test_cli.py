@@ -1,6 +1,9 @@
 import io
 import json
 import os
+from concurrent.futures.process import BrokenProcessPool
+
+import pytest
 
 from adlvkit import cli
 
@@ -254,3 +257,65 @@ def test_scan_left_minimal_restriction():
     assert rows
     # these are the dominant-translation-type forms: every row is geo-cox
     assert all(row["geo_cox"] for row in rows)
+
+
+def _failing_executor(fail_at, exc):
+    """An in-process stand-in for ProcessPoolExecutor whose map raises ``exc``
+    in place of row ``fail_at`` (None: the constructor raises)."""
+
+    class FakeExecutor:
+        def __init__(self, max_workers, initializer, initargs):
+            if fail_at is None:
+                raise exc
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            for k, item in enumerate(items):
+                if k == fail_at:
+                    raise exc
+                yield fn(item)
+
+    return FakeExecutor
+
+
+_SCAN_ARGV = ["scan", "--datum", "A1:adj", "--max-length", "3", "--format", "jsonl"]
+
+
+@pytest.mark.parametrize(
+    "exc", [OSError("synthetic pool failure"), BrokenProcessPool("synthetic worker death")]
+)
+def test_scan_pool_failure_after_rows_is_an_error(monkeypatch, capsys, exc):
+    _code, serial = run(_SCAN_ARGV + ["--jobs", "1"])
+    monkeypatch.setattr(cli, "_WORKER_STATE", {})
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _failing_executor(3, exc))
+    code, out = run(_SCAN_ARGV + ["--jobs", "2"])
+    assert code == cli.EXIT_POOL
+    lines = out.strip().splitlines()
+    # three rows, none repeated by a serial restart, then the marker
+    assert lines[:3] == serial.strip().splitlines()[:3]
+    assert len(lines) == 4
+    marker = json.loads(lines[-1])
+    assert marker["truncated"] is True and "after 3 of 7 rows" in marker["reason"]
+    err = capsys.readouterr().err
+    assert err.startswith("error: worker pool failed after 3 of 7 rows")
+
+
+@pytest.mark.parametrize("fail_at", [None, 0])
+def test_scan_pool_failure_before_first_row_falls_back(monkeypatch, capsys, fail_at):
+    _code, serial = run(_SCAN_ARGV + ["--jobs", "1"])
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_WORKER_STATE", {})
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", _failing_executor(fail_at, OSError("no semaphores"))
+    )
+    code, out = run(_SCAN_ARGV + ["--jobs", "2"])
+    assert code == 0
+    assert out == serial
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: worker pool failed before its first row")
