@@ -2,13 +2,20 @@
 
 Classes are keyed by (dominant Newton point, Kottwitz point). The order
 compares equal Kottwitz points and asks the Newton difference to be a
-nonnegative rational combination of simple coroots. Chain lengths come
-from the closed formula
+nonnegative rational combination of simple coroots. Nothing is solved
+per comparison: each class invariant stores, once, the pairings of its
+Newton point with the datum's fundamental weights (its coefficients over
+the simple coroots) and with the covectors vanishing on every coroot
+(its central part). c1 <= c2 is then "equal Kottwitz points, equal
+central parts, coordinatewise <=". Chain lengths come from the closed
+formula
 
     len([b1],[b2]) = <nu2 - nu1, rho> + def(b1)/2 - def(b2)/2
 
 whose integrality is asserted rather than assumed: the poset is ranked,
-so a non-integer value means a broken convention, not bad input.
+so a non-integer value means a broken convention, not bad input. Its
+<nu2 - nu1, rho> is the sum of the coefficient differences, since every
+simple coroot pairs to 1 with rho.
 
 The defect of a class is the twisted reflection length of the classical
 part of any straight element in the class; witnesses are found by
@@ -49,7 +56,7 @@ from .errors import (
     NoUniqueExtremumError,
     UsageError,
 )
-from .linalg import dot, mat_inv, mat_vec, solve, vec_sub
+from .linalg import dot, mat_inv, mat_vec
 
 DEFAULT_ENUM_BUDGET = 10**7
 
@@ -60,20 +67,27 @@ def _check_same_datum(c1, c2):
 
 
 def leq(c1: ClassInvariant, c2: ClassInvariant) -> bool:
-    """Partial order: equal Kottwitz points and dominance of Newton points."""
+    """Partial order: equal Kottwitz points and dominance of Newton points.
+
+    nu2 - nu1 is a nonnegative combination of simple coroots exactly when
+    it vanishes on the central covectors and its pairings with the
+    fundamental weights, its coefficients, are nonnegative. Both are read
+    off the coordinates stored in the class invariants.
+    """
     _check_same_datum(c1, c2)
-    if c1.kottwitz != c2.kottwitz:
-        return False
-    datum = c1.datum
-    diff = vec_sub(c2.newton, c1.newton)
-    cols = tuple(
-        tuple(Fraction(datum.simple_coroots[j][i]) for j in range(datum.rank))
-        for i in range(datum.n)
+    return (
+        c1.kottwitz == c2.kottwitz
+        and c1.central == c2.central
+        and all(a <= b for a, b in zip(c1.coords, c2.coords))
     )
-    coeffs = solve(cols, diff)
-    if coeffs is None:
-        return False
-    return all(c >= 0 for c in coeffs)
+
+
+def _rho_gap(c1, c2):
+    """<nu2 - nu1, rho> for c1 <= c2: the sum of the coefficient gaps.
+
+    Every simple coroot pairs to 1 with rho (an audited datum invariant).
+    """
+    return sum(b - a for a, b in zip(c1.coords, c2.coords))
 
 
 def _half_defect_term(c1, c2):
@@ -84,7 +98,7 @@ def chain_length(c1: ClassInvariant, c2: ClassInvariant) -> int:
     """Common length of maximal chains from c1 up to c2."""
     if not leq(c1, c2):
         raise NotComparableError(f"{c1} is not below {c2}")
-    value = dot(vec_sub(c2.newton, c1.newton), c1.datum.rho) + _half_defect_term(c1, c2)
+    value = _rho_gap(c1, c2) + _half_defect_term(c1, c2)
     if value.denominator != 1 or value < 0:
         raise InternalInvariantError(f"chain length {value} is not a nonnegative integer")
     return int(value)
@@ -94,7 +108,7 @@ def essential_gap(c1: ClassInvariant, c2: ClassInvariant) -> int:
     """Chain length corrected by defects: controls dimension jumps."""
     if not leq(c1, c2):
         raise NotComparableError(f"{c1} is not below {c2}")
-    value = dot(vec_sub(c2.newton, c1.newton), c1.datum.rho) - _half_defect_term(c1, c2)
+    value = _rho_gap(c1, c2) - _half_defect_term(c1, c2)
     if value.denominator != 1 or value < 0:
         raise InternalInvariantError(f"essential gap {value} is not a nonnegative integer")
     return int(value)
@@ -123,7 +137,7 @@ def defect(c: ClassInvariant) -> int:
     cached = datum._defect_cache.get(c)
     if cached is not None:
         return cached
-    bound = dot(c.newton, datum.two_rho)
+    bound = c.pairing_two_rho
     for record in enumerate_straight(datum, bound, kottwitz=c):
         datum._defect_cache.setdefault(record.invariant, record.defect)
     cached = datum._defect_cache.get(c)
@@ -323,7 +337,7 @@ def interval(c_lo: ClassInvariant, c_hi: ClassInvariant):
     if not leq(c_lo, c_hi):
         raise NotComparableError(f"{c_lo} is not below {c_hi}")
     datum = c_lo.datum
-    bound = dot(c_hi.newton, datum.two_rho)
+    bound = c_hi.pairing_two_rho
     out = [
         r.invariant
         for r in enumerate_straight(datum, bound, kottwitz=c_lo)

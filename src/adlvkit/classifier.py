@@ -338,7 +338,7 @@ def dim_formula(w: AffineElement, c: ClassInvariant):
     value = (
         length(w)
         + classical_reflection_length(w)
-        - dot(c.newton, w.datum.two_rho)
+        - c.pairing_two_rho
         - defect(c)
     )
     if value % 2 != 0 or value < 0:
@@ -371,7 +371,7 @@ def ell2_formula(w: AffineElement, c: ClassInvariant, c_max: ClassInvariant) -> 
     value = (
         length(w)
         - classical_reflection_length(w)
-        - dot(c.newton, w.datum.two_rho)
+        - c.pairing_two_rho
         + defect(c)
     )
     if value % 2 != 0 or value < 0:
@@ -396,7 +396,7 @@ def mct_inequality(w: AffineElement, cap=DEFAULT_BFS_CAP):
     test suite.
     """
     c = class_invariant(w)
-    rhs = dot(c.newton, w.datum.two_rho) + classical_reflection_length(w) - defect(c)
+    rhs = c.pairing_two_rho + classical_reflection_length(w) - defect(c)
     slack = length(w) - rhs
     if slack < 0:
         raise InternalInvariantError(f"negative slack {slack} for {format_element(w)}")

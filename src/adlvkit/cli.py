@@ -4,8 +4,9 @@ One verb per artifact: classify an element, emit a reduction tree, print
 the endpoint-class table, scan a length range, or run the invariant
 suites. All randomness is seed-derived; identical configurations produce
 byte-identical JSON. Results can be cached in content-addressed files
-keyed by a hash of the full request plus the package version, so
-interrupted scans resume for free.
+keyed by a hash of the full request, the package version, the report
+schema and the package's source files, so interrupted scans resume for
+free and entries written by other code are never read back.
 
 Exit codes: 0 ok, 1 usage, 2 resource cap, 3 invariant failure, 4 a scan
 whose worker pool failed after it had written rows.
@@ -14,12 +15,14 @@ whose worker pool failed after it had written rows.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 from . import __version__, bg_poset, checks, classifier, conjugacy
 from .affine_weyl import format_element, length, parse_element
@@ -51,6 +54,16 @@ def _stable_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+@functools.lru_cache(maxsize=None)
+def _source_digest() -> str:
+    """sha256 over the names and bytes of the package's ``*.py`` files."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()
+
+
 class ResultCache:
     """Content-addressed JSON files; atomic writes, last writer wins."""
 
@@ -60,7 +73,19 @@ class ResultCache:
 
     @staticmethod
     def key(payload: dict) -> str:
-        blob = _stable_json({"version": __version__, **payload})
+        """Hash of the request, the report schema and the package sources.
+
+        An entry written by other code (another version, schema or source
+        file) gets another key, so it is never served as fresh.
+        """
+        blob = _stable_json(
+            {
+                "version": __version__,
+                "schema": REPORT_SCHEMA,
+                "source": _source_digest(),
+                **payload,
+            }
+        )
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def path(self, key):

@@ -269,11 +269,21 @@ def relative_reflection_length(datum, z, twist) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ClassInvariant:
-    """Key of a twisted conjugacy class: dominant Newton point + Kottwitz point."""
+    """Key of a twisted conjugacy class: dominant Newton point + Kottwitz point.
+
+    Built only by :func:`class_invariant`, which also stores the Newton
+    point's coordinates read by the class poset: ``coords`` pairs it with
+    the datum's fundamental weights (its coefficients over the simple
+    coroots, when it lies in their span), ``central`` with the datum's
+    central covectors, and ``pairing_two_rho`` is <nu, 2 rho>.
+    """
 
     datum: object
     newton: tuple
     kottwitz: tuple
+    coords: tuple
+    central: tuple
+    pairing_two_rho: Fraction
 
     def __eq__(self, other):
         return (
@@ -285,10 +295,6 @@ class ClassInvariant:
 
     def __hash__(self):
         return hash((self.newton, self.kottwitz))
-
-    @property
-    def pairing_two_rho(self):
-        return dot(self.newton, self.datum.two_rho)
 
     def sort_key(self):
         return (self.pairing_two_rho, self.kottwitz, self.newton)
@@ -306,7 +312,14 @@ def class_invariant(x: AffineElement) -> ClassInvariant:
         nu = newton_point(x)
         if mat_vec(datum.delta, nu) != nu:
             raise InternalInvariantError("Newton point is not twist-fixed")
-        cached = ClassInvariant(datum, nu, kottwitz_point(x))
+        cached = ClassInvariant(
+            datum,
+            nu,
+            kottwitz_point(x),
+            tuple(dot(nu, w) for w in datum.fundamental_weights),
+            tuple(dot(nu, a) for a in datum.central_covectors),
+            dot(nu, datum.two_rho),
+        )
         datum._class_cache[x] = cached
     return cached
 

@@ -107,9 +107,39 @@ def _rref(rows):
 
 
 def mat_rank(m: Matrix) -> int:
-    if not m or not m[0]:
-        return 0
-    return len(_rref(m)[1])
+    """Rank of an integer matrix, by fraction-free (Bareiss) elimination.
+
+    Each step replaces row i below the pivot row r by
+    (p * row_i - a * row_r) / p_prev, with p the pivot, a the entry of
+    row i in the pivot column and p_prev the previous pivot. Every entry
+    stays a minor of ``m``, so the division is exact and no ``Fraction``
+    is made. Entries must be ints.
+
+    >>> mat_rank(((1, 2, 3), (2, 4, 6), (1, 0, 1)))
+    2
+    """
+    rows = [list(row) for row in m]
+    if any(type(a) is not int for row in rows for a in row):
+        raise TypeError("mat_rank takes integer matrices")
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    rank = 0
+    prev = 1
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, nrows) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for i in range(rank + 1, nrows):
+            a = rows[i][c]
+            rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
 
 
 def mat_inv(m: Matrix) -> Matrix:

@@ -25,6 +25,7 @@ is no guarantee for concurrent use of one datum from several threads.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,13 +36,12 @@ from .errors import UnsupportedDatumError, UsageError
 from .linalg import (
     LatticeQuotient,
     as_int_matrix,
-    as_int_vector,
     dot,
     identity_matrix,
     mat_inv,
     mat_mul,
     mat_vec,
-    solve,
+    nullspace,
     vec_mat,
 )
 
@@ -123,62 +123,83 @@ class RootDatum:
         family = spec.family
 
         simple_amb = cartan.simple_roots_ambient(family, spec.rank)
-        coroots_amb = [cartan.coroot(a) for a in simple_amb]
         pos_amb = cartan.positive_roots(simple_amb)
-        theta_amb = cartan.highest_root(simple_amb, pos_amb)
+        cartan.highest_root(simple_amb, pos_amb)  # theta is the last positive root
+        norms = [dot(a, a) for a in simple_amb]
+        # cartan_matrix[i][j] = <alpha_i^, alpha_j>
+        self.cartan_matrix = tuple(
+            tuple(int(2 * dot(a, b) / norm) for b in simple_amb)
+            for a, norm in zip(simple_amb, norms)
+        )
+        roots, coroots = self._simple_lattice_coordinates(simple_amb)
+        self.n = len(roots[0])
+        self.simple_roots = roots
+        self.simple_coroots = coroots
 
-        basis = self._lattice_basis(simple_amb, coroots_amb)
-        self.n = len(basis)
-
-        def cov(alpha):
-            # a root as an integer covector on the lattice
-            return as_int_vector([dot(b, alpha) for b in basis])
-
-        def vec(x_amb):
-            # an ambient lattice point in integer lattice coordinates
-            mat = tuple(
-                tuple(basis[j][i] for j in range(self.n))
-                for i in range(len(x_amb))
-            )
-            sol = solve(mat, x_amb)
-            if sol is None:
-                raise AssertionError("vector not in the lattice span")
-            return as_int_vector(sol)
-
-        self.simple_roots = tuple(cov(a) for a in simple_amb)
-        self.simple_coroots = tuple(vec(c) for c in coroots_amb)
-        self.positive_roots = tuple(cov(beta) for beta, _c in pos_amb)
-        self.theta = cov(theta_amb)
-        self.theta_coroot = vec(cartan.coroot(theta_amb))
-        rho_amb = [sum(beta[i] for beta, _c in pos_amb) / Fraction(2) for i in range(len(theta_amb))]
-        self.rho = tuple(Fraction(dot(b, rho_amb)) for b in basis)
-        self.two_rho = tuple(2 * c for c in self.rho)
-
-        # all roots with their coroots, for reflections by arbitrary roots
+        # The change of basis from simple root coefficients: a positive
+        # root with coefficients c is the covector c . roots. With the
+        # squared lengths scaled to integers l_k, u = sum c_k l_k coroot_k
+        # is a positive multiple of its coroot and <u, beta> = 2 l_beta, so
+        # the coroot is 2u / <u, beta>. Integers throughout. root_coroot
+        # holds every root with its coroot, for reflections by any root.
+        shortest = min(norms)
+        scale = tuple(int(norm / shortest) for norm in norms)
         self.root_coroot = {}
-        for beta, _c in pos_amb:
-            bc, cc = cov(beta), vec(cartan.coroot(beta))
-            self.root_coroot[bc] = cc
-            self.root_coroot[tuple(-x for x in bc)] = tuple(-x for x in cc)
+        positive = []
+        for _beta, c in pos_amb:
+            beta = vec_mat(c, roots)
+            u = vec_mat(tuple(a * b for a, b in zip(c, scale)), coroots)
+            q = dot(u, beta)
+            if any(2 * x % q for x in u):
+                raise AssertionError("coroot outside the lattice")
+            coroot = tuple(2 * x // q for x in u)
+            positive.append(beta)
+            self.root_coroot[beta] = coroot
+            self.root_coroot[tuple(-x for x in beta)] = tuple(-x for x in coroot)
+        self.positive_roots = tuple(positive)
+        self.theta = self.positive_roots[-1]
+        self.theta_coroot = self.root_coroot[self.theta]
+        self.rho = tuple(Fraction(sum(col), 2) for col in zip(*self.positive_roots))
+        self.two_rho = tuple(2 * c for c in self.rho)
 
         self.weyl_generators = tuple(
             self._reflection_matrix(self.simple_roots[i], self.simple_coroots[i])
             for i in range(self.rank)
         )
-        self.cartan_matrix = tuple(
-            tuple(dot(self.simple_coroots[i], self.simple_roots[j]) for j in range(self.rank))
-            for i in range(self.rank)
-        )
 
         self.delta_diagram = cartan.diagram_automorphism(family, spec.rank, spec.twist_order)
-        self.delta = self._delta_matrix(simple_amb, basis)
-        self.delta_inv = as_int_matrix(mat_inv(self.delta))
+        self.delta = self._delta_matrix()
+        # a signed permutation matrix: its inverse is its transpose
+        self.delta_inv = tuple(zip(*self.delta))
+
+        # A^(-1) for the Cartan matrix A, behind the fundamental coweights
+        # and weights in the coroot and root spans
+        cartan_inv = mat_inv(self.cartan_matrix)
+        span_coweights = tuple(vec_mat(row, coroots) for row in cartan_inv)
+        # the covectors dual to the simple coroots, and a basis of the
+        # covectors that vanish on every coroot (the central covector on
+        # gl, none on adj and sc); the class poset reads Newton points in
+        # these coordinates
+        self.fundamental_weights = tuple(
+            vec_mat(col, roots) for col in zip(*cartan_inv)
+        )
+        self.central_covectors = tuple(_integral(v) for v in nullspace(coroots))
 
         # integer vector with strictly positive pairing against every
         # positive root; root sign tests reduce to one dot product
-        self._probe = self._positivity_probe()
+        self._probe = _integral(tuple(map(sum, zip(*span_coweights))))
+        for beta in self.positive_roots:
+            if dot(self._probe, beta) <= 0:
+                raise AssertionError("positivity probe failed")
 
-        self.fundamental_coweights = self._fundamental_coweights()
+        if spec.lattice_preset == "gl":
+            # e_1 + ... + e_k for k = 1..n
+            self.fundamental_coweights = tuple(
+                tuple(Fraction(1 if i < k else 0) for i in range(self.n))
+                for k in range(1, self.n + 1)
+            )
+        else:
+            self.fundamental_coweights = span_coweights
 
         gens = [list(c) for c in self.simple_coroots]
         self.omega_quotient = LatticeQuotient(self.n, gens)
@@ -209,28 +230,24 @@ class RootDatum:
 
     # -- construction helpers -------------------------------------------
 
-    def _lattice_basis(self, simple_amb, coroots_amb):
+    def _simple_lattice_coordinates(self, simple_amb):
+        """Simple roots (covectors) and simple coroots in lattice coordinates.
+
+        With A the Cartan matrix: on gl both are the ambient e_i - e_(i+1).
+        On the adjoint lattice the basis is the simple coroots, so root k
+        pairs with basis vector j as A[j][k]. On the simply connected
+        lattice the basis is the fundamental coweights, so root k is the
+        k-th unit covector and coroot k has coordinates
+        <alpha_k^, alpha_j> = A[k][j].
+        """
         preset = self.spec.lattice_preset
         if preset == "gl":
-            n = self.rank + 1
-            return [cartan._e(n, i) for i in range(n)]
+            roots = as_int_matrix(simple_amb)
+            return roots, roots
+        unit = identity_matrix(self.rank)
         if preset == "adjoint":
-            return list(coroots_amb)
-        # simply_connected: fundamental coweights inside the coroot span
-        r = self.rank
-        pairing = tuple(
-            tuple(dot(coroots_amb[i], simple_amb[j]) for j in range(r))
-            for i in range(r)
-        )
-        inv = mat_inv(pairing)
-        basis = []
-        for i in range(r):
-            w = [Fraction(0)] * len(simple_amb[0])
-            for j in range(r):
-                for k in range(len(w)):
-                    w[k] += inv[i][j] * coroots_amb[j][k]
-            basis.append(tuple(w))
-        return basis
+            return tuple(zip(*self.cartan_matrix)), unit
+        return unit, self.cartan_matrix
 
     def _reflection_matrix(self, root_cov, coroot_vec):
         n = self.n
@@ -239,7 +256,7 @@ class RootDatum:
             for i in range(n)
         )
 
-    def _delta_matrix(self, simple_amb, basis):
+    def _delta_matrix(self):
         perm = self.delta_diagram
         preset = self.spec.lattice_preset
         n = self.n
@@ -256,56 +273,6 @@ class RootDatum:
         for j in range(n):
             mat[perm[j + 1] - 1][j] = 1
         return tuple(tuple(row) for row in mat)
-
-    def _positivity_probe(self):
-        # sum of fundamental coweights, scaled to integers
-        r = self.rank
-        pairing = tuple(
-            tuple(dot(self.simple_coroots[i], self.simple_roots[j]) for j in range(r))
-            for i in range(r)
-        )
-        inv = mat_inv(pairing)
-        probe = [Fraction(0)] * self.n
-        for i in range(r):
-            for j in range(r):
-                for k in range(self.n):
-                    probe[k] += inv[i][j] * self.simple_coroots[j][k]
-        denom = 1
-        for c in probe:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
-        out = tuple(int(c * denom) for c in probe)
-        for beta in self.positive_roots:
-            if dot(out, beta) <= 0:
-                raise AssertionError("positivity probe failed")
-        return out
-
-    def _fundamental_coweights(self):
-        """Rational lattice coordinates of the fundamental coweights.
-
-        For the gl preset these are e_1 + ... + e_k; otherwise solved from
-        the defining pairings within the coroot span.
-        """
-        if self.spec.lattice_preset == "gl":
-            out = []
-            for k in range(1, self.n + 1):
-                out.append(tuple(Fraction(1 if i < k else 0) for i in range(self.n)))
-            return tuple(out)
-        r = self.rank
-        # omega_i = sum_k c_k coroot_k, pinned by pairing with simple roots
-        pairing = tuple(
-            tuple(dot(self.simple_coroots[k], self.simple_roots[j]) for k in range(r))
-            for j in range(r)
-        )
-        out = []
-        for i in range(r):
-            target = tuple(Fraction(1 if j == i else 0) for j in range(r))
-            coeffs = solve(pairing, target)
-            w = [Fraction(0)] * self.n
-            for k in range(r):
-                for idx in range(self.n):
-                    w[idx] += coeffs[k] * self.simple_coroots[k][idx]
-            out.append(tuple(w))
-        return tuple(out)
 
     # -- basic operations ------------------------------------------------
 
@@ -464,10 +431,10 @@ class RootDatum:
         return f"RootDatum({self.spec.datum_string()!r})"
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+def _integral(v):
+    """A rational vector times the least common denominator of its entries."""
+    d = math.lcm(*(Fraction(c).denominator for c in v))
+    return tuple(int(c * d) for c in v)
 
 
 _REGISTRY: dict[CartanSpec, RootDatum] = {}

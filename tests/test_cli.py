@@ -162,6 +162,17 @@ def test_cache_env_var(tmp_path, monkeypatch):
     assert os.listdir(cache_dir)
 
 
+def test_cache_key_covers_schema_and_sources(monkeypatch):
+    payload = {"command": "classify", "datum": "A1:adj", "element": "s1"}
+    key = cli.ResultCache.key(payload)
+    assert cli.ResultCache.key(payload) == key
+    monkeypatch.setattr(cli, "REPORT_SCHEMA", "adlvkit.report/0")
+    assert cli.ResultCache.key(payload) != key
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert cli.ResultCache.key(payload) != key
+
+
 def test_check_subcommand_passes():
     code, out = run(
         ["check", "--datum", "A1:adj", "--max-length", "4", "--seeds", "0,1,2"]

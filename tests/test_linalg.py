@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adlvkit import linalg as la
 
@@ -58,6 +60,43 @@ def test_rank():
     assert la.mat_rank(((1, 2), (2, 4))) == 1
     assert la.mat_rank(((1, 0), (0, 1))) == 2
     assert la.mat_rank(((0, 0),)) == 0
+    assert la.mat_rank(((0, 2, 4), (0, 1, 2), (3, 0, 0))) == 2
+    assert la.mat_rank(((2, 4, 6), (1, 2, 3), (3, 6, 9), (1, 1, 1))) == 2
+    assert la.mat_rank(()) == 0
+
+
+def rref_rank(m):
+    """The rank as ``mat_rank`` took it before: pivots of the Fraction RREF."""
+    if not m or not m[0]:
+        return 0
+    return len(la._rref(m)[1])
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices up to 6x6; half of them get rows that combine others."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    entry = st.integers(-9, 9)
+    m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and draw(st.booleans()):
+        free = draw(st.integers(1, rows - 1))
+        for i in range(free, rows):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=free, max_size=free))
+            m[i] = [sum(c * m[k][j] for k, c in enumerate(coeffs)) for j in range(cols)]
+    return tuple(tuple(row) for row in m)
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_matrices())
+def test_mat_rank_matches_rref_rank(m):
+    assert la.mat_rank(m) == rref_rank(m)
+    assert la.mat_rank(tuple(zip(*m))) == rref_rank(m)
+
+
+def test_mat_rank_rejects_non_integers():
+    with pytest.raises(TypeError):
+        la.mat_rank(((Fraction(1, 2), 1), (1, 1)))
 
 
 def _is_unimodular(m):
