@@ -316,9 +316,9 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
             fail("straight_implies_minlen", text, "straight but not minimal")
         bump("straight_implies_minlen")
 
+    trees = [build_tree(w, seed=seed, cap=bfs_cap) for seed in seeds]
     summaries = {}
-    for seed in seeds:
-        tree = build_tree(w, seed=seed, cap=bfs_cap)
+    for seed, tree in zip(seeds, trees):
         summary = path_summary(tree)
         summaries[seed] = summary
         for (cls, c1, c2, lend), mult in summary.items():
@@ -365,7 +365,7 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
                 )
         bump("seed_invariance")
 
-    geo = classifier.is_geometric_coxeter_type(w, seeds=seeds, cap=bfs_cap)
+    geo = classifier.is_geometric_coxeter_type(trees, cap=bfs_cap)
     if geo.smo != smo:
         fail("seed_invariance", text, "smo flag disagrees with raw multiplicity count")
 
@@ -435,7 +435,7 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
         )
     bump("saturation")
 
-    purity = classifier.purity_report(w, seed=seeds[0], seeds=seeds, cap=bfs_cap)
+    purity = classifier.purity_report(trees[0])
     for check in purity["helper_checks"]:
         for key in ("min_follows_type_II", "max_follows_type_I", "i_set_difference_is_one_orbit"):
             if not check.get(key, False):

@@ -255,13 +255,12 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
 # -- geometric Coxeter type -----------------------------------------------------
 
 
-def strong_multiplicity_one(w: AffineElement, seeds=DEFAULT_SEEDS, cap=DEFAULT_BFS_CAP):
-    """One path per endpoint class, in every seed's tree.
+def strong_multiplicity_one(trees):
+    """One path per endpoint class, in every given tree.
 
-    Returns (bool, offending class or None).
+    Returns (bool, the first offending class in tree order or None).
     """
-    for seed in seeds:
-        tree = build_tree(w, seed=seed, cap=cap)
+    for tree in trees:
         counts = {}
         for (cls, _c1, _c2, _lend), mult in path_summary(tree).items():
             counts[cls] = counts.get(cls, 0) + mult
@@ -279,12 +278,16 @@ class GeoCoxResult:
     endpoint_witnesses: dict  # endpoint -> MinCoxWitness | None
 
 
-def is_geometric_coxeter_type(w, seeds=DEFAULT_SEEDS, cap=DEFAULT_BFS_CAP):
-    smo, offending = strong_multiplicity_one(w, seeds=seeds, cap=cap)
+def is_geometric_coxeter_type(trees, cap=DEFAULT_BFS_CAP):
+    """Strong multiplicity one and a witness at every endpoint.
+
+    Reads the given trees (one per seed, all with the same root); ``cap``
+    bounds the minimal Coxeter type search on each endpoint.
+    """
+    smo, offending = strong_multiplicity_one(trees)
     witnesses = {}
     all_witnessed = True
-    for seed in seeds:
-        tree = build_tree(w, seed=seed, cap=cap)
+    for tree in trees:
         for endpoint in tree.endpoints():
             if endpoint not in witnesses:
                 witnesses[endpoint] = is_minimal_coxeter_type(endpoint, cap=cap)
@@ -406,17 +409,16 @@ def mct_inequality(w: AffineElement, cap=DEFAULT_BFS_CAP):
 # -- purity ----------------------------------------------------------------------
 
 
-def purity_report(w: AffineElement, seed: int = 0, seeds=DEFAULT_SEEDS, cap=DEFAULT_BFS_CAP):
+def purity_report(tree):
     """Saturation of the endpoint class set plus branching replay checks.
 
-    Saturation compares the endpoint classes with the full order interval
-    between their extrema. The helper checks walk one tree and verify at
-    every branching: the minimum travels along the type II edge, the
-    maximum along the type I edge, and the I(nu) sets of the two branch
-    minima differ by exactly one twist orbit of simple roots.
+    Saturation compares the endpoint classes of ``tree`` with the full
+    order interval between their extrema. The helper checks walk the tree
+    and verify at every branching: the minimum travels along the type II
+    edge, the maximum along the type I edge, and the I(nu) sets of the two
+    branch minima differ by exactly one twist orbit of simple roots.
     """
-    datum = w.datum
-    tree = build_tree(w, seed=seed, cap=cap)
+    datum = tree.root.datum
     classes = sorted(
         summary_classes(path_summary(tree)), key=lambda c: c.sort_key()
     )
@@ -509,9 +511,10 @@ def classify(
     datum = w.datum
     minimal = is_min_len(w, cap=cap).is_min_len
     min_cox = is_minimal_coxeter_type(w, cap=cap) if minimal else None
-    geo = is_geometric_coxeter_type(w, seeds=seeds, cap=cap)
+    trees = [build_tree(w, seed=s, cap=cap) for s in seeds]
+    geo = is_geometric_coxeter_type(trees, cap=cap)
 
-    first_tree = build_tree(w, seed=seeds[0], cap=cap)
+    first_tree = trees[0]
     summary = path_summary(first_tree)
     per_class = {}
     for (cls, c1, c2, _lend), mult in summary.items():
@@ -583,7 +586,7 @@ def classify(
         geo_cox=geo.is_geo_cox,
         mct=mct_inequality(w, cap=cap),
         bgw_table=rows,
-        purity=purity_report(w, seed=seeds[0], seeds=seeds, cap=cap),
+        purity=purity_report(first_tree),
         outside_guarantee=not geo.is_geo_cox,
     )
     if report.geo_cox:

@@ -272,6 +272,8 @@ _FILTERS = {
 
 
 def _cmd_scan(args, out):
+    if args.jobs < 0:
+        raise UsageError("--jobs expects 0 (available parallelism) or a positive count")
     datum = build_root_datum(args.datum)
     seeds = _parse_seeds(args.seeds)
     cache = _cache_from(args)
@@ -284,13 +286,12 @@ def _cmd_scan(args, out):
 
     elements = checks.corpus(datum, args.max_length, budget=args.cap_enum)
     if args.coset:
-        if not args.coset.startswith("tau"):
-            raise UsageError("--coset expects tauK")
         from .affine_weyl import omega_element
 
-        target = datum.omega_quotient.key(
-            omega_element(datum, int(args.coset[3:])).translation
-        )
+        k = args.coset[3:]
+        if not (args.coset.startswith("tau") and k.isdecimal()):
+            raise UsageError(f"--coset expects tauK, got {args.coset!r}")
+        target = datum.omega_quotient.key(omega_element(datum, int(k)).translation)
         elements = [
             x for x in elements if datum.omega_quotient.key(x.translation) == target
         ]
@@ -313,7 +314,7 @@ def _cmd_scan(args, out):
         ]
     texts = [format_element(x) for x in elements]
 
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
 
     def row_stream():
         if jobs > 1 and cache is None and len(texts) > 1:

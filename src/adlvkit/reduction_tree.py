@@ -13,7 +13,9 @@ witnesses it, so each claim can be re-checked by replaying moves.
 Construction is seed-dependent: the seed permutes the index order, which
 fixes both the BFS order over the shift class graph and the order drops
 are tried in, and yields a reproducible diversity of trees for the
-tree-independence tests.
+tree-independence tests. A tree memoizes the path summary of each of its
+nodes, so the memo lives and dies with the tree; pipelines build each
+seed's tree once and hand it to every function that reads it.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ class ReductionTree:
         self.seed = seed
         # element -> None (endpoint) or (edge_I, edge_II)
         self.expansions = expansions
+        # element -> path summary from that node, filled by path_summary
+        self.summaries = {}
 
     @property
     def nodes(self):
@@ -179,14 +183,13 @@ def path_summary(tree: ReductionTree, start=None):
     Dynamic programming over the shared DAG, so the cost is linear in the
     number of distinct nodes rather than the number of paths. Carrying
     the endpoint length makes per-path conservation and the tree-derived
-    dimension maximum checkable without expanding paths.
+    dimension maximum checkable without expanding paths. Each node's
+    summary is memoized on the tree.
     """
-    datum = tree.root.datum
-    start = tree.root if start is None else start
+    memo = tree.summaries
 
     def node_summary(node):
-        key = (node, tree.seed)
-        cached = datum._summary_cache.get(key)
+        cached = memo.get(node)
         if cached is not None:
             return cached
         exp = tree.expansions[node]
@@ -199,10 +202,10 @@ def path_summary(tree: ReductionTree, start=None):
                 for (cls, c1, c2, lend), mult in node_summary(edge.target).items():
                     k = (cls, c1 + inc_one, c2 + (1 - inc_one), lend)
                     result[k] = result.get(k, 0) + mult
-        datum._summary_cache[key] = result
+        memo[node] = result
         return result
 
-    return node_summary(start)
+    return node_summary(tree.root if start is None else start)
 
 
 def summary_classes(summary):
@@ -217,12 +220,6 @@ def bgw(w: AffineElement, seed: int = 0, cap: int = DEFAULT_BFS_CAP):
     for path in enumerate_paths(tree):
         grouped.setdefault(path.end_class, []).append(path)
     return grouped
-
-
-def bgw_summary(w: AffineElement, seed: int = 0, cap: int = DEFAULT_BFS_CAP):
-    """Like :func:`bgw` but only the (class, counts) multiset, via the DAG."""
-    tree = build_tree(w, seed=seed, cap=cap)
-    return path_summary(tree)
 
 
 # -- serialization -----------------------------------------------------------

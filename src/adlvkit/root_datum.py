@@ -222,7 +222,6 @@ class RootDatum:
         self._shift_class_cache = {}
         self._class_cache = {}
         self._move_cache = {}
-        self._summary_cache = {}
         self._mincox_cache = {}
         self._defect_cache = {}
         self._straight_cache = {}

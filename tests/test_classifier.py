@@ -187,19 +187,23 @@ def test_min_cox_negative_case(c2sc):
 # -- strong multiplicity one and geometric type ------------------------------------------
 
 
+def trees(w, seeds):
+    return [rt.build_tree(w, seed=s) for s in seeds]
+
+
 def test_smo_min_len(a5gl):
-    ok, offending = cl.strong_multiplicity_one(aw.parse_element(a5gl, "tau3 s4"), seeds=(0, 1))
+    ok, offending = cl.strong_multiplicity_one(trees(aw.parse_element(a5gl, "tau3 s4"), (0, 1)))
     assert ok and offending is None
 
 
 def test_smo_a1(a1):
-    ok, _ = cl.strong_multiplicity_one(aw.parse_element(a1, "s0 s1 s0"), seeds=range(5))
+    ok, _ = cl.strong_multiplicity_one(trees(aw.parse_element(a1, "s0 s1 s0"), range(5)))
     assert ok
 
 
 def test_geo_cox_examples(a1, a5gl):
-    assert cl.is_geometric_coxeter_type(aw.parse_element(a5gl, "s4 tau3"), seeds=(0, 1)).is_geo_cox
-    res = cl.is_geometric_coxeter_type(aw.parse_element(a1, "s0 s1 s0"), seeds=range(5))
+    assert cl.is_geometric_coxeter_type(trees(aw.parse_element(a5gl, "s4 tau3"), (0, 1))).is_geo_cox
+    res = cl.is_geometric_coxeter_type(trees(aw.parse_element(a1, "s0 s1 s0"), range(5)))
     assert res.is_geo_cox
     assert all(w is not None for w in res.endpoint_witnesses.values())
 
@@ -220,7 +224,7 @@ def test_dominant_translation_times_coxeter_is_geo(a2, c2sc):
             for i in range(1, datum.rank + 1)
         )
         assert left_minimal, text
-        assert cl.is_geometric_coxeter_type(w, seeds=(0, 1, 2)).is_geo_cox, text
+        assert cl.is_geometric_coxeter_type(trees(w, (0, 1, 2))).is_geo_cox, text
 
 
 # -- the closed formulas -------------------------------------------------------------------
@@ -269,7 +273,7 @@ def test_mct_inequality_values(a1, a5gl):
 
 
 def test_purity_report_a1(a1):
-    report = cl.purity_report(aw.parse_element(a1, "s0 s1 s0"), seed=0)
+    report = cl.purity_report(rt.build_tree(aw.parse_element(a1, "s0 s1 s0"), seed=0))
     assert report["saturated"]
     assert report["interval_diff"] == []
     (check,) = report["helper_checks"]
@@ -279,7 +283,7 @@ def test_purity_report_a1(a1):
 
 
 def test_purity_report_min_len(c2sc):
-    report = cl.purity_report(aw.omega_element(c2sc, 2), seed=0)
+    report = cl.purity_report(rt.build_tree(aw.omega_element(c2sc, 2), seed=0))
     assert report["saturated"]
     assert report["helper_checks"] == []
 
@@ -303,10 +307,10 @@ def test_classify_report_roundtrip(a1):
 
 def test_formulas_match_oracle_small_corpus(a2):
     for w in length_ball(a2, 4):
-        geo = cl.is_geometric_coxeter_type(w, seeds=(0, 1, 2))
+        geo = cl.is_geometric_coxeter_type(trees(w, (0, 1, 2)))
         if not geo.is_geo_cox:
             continue
-        summary = rt.bgw_summary(w, seed=0)
+        summary = rt.path_summary(rt.build_tree(w, seed=0))
         classes = sorted(rt.summary_classes(summary), key=lambda c: c.sort_key())
         c_min, c_max = bg.extrema(classes)
         for (cls, c1, c2, _lend), _mult in summary.items():

@@ -133,6 +133,23 @@ def test_scan_coset_restriction():
     assert all(sum(int(c) for c in row["kottwitz"]) % 2 == 1 for row in rows)
 
 
+@pytest.mark.parametrize("coset", ["tauX", "tau", "tau-1"])
+def test_scan_bad_coset_is_a_usage_error(coset, capsys):
+    code, out = run(
+        ["scan", "--datum", "A2:adj", "--max-length", "1", "--coset", coset, "--jobs", "1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --coset expects tauK")
+
+
+def test_scan_negative_jobs_is_a_usage_error(capsys):
+    code, out = run(["scan", "--datum", "A1:adj", "--max-length", "1", "--jobs", "-3"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --jobs")
+
+
 def test_scan_length_zero_all_geo():
     code, out = run(
         ["scan", "--datum", "A5:gl", "--max-length", "0", "--format", "jsonl", "--jobs", "1"]

@@ -96,16 +96,16 @@ def test_bgw_examples(a1, a5gl):
 
 def test_bgw_contains_own_class(c2sc):
     for x in list(length_ball(c2sc, 4)):
-        grouped = rt.bgw_summary(x, seed=1)
+        grouped = rt.path_summary(rt.build_tree(x, seed=1))
         classes = rt.summary_classes(grouped)
         assert cj.class_invariant(x) in classes
 
 
 def test_seed_invariance_smo(a2):
     w = aw.parse_element(a2, "s0 s1 s2 s1 s0")
-    base = rt.bgw_summary(w, seed=0)
+    base = rt.path_summary(rt.build_tree(w, seed=0))
     for seed in range(1, 10):
-        assert rt.bgw_summary(w, seed=seed) == base
+        assert rt.path_summary(rt.build_tree(w, seed=seed)) == base
 
 
 def test_edge_witness_replay(c2sc):
@@ -144,6 +144,6 @@ def test_export_rejects_unknown_format(a1):
 def test_conservation_along_paths(c2sc):
     for x in length_ball(c2sc, 5):
         base = aw.length(x)
-        for (cls, c1, c2, lend), mult in rt.bgw_summary(x, seed=2).items():
+        for (cls, c1, c2, lend), mult in rt.path_summary(rt.build_tree(x, seed=2)).items():
             assert base == lend + c1 + 2 * c2
             assert mult >= 1
