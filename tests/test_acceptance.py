@@ -9,7 +9,9 @@ exactly and enforces the per-element runtime budget.
 Run with ``pytest tests/test_acceptance.py -s`` to see the status lines.
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +188,20 @@ def test_corpus_accounting(audits):
         assert audits[d].results["length_properties"].passed
         assert audits[d].results["class_invariance"].passed
         assert audits[d].results["straight_implies_minlen"].passed
+
+
+def test_audit_counts_match_golden(audits):
+    """Checked counts, corpus sizes and geometric-Coxeter counts are unchanged.
+
+    ``tests/golden/acceptance.json`` was recorded by ``tests/golden/record.py``.
+    """
+    golden = json.loads((Path(__file__).resolve().parent / "golden" / "acceptance.json").read_text())
+    for datum_string, _ in CORPORA:
+        report = audits[datum_string]
+        counts = {
+            "corpus_size": report.corpus_size,
+            "geo_cox_count": report.geo_cox_count,
+            "checked": {name: r.checked for name, r in sorted(report.results.items())},
+            "violations": sum(len(r.violations) for r in report.results.values()),
+        }
+        assert counts == golden[datum_string], datum_string
