@@ -1,14 +1,30 @@
 """The extended affine Weyl group: X semidirect the finite Weyl group.
 
 Elements are kept in the canonical form t^lambda * z with lambda an
-integer lattice vector and z a finite Weyl element (a lattice matrix),
-so equality is componentwise. The length function is the closed formula
+integer lattice vector and z a finite Weyl element, so equality is
+componentwise. z is stored as an int: its index among the datum's
+interned finite Weyl elements (:meth:`RootDatum.finite_index`), with the
+identity at 0. The datum memoizes, per index, the products with the
+finite parts r_0..r_rank of the affine simple reflections (r_0 = s_theta),
+the inverse, the twist image and the least reduced word, so the group law
+runs on table lookups:
+
+* ``conjugacy.conjugate_by_simple`` is two lookups and a rank-one update
+  of lambda;
+* :func:`sigma_act` is one lookup and delta lambda (nothing at all on an
+  untwisted datum);
+* :func:`multiply` walks the shorter factor's word through the tables and
+  applies z to the right translation only when that is nonzero.
+
+The lattice matrix of z stays readable as ``x.finite``. The length
+function is the closed formula
 
     len(t^lambda z) = sum over alpha > 0 of
         |<lambda, alpha>|      if z^(-1) alpha > 0
         |<lambda, alpha> - 1|  if z^(-1) alpha < 0
 
-and a word-search oracle for it lives in the test suite.
+read off the inversion bitmask of z, and a word-search oracle for it
+lives in the test suite.
 
 Affine roots are pairs (k, alpha) of an integer level and a finite root;
 the simple ones are (0, -alpha_i) together with (1, theta) for the
@@ -19,6 +35,9 @@ z alpha).
 
 from __future__ import annotations
 
+import re
+from operator import mul
+
 from .errors import (
     DatumMismatchError,
     ElementParseError,
@@ -28,7 +47,6 @@ from .errors import (
 from .linalg import (
     dot,
     identity_matrix,
-    mat_mul,
     mat_vec,
     vec_add,
     vec_mat,
@@ -39,22 +57,31 @@ from .root_datum import RootDatum
 
 
 class AffineElement:
-    """t^translation * finite, over a fixed root datum."""
+    """t^translation * z over a fixed root datum.
 
-    __slots__ = ("datum", "translation", "finite", "_hash")
+    ``finite_index`` is z's index in the datum's interned finite Weyl
+    elements and ``finite`` its lattice matrix. Hashing and equality
+    read the index, never the matrix.
+    """
 
-    def __init__(self, datum, translation, finite):
+    __slots__ = ("datum", "translation", "finite_index", "_hash")
+
+    def __init__(self, datum, translation, finite_index: int):
         self.datum = datum
         self.translation = tuple(translation)
-        self.finite = finite
-        self._hash = hash((self.translation, finite))
+        self.finite_index = finite_index
+        self._hash = hash((self.translation, finite_index))
+
+    @property
+    def finite(self):
+        return self.datum._finite_matrix_cache[self.finite_index]
 
     def __eq__(self, other):
         return (
             isinstance(other, AffineElement)
             and self.datum is other.datum
+            and self.finite_index == other.finite_index
             and self.translation == other.translation
-            and self.finite == other.finite
         )
 
     def __hash__(self):
@@ -64,45 +91,91 @@ class AffineElement:
         return multiply(self, other)
 
     def inverse(self):
-        zinv = self.datum.weyl_inverse(self.finite)
-        return AffineElement(
-            self.datum, vec_neg(mat_vec(zinv, self.translation)), zinv
-        )
+        """(t^lambda z)^(-1) = t^(-z^(-1) lambda) z^(-1)."""
+        datum = self.datum
+        inv = datum.finite_inverse(self.finite_index)
+        lam = self.translation
+        if any(lam):
+            lam = vec_neg(mat_vec(datum._finite_matrix_cache[inv], lam))
+        return AffineElement(datum, lam, inv)
 
     @property
     def length(self):
         return length(self)
 
     def is_identity(self):
-        return self.finite == identity_matrix(self.datum.n) and not any(
-            self.translation
-        )
+        return not self.finite_index and not any(self.translation)
 
     def __repr__(self):
         return f"<{format_element(self)} in {self.datum.spec.datum_string()}>"
 
 
 def identity(datum: RootDatum) -> AffineElement:
-    return AffineElement(datum, (0,) * datum.n, identity_matrix(datum.n))
+    return from_finite(datum, identity_matrix(datum.n))
 
 
 def translation(datum: RootDatum, lam) -> AffineElement:
-    return AffineElement(datum, as_int_vector(lam), identity_matrix(datum.n))
+    return AffineElement(
+        datum, as_int_vector(lam), datum.finite_index(identity_matrix(datum.n))
+    )
 
 
 def from_finite(datum: RootDatum, z) -> AffineElement:
-    return AffineElement(datum, (0,) * datum.n, z)
+    """t^0 z for the finite Weyl element with lattice matrix z."""
+    return AffineElement(datum, (0,) * datum.n, datum.finite_index(z))
+
+
+def _finite_product(datum: RootDatum, u: int, w: int) -> int:
+    """The index of the product u w, walking the shorter word through a table."""
+    if not w:
+        return u
+    if not u:
+        return w
+    right_word = datum.finite_word(w)
+    left_word = datum.finite_word(u)
+    if len(right_word) <= len(left_word):
+        for i in right_word:
+            u = datum.finite_right(u, i)
+        return u
+    for i in reversed(left_word):
+        w = datum.finite_left(w, i)
+    return w
 
 
 def multiply(x: AffineElement, y: AffineElement) -> AffineElement:
     """Semidirect product law: t^a z . t^b y = t^(a + z b) (z y)."""
-    if x.datum is not y.datum:
+    datum = x.datum
+    if datum is not y.datum:
         raise DatumMismatchError("elements live over different root data")
+    lam = x.translation
+    if any(y.translation):
+        lam = vec_add(lam, mat_vec(x.finite, y.translation))
     return AffineElement(
-        x.datum,
-        vec_add(x.translation, mat_vec(x.finite, y.translation)),
-        mat_mul(x.finite, y.finite),
+        datum, lam, _finite_product(datum, x.finite_index, y.finite_index)
     )
+
+
+def translation_pairings(datum: RootDatum, lam):
+    """(base, up) for the length formula of the translation lam.
+
+    With p_k = <lam, beta_k> over the positive roots, base = sum |p_k|
+    and up is the bitmask of the k with p_k >= 1. Then
+
+        len(t^lam z) = base + sum over k in N(z) of (-1 if k in up else +1)
+                     = base + len(z) - 2 |N(z) & up|
+
+    for the inversion bitmask N(z) of z.
+    """
+    base = 0
+    up = 0
+    for k, beta in enumerate(datum.positive_roots):
+        p = dot(lam, beta)
+        if p >= 1:
+            base += p
+            up |= 1 << k
+        else:
+            base -= p
+    return base, up
 
 
 def length(x: AffineElement) -> int:
@@ -110,18 +183,48 @@ def length(x: AffineElement) -> int:
     cached = datum._length_cache.get(x)
     if cached is not None:
         return cached
-    lam = x.translation
-    total = 0
-    probe = datum._probe
-    for alpha in datum.positive_roots:
-        pairing = dot(lam, alpha)
-        # z^(-1) alpha, as a covector, is alpha o z
-        if dot(probe, vec_mat(alpha, x.finite)) > 0:
-            total += pairing if pairing >= 0 else -pairing
-        else:
-            total += abs(pairing - 1)
+    inversions = datum._inversion_cache[x.finite_index]
+    base, up = translation_pairings(datum, x.translation)
+    total = base + inversions.bit_count() - 2 * (inversions & up).bit_count()
     datum._length_cache[x] = total
     return total
+
+
+def left_by_simple(x: AffineElement, i: int) -> AffineElement:
+    """s_i x, by one left-table lookup and a rank-one update of lambda.
+
+    With r_i the finite part of s_i and (alpha, alpha^) its root pair,
+    r_i lambda = lambda - <lambda, alpha> alpha^; s_0 = t^(theta^) s_theta
+    adds theta^ on top.
+    """
+    datum = x.datum
+    if not 0 <= i <= datum.rank:
+        raise UsageError(f"no simple reflection with index {i}")
+    w = x.finite_index
+    u = datum._left_cache[w][i]
+    if u is None:
+        u = datum.finite_left(w, i)
+    alpha, coroot = datum._reflection_roots[i]
+    lam = x.translation
+    p = (0 if i else 1) - sum(map(mul, lam, alpha))
+    if p:
+        lam = tuple([a + p * c for a, c in zip(lam, coroot)])
+    return AffineElement(datum, lam, u)
+
+
+def right_by_simple(x: AffineElement, i: int) -> AffineElement:
+    """x s_i, by one right-table lookup; s_0 also adds z theta^ to lambda."""
+    datum = x.datum
+    if not 0 <= i <= datum.rank:
+        raise UsageError(f"no simple reflection with index {i}")
+    w = x.finite_index
+    u = datum._right_cache[w][i]
+    if u is None:
+        u = datum.finite_right(w, i)
+    lam = x.translation
+    if not i:
+        lam = vec_add(lam, mat_vec(x.finite, datum.theta_coroot))
+    return AffineElement(datum, lam, u)
 
 
 # -- affine roots ----------------------------------------------------------
@@ -136,12 +239,21 @@ def affine_simple_roots(datum: RootDatum):
 
 
 def simple_reflection(datum: RootDatum, i: int) -> AffineElement:
-    """s_i for an affine index; s_0 = t^(theta^) s_theta."""
-    if i == 0:
-        return affine_reflection(datum, (1, datum.theta))
-    if not 1 <= i <= datum.rank:
-        raise UsageError(f"no simple reflection with index {i}")
-    return from_finite(datum, datum.weyl_generators[i - 1])
+    """s_i for an affine index; s_0 = t^(theta^) s_theta.
+
+    The rank+1 reflections are built once per datum. Their twist images
+    are among them: sigma(s_i) = s_j for j = sigma_on_affine_index(i).
+    """
+    s = datum._simple_cache.get(i)
+    if s is None:
+        if i == 0:
+            s = affine_reflection(datum, (1, datum.theta))
+        elif 1 <= i <= datum.rank:
+            s = from_finite(datum, datum.weyl_generators[i - 1])
+        else:
+            raise UsageError(f"no simple reflection with index {i}")
+        datum._simple_cache[i] = s
+    return s
 
 
 def affine_reflection(datum: RootDatum, a) -> AffineElement:
@@ -155,7 +267,9 @@ def affine_reflection(datum: RootDatum, a) -> AffineElement:
         tuple((1 if r == c else 0) - coroot[r] * alpha[c] for c in range(n))
         for r in range(n)
     )
-    return AffineElement(datum, tuple(k * c for c in coroot), refl)
+    return AffineElement(
+        datum, tuple(k * c for c in coroot), datum.finite_index(refl)
+    )
 
 
 def act_on_affine_root(x: AffineElement, a):
@@ -165,17 +279,22 @@ def act_on_affine_root(x: AffineElement, a):
     (k + <lambda, z alpha>, z alpha).
     """
     k, alpha = a
-    za = vec_mat(alpha, x.datum.weyl_inverse(x.finite))
+    datum = x.datum
+    zinv = datum._finite_matrix_cache[datum.finite_inverse(x.finite_index)]
+    za = vec_mat(alpha, zinv)
     return (k + dot(x.translation, za), za)
 
 
 def sigma_act(x: AffineElement) -> AffineElement:
-    """The twist: t^lambda z goes to t^(delta lambda) (delta z delta^-1)."""
+    """The twist: t^lambda z goes to t^(delta lambda) (delta z delta^-1).
+
+    On an untwisted datum delta is the identity and x is returned.
+    """
     d = x.datum
+    if d.spec.twist_order == 1:
+        return x
     return AffineElement(
-        d,
-        mat_vec(d.delta, x.translation),
-        mat_mul(d.delta, mat_mul(x.finite, d.delta_inv)),
+        d, mat_vec(d.delta, x.translation), d.finite_sigma(x.finite_index)
     )
 
 
@@ -183,6 +302,8 @@ def sigma_on_affine_index(datum: RootDatum, i: int) -> int:
     """The index j with sigma(s_i) = s_j; the twist fixes index 0."""
     if i == 0:
         return 0
+    if not 1 <= i <= datum.rank:
+        raise UsageError(f"no simple reflection with index {i}")
     return datum.delta_diagram[i]
 
 
@@ -199,7 +320,7 @@ def stabilizer_descend(x: AffineElement):
     cur_len = length(cur)
     while cur_len > 0:
         for i in range(x.datum.rank + 1):
-            y = multiply(simple_reflection(x.datum, i), cur)
+            y = left_by_simple(cur, i)
             ylen = length(y)
             if ylen < cur_len:
                 cur, cur_len = y, ylen
@@ -268,9 +389,15 @@ def descents(x: AffineElement):
 def format_element(x: AffineElement) -> str:
     """Canonical text: 't(coords)' then the least reduced word, if any."""
     parts = ["t(" + ",".join(str(c) for c in x.translation) + ")"]
-    word = x.datum.weyl_word(x.finite)
+    word = x.datum.finite_word(x.finite_index)
     parts.extend(f"s{i}" for i in word)
     return " ".join(parts)
+
+
+# ASCII digits only: str.isdigit() also accepts '²', and int() reads '١'
+# as 1 and '1_0' as 10
+_DIGITS = re.compile("[0-9]+")
+_INTEGER = re.compile("[-+]?[0-9]+")
 
 
 def parse_element(datum: RootDatum, text: str) -> AffineElement:
@@ -280,24 +407,24 @@ def parse_element(datum: RootDatum, text: str) -> AffineElement:
     """
     result = identity(datum)
     for pos, token in enumerate(text.split()):
-        if token.startswith("s") and token[1:].isdigit():
+        if token.startswith("s") and _DIGITS.fullmatch(token[1:]):
             i = int(token[1:])
             if i > datum.rank:
                 raise ElementParseError(
                     text, pos, f"generator index {i} exceeds rank {datum.rank}"
                 )
             factor = simple_reflection(datum, i)
-        elif token.startswith("tau") and token[3:].isdigit():
+        elif token.startswith("tau") and _DIGITS.fullmatch(token[3:]):
             try:
                 factor = omega_element(datum, int(token[3:]))
             except UsageError as exc:
                 raise ElementParseError(text, pos, str(exc)) from exc
         elif token.startswith("t(") and token.endswith(")"):
             body = token[2:-1]
-            try:
-                coords = [int(c) for c in body.split(",")] if body else []
-            except ValueError as exc:
-                raise ElementParseError(text, pos, f"bad coordinates {body!r}") from exc
+            parts = body.split(",") if body else []
+            if not all(_INTEGER.fullmatch(c) for c in parts):
+                raise ElementParseError(text, pos, f"bad coordinates {body!r}")
+            coords = [int(c) for c in parts]
             if len(coords) != datum.n:
                 raise ElementParseError(
                     text, pos, f"expected {datum.n} coordinates, got {len(coords)}"

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .affine_weyl import AffineElement, length
+from .affine_weyl import AffineElement, length, translation_pairings
 from .conjugacy import (
     ClassInvariant,
     class_invariant,
@@ -217,25 +217,13 @@ def _translation_candidates(datum, bound: int, central_values, budget):
 def _translation_lengths(datum, lam, max_length=None):
     """The lengths of t^lam z for z in ``datum.weyl_elements()``, in order.
 
-    With p_k = <lam, beta_k> over the positive roots, base = sum |p_k|
-    and U = {k : p_k >= 1}, the length formula reads
-
-        len(t^lam z) = base + sum over k in N(z) of (-1 if k in U else +1)
-                     = base + len(z) - 2 |N(z) & U|
-
-    for the inversion set N(z) of the datum's Weyl table. Returns None,
-    without scanning the group, when the lower bound base - |U| already
-    exceeds ``max_length``.
+    By the length formula of :func:`affine_weyl.translation_pairings`,
+    len(t^lam z) = base + len(z) - 2 |N(z) & up| for the inversion set
+    N(z) of the datum's Weyl table. Returns None, without scanning the
+    group, when the lower bound base - |up| already exceeds
+    ``max_length``.
     """
-    base = 0
-    up = 0
-    for k, beta in enumerate(datum.positive_roots):
-        p = dot(lam, beta)
-        if p >= 1:
-            base += p
-            up |= 1 << k
-        else:
-            base -= p
+    base, up = translation_pairings(datum, lam)
     if max_length is not None and base - up.bit_count() > max_length:
         return None
     return [
@@ -272,6 +260,8 @@ def iter_elements(
     translations = _translation_candidates(datum, max_length, central_values, budget)
     kappa_key = kottwitz.kottwitz if kottwitz is not None else None
     elements = datum.weyl_elements()
+    # finite indices of the table's elements, interned when first yielded
+    indices = [None] * len(elements)
     length_cache = datum._length_cache
     for lam in translations:
         if kappa_key is not None and datum.kottwitz_quotient.key(lam) != kappa_key:
@@ -279,9 +269,12 @@ def iter_elements(
         lengths = _translation_lengths(datum, lam, max_length)
         if lengths is None:
             continue
-        for z, ell in zip(elements, lengths):
+        for k, ell in enumerate(lengths):
             if ell <= max_length:
-                x = AffineElement(datum, lam, z)
+                w = indices[k]
+                if w is None:
+                    w = indices[k] = datum.finite_index(elements[k])
+                x = AffineElement(datum, lam, w)
                 length_cache[x] = ell
                 yield x
 
@@ -314,7 +307,7 @@ def enumerate_straight(
         key=lambda x: (
             length(x),
             sum(c * c for c in x.translation),
-            datum.weyl_word(x.finite),
+            datum.finite_word(x.finite_index),
             x.translation,
         ),
     )

@@ -27,10 +27,11 @@ from .affine_weyl import (
     act_on_affine_root,
     affine_simple_roots,
     format_element,
+    left_by_simple,
     length,
     multiply,
+    right_by_simple,
     sigma_on_affine_index,
-    simple_reflection,
 )
 from .bg_poset import chain_length, defect, extrema, interval
 from .conjugacy import (
@@ -95,7 +96,7 @@ def coset_decompose(w: AffineElement, K):
     while progress:
         progress = False
         for i in K:
-            y = multiply(simple_reflection(datum, i), x)
+            y = left_by_simple(x, i)
             if length(y) < length(x):
                 x = y
                 letters.append(i)
@@ -106,7 +107,7 @@ def coset_decompose(w: AffineElement, K):
         raise InternalInvariantError("coset decomposition does not recompose")
     sigma_K = tuple(sorted(sigma_on_affine_index(datum, i) for i in K))
     for j in sigma_K:
-        if length(multiply(x, simple_reflection(datum, j))) < length(x):
+        if length(right_by_simple(x, j)) < length(x):
             return None
     if twist_permutation(x, K) is None:
         return None
@@ -118,7 +119,7 @@ def _product(datum, letters):
 
     out = identity(datum)
     for i in letters:
-        out = multiply(out, simple_reflection(datum, i))
+        out = right_by_simple(out, i)
     return out
 
 
@@ -168,7 +169,7 @@ def reduced_word_in_parabolic(u: AffineElement, K):
     cur = u
     while length(cur) > 0:
         for i in range(datum.rank + 1):
-            y = multiply(simple_reflection(datum, i), cur)
+            y = left_by_simple(cur, i)
             if length(y) < length(cur):
                 word.append(i)
                 cur = y

@@ -289,14 +289,14 @@ def _cmd_scan(args, out):
         from .affine_weyl import omega_element
 
         k = args.coset[3:]
-        if not (args.coset.startswith("tau") and k.isdecimal()):
+        if not (args.coset.startswith("tau") and k.isascii() and k.isdigit()):
             raise UsageError(f"--coset expects tauK, got {args.coset!r}")
         target = datum.omega_quotient.key(omega_element(datum, int(k)).translation)
         elements = [
             x for x in elements if datum.omega_quotient.key(x.translation) == target
         ]
     if args.left_minimal:
-        from .affine_weyl import multiply, simple_reflection
+        from .affine_weyl import left_by_simple
 
         try:
             indices = [int(i) for i in args.left_minimal.split(",")]
@@ -308,7 +308,7 @@ def _cmd_scan(args, out):
             x
             for x in elements
             if all(
-                length(multiply(simple_reflection(datum, i), x)) > length(x)
+                length(left_by_simple(x, i)) > length(x)
                 for i in indices
             )
         ]

@@ -22,10 +22,10 @@ from fractions import Fraction
 
 from .affine_weyl import (
     AffineElement,
+    left_by_simple,
     length,
-    multiply,
-    sigma_act,
-    simple_reflection,
+    right_by_simple,
+    sigma_on_affine_index,
 )
 from .errors import (
     CapExceededError,
@@ -53,8 +53,13 @@ class ShiftMove:
 
 
 def conjugate_by_simple(x: AffineElement, i: int) -> AffineElement:
-    s = simple_reflection(x.datum, i)
-    return multiply(s, multiply(x, sigma_act(s)))
+    """s_i x sigma(s_i) = s_i (x s_j) for j = sigma_on_affine_index(i).
+
+    Two table lookups and rank-one updates of the translation: for
+    i >= 1 it becomes r_i lambda; for i = 0, with mu = lambda + z theta^,
+    it becomes mu + (1 - <mu, theta>) theta^.
+    """
+    return left_by_simple(right_by_simple(x, sigma_on_affine_index(x.datum, i)), i)
 
 
 def cyclic_shift(x: AffineElement, i: int) -> ShiftMove:
@@ -293,8 +298,12 @@ class ClassInvariant:
             and self.kottwitz == other.kottwitz
         )
 
+    def __post_init__(self):
+        # hashing Fraction coordinates is slow, and invariants key many dicts
+        object.__setattr__(self, "_hash", hash((self.newton, self.kottwitz)))
+
     def __hash__(self):
-        return hash((self.newton, self.kottwitz))
+        return self._hash
 
     def sort_key(self):
         return (self.pairing_two_rho, self.kottwitz, self.newton)

@@ -11,6 +11,7 @@ No floating point is used anywhere in the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Vector = tuple
@@ -27,25 +28,21 @@ def mat_from_rows(rows) -> Matrix:
 
 def mat_vec(m: Matrix, v: Vector) -> Vector:
     """Apply ``m`` to the column vector ``v``."""
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def vec_mat(v: Vector, m: Matrix) -> Vector:
     """Row vector times matrix; transports covectors along a lattice map."""
-    n = len(m)
-    return tuple(sum(v[i] * m[i][j] for i in range(n)) for j in range(len(m[0])))
+    return tuple([sum(map(mul, v, col)) for col in zip(*m)])
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = range(len(b[0]))
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in range(len(b))) for j in cols)
-        for arow in a
-    )
+    cols = tuple(zip(*b))
+    return tuple([tuple([sum(map(mul, arow, col)) for col in cols]) for arow in a])
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple([a + b for a, b in zip(u, v)])
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -63,7 +60,7 @@ def vec_scale(v: Vector, c) -> Vector:
 def dot(u: Vector, v: Vector):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def as_int_vector(v: Sequence) -> Vector:
@@ -150,24 +147,6 @@ def mat_inv(m: Matrix) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
-def solve(m: Matrix, b: Vector):
-    """One rational solution x of m @ x = b, or None if inconsistent.
-
-    ``m`` has the columns as unknowns; when the kernel is nontrivial an
-    arbitrary (pivot-based) solution is returned.
-    """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(m)]
-    rows, pivots = _rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][-1]
-    return tuple(x)
 
 
 def nullspace(m: Matrix):

@@ -27,10 +27,13 @@ from dataclasses import dataclass
 from .affine_weyl import (
     AffineElement,
     format_element,
+    left_by_simple,
     length,
     multiply,
     parse_element,
+    right_by_simple,
     sigma_act,
+    sigma_on_affine_index,
     simple_reflection,
 )
 from .conjugacy import (
@@ -124,9 +127,8 @@ def build_tree(
             expansions[cur] = None
             continue
         pivot, a, shifts = move
-        s = simple_reflection(datum, a)
-        child_one = multiply(pivot, sigma_act(s))
-        child_two = multiply(s, child_one)
+        child_one = right_by_simple(pivot, sigma_on_affine_index(datum, a))
+        child_two = left_by_simple(child_one, a)
         if length(child_one) != length(cur) - 1 or length(child_two) != length(cur) - 2:
             raise InternalInvariantError("reduction move produced wrong lengths")
         edge_one = Edge(cur, child_one, "I", shifts, a)
@@ -138,7 +140,11 @@ def build_tree(
 
 
 def verify_edge(edge: Edge) -> bool:
-    """Replay the witness shifts and re-derive both branch targets."""
+    """Replay the witness shifts and re-derive both branch targets.
+
+    The targets are re-derived by the general :func:`multiply` and
+    :func:`sigma_act`, not by the one-sided products that built them.
+    """
     pivot = replay_moves(edge.source, edge.witness_shifts)
     if length(pivot) != length(edge.source):
         return False

@@ -19,8 +19,32 @@ presets are supported:
     central direction.
 
 The lattice data are fixed at construction. The per-datum caches are
-not: any call may fill them lazily, entries are never removed, and there
-is no guarantee for concurrent use of one datum from several threads.
+not: construction leaves every one of them empty, any call may fill them
+lazily, and there is no guarantee for concurrent use of one datum from
+several threads. They are plain dicts named ``*_cache``:
+
+``_finite_index_cache``, ``_finite_matrix_cache``, ``_inversion_cache``
+    finite Weyl elements interned as indices 0, 1, 2, ... in the order
+    calls first meet them (the identity is always 0), with each index's
+    lattice matrix and inversion bitmask. Only elements some call has
+    used are interned, so E7 and E8 data never tabulate their group.
+``_left_cache``, ``_right_cache``
+    per index, a row of rank+1 slots for the products r_i z and z r_i
+    with the finite part r_i of each affine simple reflection
+    (r_0 = s_theta); a slot is None until first asked for.
+``_word_cache``, ``_finite_inverse_cache``, ``_finite_sigma_cache``
+    per index, its least reduced word, inverse and twist image.
+``_simple_cache``
+    the rank+1 affine simple reflections, filled by
+    :func:`adlvkit.affine_weyl.simple_reflection`.
+``_length_cache``, ``_shift_class_cache``, ``_class_cache``,
+``_move_cache``, ``_mincox_cache``, ``_defect_cache``,
+``_straight_cache``, ``_translation_cache``
+    per-element and per-class results of the layers above.
+
+Each of these grows at most linearly in the elements, classes or
+bounds that calls have met; none holds pairwise products. Entries are
+never removed. ``weyl_elements()`` fills its own table, not these.
 """
 
 from __future__ import annotations
@@ -213,9 +237,29 @@ class RootDatum:
         self.central_rank = self.n - self.rank
         self.central_vector = (1,) * self.n if self.central_rank else None
 
-        # caches filled lazily by any call, keyed by element data
+        # affine index i -> (root, coroot) of the reflection r_i behind
+        # s_i, with r_0 = s_theta; the twist fixes theta^, so sigma(s_0) = s_0
+        # and sigma(s_i) = s_(delta_diagram[i])
+        self._reflection_roots = ((self.theta, self.theta_coroot),) + tuple(
+            zip(self.simple_roots, self.simple_coroots)
+        )
+        if mat_vec(self.delta, self.theta_coroot) != self.theta_coroot:
+            raise AssertionError("the twist moves the highest coroot")
+        # bit of the simple root alpha_i in the inversion masks, i = 1..rank
+        self._simple_bits = tuple(
+            1 << self.positive_roots.index(alpha) for alpha in self.simple_roots
+        )
+
+        # caches filled lazily by any call (see the module docstring)
+        self._finite_index_cache = {}
+        self._finite_matrix_cache = {}
+        self._inversion_cache = {}
+        self._left_cache = {}
+        self._right_cache = {}
         self._word_cache = {}
-        self._inv_cache = {}
+        self._finite_inverse_cache = {}
+        self._finite_sigma_cache = {}
+        self._simple_cache = {}
         self._weyl_elements = None
         self._weyl_inversions = None
         self._length_cache = {}
@@ -279,10 +323,6 @@ class RootDatum:
         """Canonical pairing of a lattice vector with a covector."""
         return dot(v, a)
 
-    def apply_weyl_covector(self, z, a):
-        """Transport a covector along z: returns a o z^(-1)."""
-        return vec_mat(a, self.weyl_inverse(z))
-
     def is_dominant(self, v) -> bool:
         return all(dot(v, alpha) >= 0 for alpha in self.simple_roots)
 
@@ -303,54 +343,126 @@ class RootDatum:
             else:
                 return cur, z
 
-    # -- finite Weyl group bookkeeping ------------------------------------
+    # -- finite Weyl elements as interned indices ---------------------------
 
-    def weyl_word(self, z):
-        """Lexicographically least reduced word, as a tuple of indices.
+    def finite_index(self, z) -> int:
+        """The index of the finite Weyl element with lattice matrix z.
+
+        Interns z on first sight, with its inversion bitmask: bit k is set
+        when z^(-1) sends the k-th positive root to a negative root, that
+        is when <z(probe), beta_k> < 0. The identity is interned first, so
+        its index is always 0.
+        """
+        index = self._finite_index_cache.get(z)
+        if index is not None:
+            return index
+        if not self._finite_index_cache and z != identity_matrix(self.n):
+            self.finite_index(identity_matrix(self.n))
+        index = len(self._finite_index_cache)
+        self._finite_index_cache[z] = index
+        self._finite_matrix_cache[index] = z
+        v = mat_vec(z, self._probe)
+        self._inversion_cache[index] = sum(
+            1 << k for k, beta in enumerate(self.positive_roots) if dot(v, beta) < 0
+        )
+        self._left_cache[index] = [None] * (self.rank + 1)
+        self._right_cache[index] = [None] * (self.rank + 1)
+        return index
+
+    def finite_left(self, w: int, i: int) -> int:
+        """The index of r_i z for z = w and r_i the finite part of s_i.
+
+        r_i = 1 - alpha^ (x) alpha for the root pair of affine index i, so
+        the product is the rank-one update r_i z = z - alpha^ (alpha z).
+        """
+        u = self._left_cache[w][i]
+        if u is None:
+            alpha, coroot = self._reflection_roots[i]
+            z = self._finite_matrix_cache[w]
+            az = vec_mat(alpha, z)
+            u = self.finite_index(
+                tuple(
+                    tuple(a - c * b for a, b in zip(row, az)) if c else row
+                    for row, c in zip(z, coroot)
+                )
+            )
+            self._left_cache[w][i] = u
+            self._left_cache[u][i] = w
+        return u
+
+    def finite_right(self, w: int, i: int) -> int:
+        """The index of z r_i, by the rank-one update z - (z alpha^) alpha."""
+        u = self._right_cache[w][i]
+        if u is None:
+            alpha, coroot = self._reflection_roots[i]
+            z = self._finite_matrix_cache[w]
+            zc = mat_vec(z, coroot)
+            u = self.finite_index(
+                tuple(
+                    tuple(a - c * b for a, b in zip(row, alpha)) if c else row
+                    for row, c in zip(z, zc)
+                )
+            )
+            self._right_cache[w][i] = u
+            self._right_cache[u][i] = w
+        return u
+
+    def finite_word(self, w: int) -> tuple:
+        """Lexicographically least reduced word of w, as generator indices.
 
         Strips the smallest left descent repeatedly; the left descents of
-        z are the i with z^(-1)(alpha_i) negative.
+        z are the i whose simple root is in its inversion set. Every
+        suffix met on the way is memoized too.
         """
-        cached = self._word_cache.get(z)
-        if cached is not None:
-            return cached
-        word = []
-        cur = z
+        cache = self._word_cache
         path = []
-        while True:
-            hit = self._word_cache.get(cur)
-            if hit is not None:
-                word.extend(hit)
-                break
-            for i in range(self.rank):
-                if dot(self._probe, vec_mat(self.simple_roots[i], cur)) < 0:
-                    path.append((cur, len(word)))
-                    word.append(i + 1)
-                    cur = mat_mul(self.weyl_generators[i], cur)
-                    break
-            else:
-                if cur != identity_matrix(self.n):
-                    raise AssertionError("descent-free non-identity matrix")
-                break
-        word = tuple(word)
-        self._word_cache[z] = word
-        for mat, used in path:
-            self._word_cache.setdefault(mat, word[used:])
+        cur = w
+        while cur and cur not in cache:
+            mask = self._inversion_cache[cur]
+            i = next((i for i, bit in enumerate(self._simple_bits, 1) if mask & bit), None)
+            if i is None:
+                raise AssertionError("descent-free non-identity matrix")
+            path.append((cur, i))
+            cur = self.finite_left(cur, i)
+        word = cache.get(cur, ())
+        for node, i in reversed(path):
+            word = (i,) + word
+            cache[node] = word
         return word
 
-    def weyl_from_word(self, word):
-        z = identity_matrix(self.n)
-        for i in word:
-            z = mat_mul(z, self.weyl_generators[i - 1])
-        return z
+    def finite_inverse(self, w: int) -> int:
+        """The index of z^(-1): the reversed word walked through the right table."""
+        inv = self._finite_inverse_cache.get(w)
+        if inv is None:
+            inv = 0
+            for i in reversed(self.finite_word(w)):
+                inv = self.finite_right(inv, i)
+            self._finite_inverse_cache[w] = inv
+            self._finite_inverse_cache[inv] = w
+        return inv
+
+    def finite_sigma(self, w: int) -> int:
+        """The index of delta z delta^(-1).
+
+        The twist sends the generator s_i to s_(delta_diagram[i]), so the
+        image is the word of z with its letters permuted, walked through
+        the right table.
+        """
+        img = self._finite_sigma_cache.get(w)
+        if img is None:
+            img = 0
+            for i in self.finite_word(w):
+                img = self.finite_right(img, self.delta_diagram[i])
+            self._finite_sigma_cache[w] = img
+        return img
+
+    def weyl_word(self, z):
+        """Least reduced word of the finite Weyl element with matrix z."""
+        return self.finite_word(self.finite_index(z))
 
     def weyl_inverse(self, z):
-        cached = self._inv_cache.get(z)
-        if cached is None:
-            cached = self.weyl_from_word(tuple(reversed(self.weyl_word(z))))
-            self._inv_cache[z] = cached
-            self._inv_cache[cached] = z
-        return cached
+        """The matrix of z^(-1)."""
+        return self._finite_matrix_cache[self.finite_inverse(self.finite_index(z))]
 
     def weyl_elements(self):
         """All finite Weyl elements, sorted by (length, word)."""
@@ -377,8 +489,7 @@ class RootDatum:
         for the smallest such j, and its inversion set is the positive
         roots beta with <v, beta> < 0. A step s_i v = v - <v, alpha_i>
         alpha_i^ updates the matrix by the rank-one form
-        s_i z = z - alpha_i^ (alpha_i z). Every word goes into the word
-        cache.
+        s_i z = z - alpha_i^ (alpha_i z).
         """
         roots, coroots = self.simple_roots, self.simple_coroots
 
@@ -420,7 +531,6 @@ class RootDatum:
                     mask |= 1 << k
             elements.append(z)
             inversions.append(mask)
-            self._word_cache.setdefault(z, word)
         self._weyl_elements = tuple(elements)
         self._weyl_inversions = tuple(inversions)
 

@@ -40,7 +40,7 @@ def test_multiply_datum_mismatch(a1, a2):
 def test_inverse(c2sc):
     rng = random.Random(5)
     elements = [
-        aw.AffineElement(c2sc, (rng.randint(-2, 2), rng.randint(-2, 2)), z)
+        aw.AffineElement(c2sc, (rng.randint(-2, 2), rng.randint(-2, 2)), c2sc.finite_index(z))
         for z in c2sc.weyl_elements()
     ]
     for x in elements:
@@ -122,7 +122,7 @@ def test_act_on_affine_root_conjugation(c2sc):
     for _ in range(25):
         lam = tuple(rng.randint(-2, 2) for _ in range(c2sc.n))
         z = rng.choice(c2sc.weyl_elements())
-        x = aw.AffineElement(c2sc, lam, z)
+        x = aw.AffineElement(c2sc, lam, c2sc.finite_index(z))
         for a in simples:
             image = aw.act_on_affine_root(x, a)
             lhs = aw.affine_reflection(c2sc, image)
@@ -252,6 +252,17 @@ def test_format_parse_roundtrip(spec):
     datum = build_root_datum(spec)
     for x in length_ball(datum, 3):
         assert aw.parse_element(datum, aw.format_element(x)) == x
+
+
+@pytest.mark.parametrize("token", ["s\u00b2", "tau\u00b2", "s\u0661", "tau\u0661", "t(\u0661)", "t(1_0)", "t(\u00b2)"])
+def test_parse_accepts_ascii_digits_only(a1, token):
+    with pytest.raises(ElementParseError) as info:
+        aw.parse_element(a1, "s0 " + token)
+    assert info.value.position == 1
+
+
+def test_parse_signed_coordinates(gl2):
+    assert aw.parse_element(gl2, "t(+1,-2)") == aw.translation(gl2, (1, -2))
 
 
 def test_parse_errors(a1):

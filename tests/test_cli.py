@@ -133,7 +133,7 @@ def test_scan_coset_restriction():
     assert all(sum(int(c) for c in row["kottwitz"]) % 2 == 1 for row in rows)
 
 
-@pytest.mark.parametrize("coset", ["tauX", "tau", "tau-1"])
+@pytest.mark.parametrize("coset", ["tauX", "tau", "tau-1", "tau\u00b2", "tau\u0661"])
 def test_scan_bad_coset_is_a_usage_error(coset, capsys):
     code, out = run(
         ["scan", "--datum", "A2:adj", "--max-length", "1", "--coset", coset, "--jobs", "1"]
@@ -141,6 +141,15 @@ def test_scan_bad_coset_is_a_usage_error(coset, capsys):
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error: --coset expects tauK")
+
+
+@pytest.mark.parametrize("text", ["s\u00b2", "tau\u00b2", "s\u0661", "t(\u0661,0)", "t(1_0,0)"])
+def test_classify_non_ascii_digits_is_a_parse_error(text, capsys):
+    # '²' passes str.isdigit() but not int(); '١' and '1_0' pass int()
+    code, out = run(["classify", "--datum", "A2:adj", text])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_scan_negative_jobs_is_a_usage_error(capsys):

@@ -14,7 +14,8 @@ from fractions import Fraction
 import pytest
 
 from adlvkit import cartan
-from adlvkit.linalg import as_int_vector, dot, mat_inv, solve
+from adlvkit.linalg import as_int_vector, dot, mat_inv
+from matrix_reference import solve
 from adlvkit.root_datum import RootDatum, parse_spec
 
 DATA = (
