@@ -328,8 +328,16 @@ def count_orbit_classes(datum, indices) -> int:
 
 
 def classical_reflection_length(w: AffineElement) -> int:
-    """Twisted reflection length of the classical part of w."""
-    return reflection_length(w.datum, w.finite, w.datum.delta)
+    """Twisted reflection length of the classical part of w.
+
+    It depends on the finite part only, so it is memoized per finite index.
+    """
+    cache = w.datum._reflection_length_cache
+    refl = cache.get(w.finite_index)
+    if refl is None:
+        refl = reflection_length(w.datum, w.finite, w.datum.delta)
+        cache[w.finite_index] = refl
+    return refl
 
 
 def dim_formula(w: AffineElement, c: ClassInvariant):

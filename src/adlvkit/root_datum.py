@@ -32,8 +32,10 @@ several threads. They are plain dicts named ``*_cache``:
     per index, a row of rank+1 slots for the products r_i z and z r_i
     with the finite part r_i of each affine simple reflection
     (r_0 = s_theta); a slot is None until first asked for.
-``_word_cache``, ``_finite_inverse_cache``, ``_finite_sigma_cache``
-    per index, its least reduced word, inverse and twist image.
+``_word_cache``, ``_finite_inverse_cache``, ``_finite_sigma_cache``,
+``_reflection_length_cache``
+    per index, its least reduced word, inverse, twist image and the
+    twisted reflection length of z o delta.
 ``_simple_cache``
     the rank+1 affine simple reflections, filled by
     :func:`adlvkit.affine_weyl.simple_reflection`.
@@ -259,6 +261,7 @@ class RootDatum:
         self._word_cache = {}
         self._finite_inverse_cache = {}
         self._finite_sigma_cache = {}
+        self._reflection_length_cache = {}
         self._simple_cache = {}
         self._weyl_elements = None
         self._weyl_inversions = None
