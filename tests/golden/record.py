@@ -5,11 +5,15 @@ Run from the repository root on the commit whose outputs are to be kept:
     PYTHONPATH=src python tests/golden/record.py
 
 It writes ``reports.jsonl`` (one classify report per line, as
-``report_to_dict`` with sorted keys) and ``acceptance.json`` (the checked
-counts, corpus sizes and geometric-Coxeter counts of the acceptance
-audit). ``tests/test_golden.py`` and ``tests/test_acceptance.py`` compare
-the same computations with these bytes. Re-record only when a change of
-output is intended and explained.
+``report_to_dict`` with sorted keys), ``tail_reports.jsonl`` (the same
+for the slowest classify calls known, whose defects need the largest
+straight-element enumerations), and ``acceptance.json`` and
+``acceptance_rank4.json`` (the checked counts, corpus sizes and
+geometric-Coxeter counts of the two acceptance tiers).
+``tests/test_golden.py``, ``tests/test_acceptance.py`` and
+``tests/test_acceptance_rank4.py`` compare the same computations with
+these bytes. Re-record only when a change of output is intended and
+explained.
 """
 
 import json
@@ -60,6 +64,15 @@ ELEMENTS = (
     ("B3:adj", "t(1,0,0) s1 s2 s3"),
 )
 
+# the tail of the classify cost: rank-4 and rank-5 calls whose defects
+# enumerate straight elements up to the largest bounds
+TAIL_ELEMENTS = (
+    ("A5:gl", "s0 s1 s2 s3 s4 s5"),
+    ("2A4:sc", "t(1,1,-1,0) s1 s2 s1 s3 s4 s3"),
+    ("A4:adj", "t(1,1,1,1) s2 s1 s3 s2 s4 s3 s2"),
+    ("3D4:sc", "s0 s1 s2 s3 s4"),
+)
+
 # the corpora and seeds of tests/test_acceptance.py
 CORPORA = (
     ("A1:adj", 8),
@@ -68,6 +81,13 @@ CORPORA = (
     ("G2:sc", 8),
     ("A3:gl", 6),
     ("2A3:sc", 6),
+)
+# the corpora of tests/test_acceptance_rank4.py, same seeds
+RANK4_CORPORA = (
+    ("B3:adj", 6),
+    ("C3:sc", 6),
+    ("2A4:sc", 4),
+    ("3D4:sc", 4),
 )
 SEEDS = tuple(range(10))
 
@@ -94,10 +114,13 @@ def audit_counts(report):
 def main():
     lines = [report_line(d, text) for d, text in ELEMENTS]
     (HERE / "reports.jsonl").write_text("\n".join(lines) + "\n")
-    counts = {
-        d: audit_counts(checks.audit_datum_string(d, n, seeds=SEEDS)) for d, n in CORPORA
-    }
-    (HERE / "acceptance.json").write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n")
+    tail = [report_line(d, text) for d, text in TAIL_ELEMENTS]
+    (HERE / "tail_reports.jsonl").write_text("\n".join(tail) + "\n")
+    for name, corpora in (("acceptance.json", CORPORA), ("acceptance_rank4.json", RANK4_CORPORA)):
+        counts = {
+            d: audit_counts(checks.audit_datum_string(d, n, seeds=SEEDS)) for d, n in corpora
+        }
+        (HERE / name).write_text(json.dumps(counts, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,11 @@
 
 ``tests/golden/reports.jsonl`` holds one line per element, recorded by
 ``tests/golden/record.py``: the paper's three examples, and per datum an
-affine Coxeter word and an element outside geometric Coxeter type. Each
-line is recomputed and compared byte for byte.
+affine Coxeter word and an element outside geometric Coxeter type.
+``tests/golden/tail_reports.jsonl`` holds the slowest classify calls
+known, rank-4 and rank-5 elements whose defects need the largest
+straight-element enumerations. Each line is recomputed and compared
+byte for byte.
 """
 
 import json
@@ -17,14 +20,28 @@ from adlvkit.root_datum import build_root_datum
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 LINES = (GOLDEN / "reports.jsonl").read_text().splitlines()
+TAIL_LINES = (GOLDEN / "tail_reports.jsonl").read_text().splitlines()
 
 
 def stable_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("line", LINES, ids=lambda line: " ".join(json.loads(line)[k] for k in ("datum", "text")))
+def _line_id(line):
+    return " ".join(json.loads(line)[k] for k in ("datum", "text"))
+
+
+@pytest.mark.parametrize("line", LINES, ids=_line_id)
 def test_report_bytes_match_golden(line):
+    _assert_report_matches(line)
+
+
+@pytest.mark.parametrize("line", TAIL_LINES, ids=_line_id)
+def test_tail_report_bytes_match_golden(line):
+    _assert_report_matches(line)
+
+
+def _assert_report_matches(line):
     recorded = json.loads(line)
     w = aw.parse_element(build_root_datum(recorded["datum"]), recorded["text"])
     report = cl.report_to_dict(cl.classify(w))
