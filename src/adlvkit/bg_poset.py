@@ -20,26 +20,31 @@ simple coroot pairs to 1 with rho.
 The defect of a class is the twisted reflection length of the classical
 part of any straight element in the class; witnesses are found by
 exhaustive enumeration of straight elements (every class here has one of
-length exactly <nu, 2 rho>) and the independence of the witness choice is
-a tested invariant.
+length exactly <nu, 2 rho>; He, Ann. Math. 2014) and the independence of the witness
+choice is a tested invariant. Straightness is an integer test on the
+orbit sum of the translation (see :func:`conjugacy.is_straight`).
 
 The enumeration of t^lambda z up to a length bound reads the datum's
-finite Weyl table rather than the matrix length formula. Candidate
-translations come from an integer solve of the simple-root pairings.
-For each lambda the pairings p_k = <lambda, beta_k> with the positive
-roots are taken once; then len(t^lambda z) is |p| summed, corrected by
--1 or +1 for each root in the inversion set of z (a bitmask in the
-table), so the whole group costs one popcount per element. A lambda
-whose lower bound over all z already exceeds the bound is skipped, and
-only the elements yielded are entered in the length cache.
+finite Weyl table, least words and inversion bitmasks without matrices,
+rather than the matrix length formula. Candidate translations come from
+a pruned search over the simple-root pairings: a positive root with
+coefficients c pairs to sum c_k p_k with lambda, so each pairing p_k is
+confined to the interval the roots ending at k allow, and the last one
+to the residue class that makes lambda integral. For each lambda the
+pairings p_k = <lambda, beta_k> with the positive roots are taken once;
+then len(t^lambda z) is |p| summed, corrected by -1 or +1 for each root
+in the inversion set of z (a bitmask in the table), so the whole group
+costs one popcount per element. A lambda whose lower bound over all z
+already exceeds the bound is skipped. The elements yielded are interned
+by walking their words through the datum's left table, which interns
+their suffixes on the way, and only they enter the length cache.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .affine_weyl import AffineElement, length, translation_pairings
 from .conjugacy import (
@@ -56,7 +61,7 @@ from .errors import (
     NoUniqueExtremumError,
     UsageError,
 )
-from .linalg import dot, mat_inv, mat_vec
+from .linalg import identity_matrix, mat_vec
 
 DEFAULT_ENUM_BUDGET = 10**7
 
@@ -165,49 +170,82 @@ def _central_sum(datum, c: ClassInvariant):
 
 
 def _translation_candidates(datum, bound: int, central_values, budget):
-    """Integer translations lambda with every |<lambda, alpha>| <= bound + 1.
+    """Integer translations lambda with every |<lambda, beta>| <= bound + 1.
 
     ``central_values``: for a lattice with a central line, the admissible
     coordinate sums; must be None exactly when the root system spans.
-    Enumeration runs over the tuples of simple-root pairings (plus the
-    central coordinate), which pin lambda: with M the matrix of those
-    rows and d the least common denominator of M^(-1), lambda is
-    (d M^(-1)) p / d, kept only when d divides every coordinate. The
-    result is a superset of what any element of length <= bound allows;
-    exact length tests happen at the caller. ``budget`` caps the number
-    of pairing tuples, checked before any cached result is returned.
+    The simple-root pairings p_k = <lambda, alpha_k> pin lambda (with the
+    central coordinate) through ``datum.pairing_inverse``, and are fixed
+    one coordinate at a time. A positive root with coefficients c pairs
+    to sum c_j p_j, so once p_0..p_(k-1) are fixed, every root whose
+    support ends at k bounds p_k to an interval; only p_k inside all of
+    them are tried. At the last coordinate, the p_k for which d divides
+    every coordinate of the solved lambda form one residue class modulo
+    some divisor of d, and only that class is tried. The result is a
+    superset of what any element of length <= bound allows; exact
+    length tests happen at the caller. ``budget`` caps the number of
+    tuples of the full product, checked before any search and before
+    any cached result is returned.
     """
     b = bound + 1
-    rows = list(datum.simple_roots)
-    axes = [range(-b, b + 1)] * datum.rank
+    size = (2 * b + 1) ** datum.rank
     if datum.central_rank:
         if central_values is None:
             raise UsageError(
                 "enumeration over a lattice with central directions needs "
                 "a Kottwitz filter or central normalization"
             )
-        rows.append(datum.central_vector)
-        axes.append(list(central_values))
-    size = 1
-    for axis in axes:
-        size *= len(axis)
+        size *= len(central_values)
     if size > budget:
         raise CapExceededError(budget, "translation enumeration")
     key = (bound, tuple(central_values) if central_values is not None else None)
     cached = datum._translation_cache.get(key)
     if cached is not None:
         return cached
-    inv = mat_inv(tuple(rows))
-    denom = math.lcm(*(c.denominator for row in inv for c in row))
-    adj = tuple(tuple(int(c * denom) for c in row) for row in inv)
+    denom, columns = datum.pairing_inverse
+    last = datum.rank - 1
+    # per coordinate k, the non-simple positive roots whose support ends
+    # at k, as (their coefficients on coordinates 0..k-1, c_k)
+    closing = [[] for _ in range(datum.rank)]
+    for c in datum.root_coefficients:
+        k = max(k for k, ck in enumerate(c) if ck)
+        if sum(c) > 1:
+            closing[k].append((c[:k], c[k]))
+    # residues of lambda's numerator modulo d -> the residues r modulo d
+    # of the last pairing that make lambda integral; they are a coset of
+    # a subgroup of Z/d, so they step by their smallest gap
+    classes = {}
     out = []
-    for pairings in itertools.product(*axes):
-        lam = tuple(dot(row, pairings) for row in adj)
-        if any(c % denom for c in lam):
-            continue
-        lam = tuple(c // denom for c in lam)
-        if all(abs(dot(lam, alpha)) <= b for alpha in datum.positive_roots):
-            out.append(lam)
+
+    def extend(k, pairings, num):
+        lo, hi = -b, b
+        for head, ck in closing[k]:
+            partial = sum(map(mul, head, pairings))
+            lo = max(lo, -((b + partial) // ck))
+            hi = min(hi, (b - partial) // ck)
+        column = columns[k]
+        if k < last:
+            for p in range(lo, hi + 1):
+                extend(k + 1, pairings + (p,), tuple(a + p * x for a, x in zip(num, column)))
+            return
+        residue = tuple(a % denom for a in num)
+        fits = classes.get(residue)
+        if fits is None:
+            fits = classes[residue] = [
+                r for r in range(denom)
+                if not any((a + r * x) % denom for a, x in zip(residue, column))
+            ]
+        if not fits:
+            return
+        step = fits[1] - fits[0] if len(fits) > 1 else denom
+        for p in range(lo + (fits[0] - lo) % step, hi + 1, step):
+            out.append(tuple((a + p * x) // denom for a, x in zip(num, column)))
+
+    if datum.central_rank:
+        for value in central_values:
+            extend(0, (), tuple(value * x for x in columns[last + 1]))
+    else:
+        extend(0, (), (0,) * datum.n)
     out.sort()
     cached = tuple(out)
     datum._translation_cache[key] = cached
@@ -215,7 +253,7 @@ def _translation_candidates(datum, bound: int, central_values, budget):
 
 
 def _translation_lengths(datum, lam, max_length=None):
-    """The lengths of t^lam z for z in ``datum.weyl_elements()``, in order.
+    """The lengths of t^lam z for z in ``datum.weyl_words()``, in order.
 
     By the length formula of :func:`affine_weyl.translation_pairings`,
     len(t^lam z) = base + len(z) - 2 |N(z) & up| for the inversion set
@@ -259,9 +297,11 @@ def iter_elements(
             central_values = list(range(datum.n))
     translations = _translation_candidates(datum, max_length, central_values, budget)
     kappa_key = kottwitz.kottwitz if kottwitz is not None else None
-    elements = datum.weyl_elements()
+    words = datum.weyl_words()
     # finite indices of the table's elements, interned when first yielded
-    indices = [None] * len(elements)
+    # by walking the word through the left table from the identity
+    indices = [None] * len(words)
+    indices[0] = datum.finite_index(identity_matrix(datum.n))
     length_cache = datum._length_cache
     for lam in translations:
         if kappa_key is not None and datum.kottwitz_quotient.key(lam) != kappa_key:
@@ -273,7 +313,10 @@ def iter_elements(
             if ell <= max_length:
                 w = indices[k]
                 if w is None:
-                    w = indices[k] = datum.finite_index(elements[k])
+                    w = indices[0]
+                    for i in reversed(words[k]):
+                        w = datum.finite_left(w, i)
+                    indices[k] = w
                 x = AffineElement(datum, lam, w)
                 length_cache[x] = ell
                 yield x

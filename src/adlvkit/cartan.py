@@ -9,7 +9,9 @@ bit for bit.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import UnsupportedDatumError
 from .linalg import dot, vec_scale, vec_sub
@@ -96,6 +98,17 @@ def coroot(root):
     return vec_scale(root, Fraction(2, 1) / norm)
 
 
+def integer_scaled(simple):
+    """(d, roots): the simple roots times the least common denominator d of their coordinates.
+
+    Inner products of the scaled roots are those of the ambient roots
+    times d^2, so ratios and signs, and with them the Cartan integers,
+    are read in integers.
+    """
+    denom = math.lcm(*(Fraction(c).denominator for a in simple for c in a))
+    return denom, [tuple(int(c * denom) for c in a) for a in simple]
+
+
 def positive_roots(simple):
     """Positive roots sorted by (height, coordinates), with coefficients.
 
@@ -103,12 +116,13 @@ def positive_roots(simple):
     roots: s_i lowers c_i by <beta, alpha_i^> = sum_j c_j <alpha_j, alpha_i^>.
     Every positive root other than alpha_i stays positive under s_i, so
     the images with a negative coefficient (only -alpha_i) are dropped.
+    The sort reads the ambient coordinates with the simple roots scaled
+    to integers by their common denominator; a positive scale keeps the
+    order, and only the sorted roots are divided back.
     """
-    simple = [tuple(Fraction(c) for c in r) for r in simple]
-    r = len(simple)
-    pairing = [
-        [int(2 * dot(a, b) / dot(b, b)) for b in simple] for a in simple
-    ]
+    denom, scaled = integer_scaled(simple)
+    r = len(scaled)
+    pairing = [[2 * dot(a, b) // dot(b, b) for b in scaled] for a in scaled]
     start = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
     seen = set(start)
     frontier = start
@@ -124,12 +138,12 @@ def positive_roots(simple):
         frontier = new
     pos = []
     for c in seen:
-        beta = tuple(
-            sum(c[j] * simple[j][k] for j in range(r)) for k in range(len(simple[0]))
-        )
+        beta = tuple(sum(map(mul, c, col)) for col in zip(*scaled))
         pos.append((sum(c), beta, c))
-    pos.sort(key=lambda t: (t[0], t[1]))
-    return [(beta, coeffs) for _h, beta, coeffs in pos]
+    pos.sort()
+    return [
+        (tuple(Fraction(x, denom) for x in beta), c) for _h, beta, c in pos
+    ]
 
 
 def highest_root(simple, positive):

@@ -51,7 +51,6 @@ from .errors import (
     NoUniqueExtremumError,
     UsageError,
 )
-from .linalg import dot
 from .reduction_tree import build_tree, enumerate_paths, path_summary, summary_classes
 
 DEFAULT_SEEDS = tuple(range(10))
@@ -305,13 +304,6 @@ def is_geometric_coxeter_type(trees, cap=DEFAULT_BFS_CAP):
 # -- closed formulas -------------------------------------------------------------
 
 
-def newton_zero_set(datum, nu):
-    """I(nu): indices of simple roots pairing to zero with nu."""
-    return frozenset(
-        i + 1 for i in range(datum.rank) if dot(nu, datum.simple_roots[i]) == 0
-    )
-
-
 def count_orbit_classes(datum, indices) -> int:
     """Number of twist orbits on a twist-stable set of finite indices."""
     seen = set()
@@ -369,9 +361,7 @@ def ell1_formula(datum, c_min: ClassInvariant, c: ClassInvariant) -> int:
     zero sets are incomparable) and the difference count is what the
     reduction trees realize.
     """
-    zero_min = newton_zero_set(datum, c_min.newton)
-    zero_c = newton_zero_set(datum, c.newton)
-    return count_orbit_classes(datum, zero_min - zero_c)
+    return count_orbit_classes(datum, c_min.zero_set - c.zero_set)
 
 
 def ell2_formula(w: AffineElement, c: ClassInvariant, c_max: ClassInvariant) -> int:
@@ -459,8 +449,8 @@ def purity_report(tree):
             helper.append({"node": format_element(node), "pivot": format_element(pivot),
                            "note": str(exc)})
             continue
-        i_min = newton_zero_set(datum, node_min.newton)
-        i_one = newton_zero_set(datum, sub_min["I"][0].newton)
+        i_min = node_min.zero_set
+        i_one = sub_min["I"][0].zero_set
         helper.append(
             {
                 "node": format_element(node),

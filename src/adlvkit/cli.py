@@ -115,7 +115,7 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeds=True):
+    def common(p, seeds=True, corpus=False):
         p.add_argument("--datum", required=True, help="datum string, e.g. A5:gl or 2A4:sc")
         if seeds:
             p.add_argument(
@@ -124,7 +124,10 @@ def _build_parser():
                 help="comma separated strategy seeds (distinct, nonempty)",
             )
         p.add_argument("--cap-bfs", type=int, default=conjugacy.DEFAULT_BFS_CAP)
-        p.add_argument("--cap-enum", type=int, default=bg_poset.DEFAULT_ENUM_BUDGET)
+        if corpus:
+            # the commands that enumerate a corpus up to --max-length
+            p.add_argument("--max-length", type=int, required=True)
+            p.add_argument("--cap-enum", type=int, default=bg_poset.DEFAULT_ENUM_BUDGET)
         p.add_argument("--cache", default=None, help="cache directory (or ADLVKIT_CACHE)")
 
     p = sub.add_parser("classify", help="full report for one element")
@@ -144,8 +147,7 @@ def _build_parser():
     p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("scan", help="classify every element up to a length bound")
-    common(p)
-    p.add_argument("--max-length", type=int, required=True)
+    common(p, corpus=True)
     p.add_argument(
         "--filter",
         default=None,
@@ -162,8 +164,7 @@ def _build_parser():
     p.add_argument("--jobs", type=int, default=0, help="0 = available parallelism")
 
     p = sub.add_parser("check", help="run the invariant suites over a scan corpus")
-    common(p)
-    p.add_argument("--max-length", type=int, required=True)
+    common(p, corpus=True)
 
     return parser
 
@@ -271,7 +272,13 @@ _FILTERS = {
 }
 
 
+def _check_max_length(args):
+    if args.max_length < 0:
+        raise UsageError(f"--max-length expects a nonnegative length, got {args.max_length}")
+
+
 def _cmd_scan(args, out):
+    _check_max_length(args)
     if args.jobs < 0:
         raise UsageError("--jobs expects 0 (available parallelism) or a positive count")
     datum = build_root_datum(args.datum)
@@ -384,6 +391,7 @@ def _cmd_scan(args, out):
 
 
 def _cmd_check(args, out):
+    _check_max_length(args)
     datum = build_root_datum(args.datum)
     seeds = _parse_seeds(args.seeds)
     report = checks.audit(

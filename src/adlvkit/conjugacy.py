@@ -37,8 +37,9 @@ from .linalg import dot, identity_matrix, mat_mul, mat_rank, mat_vec
 
 DEFAULT_BFS_CAP = 10**6
 
-# order of a lattice automorphism is bounded by the lcm of cyclotomic
-# degrees fitting in the rank; anything past this signals a bug
+# the period of a translation under a lattice automorphism divides the
+# automorphism's order, which is bounded by the lcm of cyclotomic degrees
+# fitting in the rank; anything past this signals a bug
 _MAX_ORDER = 10**4
 
 
@@ -207,37 +208,40 @@ def replay_moves(x: AffineElement, moves) -> AffineElement:
 # -- class invariants --------------------------------------------------------
 
 
-def twist_order_of(datum, m) -> int:
-    order = 1
-    cur = m
-    ident = identity_matrix(datum.n)
-    while cur != ident:
-        cur = mat_mul(cur, m)
-        order += 1
-        if order > _MAX_ORDER:
-            raise InternalInvariantError("lattice map order exceeds sane bound")
-    return order
+def _orbit_sum(x: AffineElement):
+    """(p, s): the period p of lambda under m = z o delta, and s = sum of m^k lambda, k < p.
+
+    The Newton point is the dominant representative of s / p: averaging
+    over the order of m instead, a multiple of p, repeats the same sum.
+    Integers throughout; m is applied as delta, then z.
+    """
+    datum = x.datum
+    lam = x.translation
+    z = x.finite
+    twisted = datum.spec.twist_order != 1
+    total = lam
+    cur = mat_vec(z, mat_vec(datum.delta, lam) if twisted else lam)
+    period = 1
+    while cur != lam:
+        total = tuple(a + b for a, b in zip(total, cur))
+        cur = mat_vec(z, mat_vec(datum.delta, cur) if twisted else cur)
+        period += 1
+        if period > _MAX_ORDER:
+            raise InternalInvariantError("orbit period exceeds sane bound")
+    return period, total
 
 
 def newton_point(x: AffineElement):
     """Dominant average of the translation along twisted powers.
 
-    With m = z o delta of order n, the point is the dominant Weyl
-    representative of (lambda + m lambda + ... + m^(n-1) lambda)/n. It is
-    fixed by the twist and constant on twisted conjugacy classes.
+    With m = z o delta and p the period of lambda under m, the point is
+    the dominant Weyl representative of (lambda + m lambda + ... +
+    m^(p-1) lambda)/p. The descent runs on the integer sum; the division
+    by p comes last. It is fixed by the twist and constant on twisted
+    conjugacy classes.
     """
-    datum = x.datum
-    m = mat_mul(x.finite, datum.delta)
-    n = twist_order_of(datum, m)
-    acc = list(x.translation)
-    cur = x.translation
-    for _ in range(n - 1):
-        cur = mat_vec(m, cur)
-        for i in range(datum.n):
-            acc[i] += cur[i]
-    nu = tuple(Fraction(a, n) for a in acc)
-    dom, _z = datum.dominant_representative(nu)
-    return dom
+    period, total = _orbit_sum(x)
+    return tuple(Fraction(c, period) for c in x.datum.dominant(total))
 
 
 def kottwitz_point(x: AffineElement):
@@ -246,8 +250,17 @@ def kottwitz_point(x: AffineElement):
 
 
 def is_straight(x: AffineElement) -> bool:
-    """Length equals the pairing of the Newton point with 2 rho."""
-    return length(x) == class_invariant(x).pairing_two_rho
+    """Length equals the pairing of the Newton point with 2 rho.
+
+    For any v in the Weyl orbit of the dominant dom v,
+    <dom v, 2 rho> = sum over positive roots beta of |<v, beta>|, so with
+    (p, s) from the orbit sum the test is the integer identity
+    p len(x) == sum |<s, beta>|, with no dominance descent.
+    """
+    period, total = _orbit_sum(x)
+    return period * length(x) == sum(
+        abs(dot(total, beta)) for beta in x.datum.positive_roots
+    )
 
 
 def reflection_length(datum, z, twist=None) -> int:
@@ -281,6 +294,8 @@ class ClassInvariant:
     the datum's fundamental weights (its coefficients over the simple
     coroots, when it lies in their span), ``central`` with the datum's
     central covectors, and ``pairing_two_rho`` is <nu, 2 rho>.
+    ``zero_set`` is I(nu), the indices i of the simple roots with
+    <nu, alpha_i> = 0, read by the closed formulas of the classifier.
     """
 
     datum: object
@@ -289,6 +304,7 @@ class ClassInvariant:
     coords: tuple
     central: tuple
     pairing_two_rho: Fraction
+    zero_set: frozenset
 
     def __eq__(self, other):
         return (
@@ -318,16 +334,21 @@ def class_invariant(x: AffineElement) -> ClassInvariant:
     datum = x.datum
     cached = datum._class_cache.get(x)
     if cached is None:
-        nu = newton_point(x)
-        if mat_vec(datum.delta, nu) != nu:
+        period, total = _orbit_sum(x)
+        dom = datum.dominant(total)
+        if mat_vec(datum.delta, dom) != dom:
             raise InternalInvariantError("Newton point is not twist-fixed")
+        nu = tuple(Fraction(c, period) for c in dom)
         cached = ClassInvariant(
             datum,
             nu,
             kottwitz_point(x),
             tuple(dot(nu, w) for w in datum.fundamental_weights),
             tuple(dot(nu, a) for a in datum.central_covectors),
-            dot(nu, datum.two_rho),
+            Fraction(sum(abs(dot(total, beta)) for beta in datum.positive_roots), period),
+            frozenset(
+                i for i, alpha in enumerate(datum.simple_roots, 1) if dot(dom, alpha) == 0
+            ),
         )
         datum._class_cache[x] = cached
     return cached

@@ -46,7 +46,9 @@ several threads. They are plain dicts named ``*_cache``:
 
 Each of these grows at most linearly in the elements, classes or
 bounds that calls have met; none holds pairwise products. Entries are
-never removed. ``weyl_elements()`` fills its own table, not these.
+never removed. ``weyl_words()``, ``weyl_inversions()`` and
+``weyl_elements()`` fill their own tables, not these, and intern
+nothing.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from . import cartan
 from .errors import UnsupportedDatumError, UsageError
@@ -151,11 +152,11 @@ class RootDatum:
         simple_amb = cartan.simple_roots_ambient(family, spec.rank)
         pos_amb = cartan.positive_roots(simple_amb)
         cartan.highest_root(simple_amb, pos_amb)  # theta is the last positive root
-        norms = [dot(a, a) for a in simple_amb]
+        _denom, scaled = cartan.integer_scaled(simple_amb)
+        norms = [dot(a, a) for a in scaled]
         # cartan_matrix[i][j] = <alpha_i^, alpha_j>
         self.cartan_matrix = tuple(
-            tuple(int(2 * dot(a, b) / norm) for b in simple_amb)
-            for a, norm in zip(simple_amb, norms)
+            tuple(2 * dot(a, b) // norm for b in scaled) for a, norm in zip(scaled, norms)
         )
         roots, coroots = self._simple_lattice_coordinates(simple_amb)
         self.n = len(roots[0])
@@ -169,7 +170,7 @@ class RootDatum:
         # the coroot is 2u / <u, beta>. Integers throughout. root_coroot
         # holds every root with its coroot, for reflections by any root.
         shortest = min(norms)
-        scale = tuple(int(norm / shortest) for norm in norms)
+        scale = tuple(norm // shortest for norm in norms)
         self.root_coroot = {}
         positive = []
         for _beta, c in pos_amb:
@@ -183,6 +184,8 @@ class RootDatum:
             self.root_coroot[beta] = coroot
             self.root_coroot[tuple(-x for x in beta)] = tuple(-x for x in coroot)
         self.positive_roots = tuple(positive)
+        # the coefficients of each positive root over the simple roots
+        self.root_coefficients = tuple(c for _beta, c in pos_amb)
         self.theta = self.positive_roots[-1]
         self.theta_coroot = self.root_coroot[self.theta]
         self.rho = tuple(Fraction(sum(col), 2) for col in zip(*self.positive_roots))
@@ -239,6 +242,17 @@ class RootDatum:
         self.central_rank = self.n - self.rank
         self.central_vector = (1,) * self.n if self.central_rank else None
 
+        # (d, columns): the lattice vector with simple-root pairings p_k
+        # (and, on gl, coordinate sum s) is (sum p_k columns[k] + s
+        # columns[rank]) / d. The coweights in the coroot span pair to
+        # delta_kj with the simple roots and sum to 0 on gl, where
+        # (1,...,1)/n pairs to 0 with every root and to 1 with (1,...,1).
+        solved = list(span_coweights)
+        if self.central_rank:
+            solved.append(tuple(Fraction(c, self.n) for c in self.central_vector))
+        denom = math.lcm(*(Fraction(c).denominator for v in solved for c in v))
+        self.pairing_inverse = (denom, tuple(tuple(int(c * denom) for c in v) for v in solved))
+
         # affine index i -> (root, coroot) of the reflection r_i behind
         # s_i, with r_0 = s_theta; the twist fixes theta^, so sigma(s_0) = s_0
         # and sigma(s_i) = s_(delta_diagram[i])
@@ -263,8 +277,9 @@ class RootDatum:
         self._finite_sigma_cache = {}
         self._reflection_length_cache = {}
         self._simple_cache = {}
-        self._weyl_elements = None
+        self._weyl_words = None
         self._weyl_inversions = None
+        self._weyl_elements = None
         self._length_cache = {}
         self._shift_class_cache = {}
         self._class_cache = {}
@@ -328,6 +343,22 @@ class RootDatum:
 
     def is_dominant(self, v) -> bool:
         return all(dot(v, alpha) >= 0 for alpha in self.simple_roots)
+
+    def dominant(self, v):
+        """The dominant Weyl-orbit representative of v, by greedy descent.
+
+        Applies s_i v = v - <v, alpha_i> alpha_i^ while some pairing is
+        negative; integer vectors stay integer.
+        """
+        cur = tuple(v)
+        while True:
+            for alpha, coroot in zip(self.simple_roots, self.simple_coroots):
+                p = dot(cur, alpha)
+                if p < 0:
+                    cur = tuple(a - p * c for a, c in zip(cur, coroot))
+                    break
+            else:
+                return cur
 
     def dominant_representative(self, v):
         """Dominant Weyl-orbit representative and an element mapping v to it.
@@ -467,14 +498,14 @@ class RootDatum:
         """The matrix of z^(-1)."""
         return self._finite_matrix_cache[self.finite_inverse(self.finite_index(z))]
 
-    def weyl_elements(self):
-        """All finite Weyl elements, sorted by (length, word)."""
-        if self._weyl_elements is None:
+    def weyl_words(self):
+        """Least reduced words of all finite Weyl elements, sorted by (length, word)."""
+        if self._weyl_words is None:
             self._build_weyl_table()
-        return self._weyl_elements
+        return self._weyl_words
 
     def weyl_inversions(self):
-        """Inversion sets aligned with :meth:`weyl_elements`, as bitmasks.
+        """Inversion sets aligned with :meth:`weyl_words`, as bitmasks.
 
         Bit k of the mask of z is set when z^(-1) maps the k-th positive
         root to a negative root; len(z) bits are set.
@@ -483,58 +514,87 @@ class RootDatum:
             self._build_weyl_table()
         return self._weyl_inversions
 
-    def _build_weyl_table(self):
-        """Breadth-first search over the Weyl orbit of the probe.
+    def weyl_elements(self):
+        """The lattice matrices aligned with :meth:`weyl_words`.
 
-        z is tracked by v = z(probe), which determines it because the
-        probe is regular. The left descents of z are the i with
-        <v, alpha_i> < 0, so its least reduced word is (j,) + word(s_j z)
-        for the smallest such j, and its inversion set is the positive
-        roots beta with <v, beta> < 0. A step s_i v = v - <v, alpha_i>
-        alpha_i^ updates the matrix by the rank-one form
-        s_i z = z - alpha_i^ (alpha_i z).
+        Built on first request and interned nowhere. The table's words
+        are closed under dropping the first letter, so each matrix is a
+        rank-one update of a shorter one: s_j z = z - alpha_j^ (alpha_j z).
         """
-        roots, coroots = self.simple_roots, self.simple_coroots
+        if self._weyl_elements is None:
+            roots, coroots = self.simple_roots, self.simple_coroots
+            matrices = {(): identity_matrix(self.n)}
+            for word in self.weyl_words()[1:]:
+                j = word[0] - 1
+                z = matrices[word[1:]]
+                az = vec_mat(roots[j], z)
+                matrices[word] = tuple(
+                    tuple(a - c * b for a, b in zip(row, az)) if c else row
+                    for row, c in zip(z, coroots[j])
+                )
+            self._weyl_elements = tuple(matrices.values())
+        return self._weyl_elements
 
-        def pairings(v, covectors):
-            return [sum(map(mul, v, a)) for a in covectors]
+    def _build_weyl_table(self):
+        """Breadth-first search over the Weyl orbit of rho^.
 
-        def reflect(v, i, p):
-            return tuple(a - p * b for a, b in zip(v, coroots[i]))
+        z is tracked by the pairings v_k = <z(rho^), alpha_k>, which
+        determine it because rho^ is regular (the probe is a positive
+        multiple of rho^, so the signs below are the probe's). The left
+        descents of z are the k with v_k < 0, so its least reduced word
+        is (j,) + word(s_j z) for the smallest such j, and its inversion
+        set is the positive roots beta = sum c_k alpha_k with
+        sum c_k v_k < 0. A step s_i changes v by -v_i times row i of the
+        Cartan matrix. No matrix is built.
+        """
+        cartan_rows = self.cartan_matrix
 
-        # v -> (matrix, least reduced word)
-        table = {self._probe: (identity_matrix(self.n), ())}
-        level = [self._probe]
+        def reflect(v, i):
+            p = v[i]
+            return tuple(a - p * b for a, b in zip(v, cartan_rows[i]))
+
+        start = (1,) * self.rank
+        # v -> least reduced word
+        table = {start: ()}
+        level = [start]
         while level:
             nxt = []
             for v in level:
-                z = table[v][0]
-                for i, p in enumerate(pairings(v, roots)):
+                for i, p in enumerate(v):
                     if p < 0:
                         continue
-                    u = reflect(v, i, p)
+                    u = reflect(v, i)
                     if u in table:
                         continue
-                    az = [sum(map(mul, roots[i], col)) for col in zip(*z)]
-                    su = tuple(
-                        tuple(a - c * b for a, b in zip(row, az)) if c else row
-                        for row, c in zip(z, coroots[i])
-                    )
-                    j, q = next((k, q) for k, q in enumerate(pairings(u, roots)) if q < 0)
-                    table[u] = (su, (j + 1,) + table[reflect(u, j, q)][1])
+                    j = next(k for k, q in enumerate(u) if q < 0)
+                    table[u] = (j + 1,) + table[v if j == i else reflect(u, j)]
                     nxt.append(u)
             level = nxt
-        entries = sorted(table.items(), key=lambda e: (len(e[1][1]), e[1][1]))
-        elements = []
+        entries = sorted(table.items(), key=lambda e: (len(e[1]), e[1]))
+        # every positive root beyond the simple ones is beta' + alpha_i for an
+        # earlier positive root beta', so its pairing is one addition
+        index = {c: k for k, c in enumerate(self.root_coefficients)}
+        steps = []
+        for k, c in enumerate(self.root_coefficients):
+            if sum(c) == 1:
+                steps.append((k, None, c.index(1)))
+                continue
+            for i in range(self.rank):
+                rest = c[:i] + (c[i] - 1,) + c[i + 1:]
+                if c[i] and rest in index:
+                    steps.append((k, index[rest], i))
+                    break
         inversions = []
-        for v, (z, word) in entries:
+        pairings = [0] * len(steps)
+        for v, _word in entries:
             mask = 0
-            for k, p in enumerate(pairings(v, self.positive_roots)):
+            for k, prev, i in steps:
+                p = v[i] if prev is None else pairings[prev] + v[i]
+                pairings[k] = p
                 if p < 0:
                     mask |= 1 << k
-            elements.append(z)
             inversions.append(mask)
-        self._weyl_elements = tuple(elements)
+        self._weyl_words = tuple(word for _v, word in entries)
         self._weyl_inversions = tuple(inversions)
 
     # ---------------------------------------------------------------------

@@ -9,10 +9,17 @@ group as it was computed before finite Weyl parts became interned
 indices: an element is a pair ``(translation, matrix)`` and every
 operation multiplies dense lattice matrices. The differential tests
 compare the package's table-driven operations with them.
+
+The last section is the straight-element enumeration as it was computed
+before it moved to integer orbit sums and a pruned translation search.
 """
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 
+from adlvkit import affine_weyl as aw
 from adlvkit.linalg import (
     _rref,
     as_int_matrix,
@@ -104,3 +111,130 @@ def length(datum, x):
         else:
             total += abs(pairing - 1)
     return total
+
+
+# -- the straight-element enumeration on matrices and Fractions -------------
+#
+# Newton points averaged over the full order of z o delta in Fraction
+# coordinates, straightness read off the Newton point, the Weyl table
+# built with a matrix per element, and candidate translations from the
+# full product of simple-root pairings. The package now computes all of
+# these in integers without matrices.
+
+
+@functools.lru_cache(maxsize=None)
+def weyl_table(datum):
+    """(matrices, words, inversion masks), sorted by (length, word).
+
+    Breadth-first search over the Weyl orbit of the probe, tracking each
+    element's matrix by the rank-one update s_i z = z - alpha_i^ (alpha_i z).
+    """
+    roots, coroots = datum.simple_roots, datum.simple_coroots
+
+    def pairings(v, covectors):
+        return [dot(v, a) for a in covectors]
+
+    def reflect(v, i, p):
+        return tuple(a - p * b for a, b in zip(v, coroots[i]))
+
+    table = {datum._probe: (identity_matrix(datum.n), ())}
+    level = [datum._probe]
+    while level:
+        nxt = []
+        for v in level:
+            z = table[v][0]
+            for i, p in enumerate(pairings(v, roots)):
+                if p < 0:
+                    continue
+                u = reflect(v, i, p)
+                if u in table:
+                    continue
+                az = vec_mat(roots[i], z)
+                su = tuple(
+                    tuple(a - c * b for a, b in zip(row, az)) if c else row
+                    for row, c in zip(z, coroots[i])
+                )
+                j, q = next((k, q) for k, q in enumerate(pairings(u, roots)) if q < 0)
+                table[u] = (su, (j + 1,) + table[reflect(u, j, q)][1])
+                nxt.append(u)
+        level = nxt
+    entries = sorted(table.items(), key=lambda e: (len(e[1][1]), e[1][1]))
+    masks = tuple(
+        sum(1 << k for k, p in enumerate(pairings(v, datum.positive_roots)) if p < 0)
+        for v, _entry in entries
+    )
+    return (
+        tuple(z for _v, (z, _w) in entries),
+        tuple(w for _v, (_z, w) in entries),
+        masks,
+    )
+
+
+def twist_order_of(datum, m) -> int:
+    order = 1
+    cur = m
+    ident = identity_matrix(datum.n)
+    while cur != ident:
+        cur = mat_mul(cur, m)
+        order += 1
+        if order > 10**4:
+            raise AssertionError("lattice map order exceeds sane bound")
+    return order
+
+
+def newton_point(x):
+    """Dominant representative of the average of lambda over the order of z o delta."""
+    datum = x.datum
+    m = mat_mul(x.finite, datum.delta)
+    n = twist_order_of(datum, m)
+    acc = list(x.translation)
+    cur = x.translation
+    for _ in range(n - 1):
+        cur = mat_vec(m, cur)
+        for i in range(datum.n):
+            acc[i] += cur[i]
+    nu = tuple(Fraction(a, n) for a in acc)
+    dom, _z = datum.dominant_representative(nu)
+    return dom
+
+
+def is_straight(x):
+    return aw.length(x) == dot(newton_point(x), x.datum.two_rho)
+
+
+@functools.lru_cache(maxsize=None)
+def translation_candidates(datum, bound, central_values):
+    """Every tuple of the product of pairing ranges, solved and filtered.
+
+    ``central_values`` is a tuple, or None when the roots span.
+    """
+    b = bound + 1
+    rows = list(datum.simple_roots)
+    axes = [range(-b, b + 1)] * datum.rank
+    if datum.central_rank:
+        rows.append(datum.central_vector)
+        axes.append(list(central_values))
+    inv = mat_inv(tuple(rows))
+    denom = math.lcm(*(c.denominator for row in inv for c in row))
+    adj = tuple(tuple(int(c * denom) for c in row) for row in inv)
+    out = []
+    for pairings in itertools.product(*axes):
+        lam = tuple(dot(row, pairings) for row in adj)
+        if any(c % denom for c in lam):
+            continue
+        lam = tuple(c // denom for c in lam)
+        if all(abs(dot(lam, alpha)) <= b for alpha in datum.positive_roots):
+            out.append(lam)
+    return sorted(out)
+
+
+def iter_elements(datum, max_length, central_values=None, kottwitz_key=None):
+    """t^lambda z of length <= max_length over the matrix table, interned by matrix."""
+    matrices, _words, masks = weyl_table(datum)
+    for lam in translation_candidates(datum, max_length, central_values):
+        if kottwitz_key is not None and datum.kottwitz_quotient.key(lam) != kottwitz_key:
+            continue
+        base, up = aw.translation_pairings(datum, lam)
+        for z, inv in zip(matrices, masks):
+            if base + inv.bit_count() - 2 * (inv & up).bit_count() <= max_length:
+                yield aw.AffineElement(datum, lam, datum.finite_index(z))

@@ -255,8 +255,7 @@ def test_ell1_difference_form(c2sc):
     grouped = rt.bgw(w, seed=0)
     classes = sorted(grouped, key=lambda c: c.sort_key())
     c_min, c_max = bg.extrema(classes)
-    z_min = cl.newton_zero_set(c2sc, c_min.newton)
-    z_max = cl.newton_zero_set(c2sc, c_max.newton)
+    z_min, z_max = c_min.zero_set, c_max.zero_set
     assert not z_max <= z_min and not z_min <= z_max
     assert cl.ell1_formula(c2sc, c_min, c_max) == 1
     ((path,),) = [grouped[c_max]]

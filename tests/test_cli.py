@@ -5,7 +5,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from adlvkit import cli
+from adlvkit import cli, root_datum
 
 
 def run(argv):
@@ -41,8 +41,10 @@ def test_classify_usage_errors():
     assert code == 1
 
 
-def test_cap_exit_code():
-    # a datum nothing else touches, so no warm cache can hide the cap
+def test_cap_exit_code(monkeypatch):
+    # an empty registry, so the command builds a cold datum and no cache
+    # warmed by other tests can hide the cap
+    monkeypatch.setattr(root_datum, "_REGISTRY", {})
     code, _ = run(["classify", "--datum", "B3:adj", "s0 s1 s2 s3 s2 s1", "--cap-bfs", "1"])
     assert code == 2
 
@@ -157,6 +159,29 @@ def test_scan_negative_jobs_is_a_usage_error(capsys):
     assert code == 1
     assert out == ""
     assert capsys.readouterr().err.startswith("error: --jobs")
+
+
+@pytest.mark.parametrize("command", ["scan", "check"])
+def test_negative_max_length_is_a_usage_error(command, capsys):
+    code, out = run([command, "--datum", "A2:adj", "--max-length", "-1"])
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith("error: --max-length")
+
+
+@pytest.mark.parametrize("command", ["classify", "tree", "bgw"])
+def test_cap_enum_is_only_for_corpus_commands(command, capsys):
+    code, out = run([command, "--datum", "A1:adj", "s0", "--cap-enum", "5"])
+    assert code == 1
+    assert out == ""
+    assert "--cap-enum" in capsys.readouterr().err
+
+
+def test_cap_enum_bounds_the_scan_corpus(capsys):
+    code, out = run(["scan", "--datum", "A2:adj", "--max-length", "2", "--cap-enum", "5"])
+    assert code == 2
+    assert out == ""
+    assert "translation enumeration" in capsys.readouterr().err
 
 
 def test_scan_length_zero_all_geo():

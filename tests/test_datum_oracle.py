@@ -7,8 +7,14 @@ the simple roots and coroots off the Cartan matrix and maps every root's
 integer coefficient vector through them. The old construction is kept
 here and compared on every datum of the Weyl table tests plus one datum
 each of types D, E and F.
+
+``cartan.positive_roots`` used to sort the roots by height and
+``Fraction`` ambient coordinates; it now sorts integer vectors, the
+ambient coordinates scaled by the simple roots' common denominator. The
+``Fraction`` sort is kept here too, and the old construction uses it.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,6 +40,34 @@ DATA = (
     "E6:sc",
     "F4:adj",
 )
+
+
+def old_positive_roots(simple):
+    """The coefficient closure, sorted by height and Fraction ambient coordinates."""
+    simple = [tuple(Fraction(c) for c in r) for r in simple]
+    r = len(simple)
+    pairing = [[int(2 * dot(a, b) / dot(b, b)) for b in simple] for a in simple]
+    start = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    seen = set(start)
+    frontier = start
+    while frontier:
+        new = []
+        for c in frontier:
+            for i in range(r):
+                p = sum(c[j] * pairing[j][i] for j in range(r))
+                img = c[:i] + (c[i] - p,) + c[i + 1:]
+                if img[i] >= 0 and img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    pos = []
+    for c in seen:
+        beta = tuple(
+            sum(c[j] * simple[j][k] for j in range(r)) for k in range(len(simple[0]))
+        )
+        pos.append((sum(c), beta, c))
+    pos.sort(key=lambda t: (t[0], t[1]))
+    return [(beta, coeffs) for _h, beta, coeffs in pos]
 
 
 def old_lattice_basis(spec, simple_amb, coroots_amb):
@@ -62,7 +96,7 @@ def old_coordinates(spec):
     """simple_roots, simple_coroots, positive_roots, theta, theta_coroot, root_coroot."""
     simple_amb = cartan.simple_roots_ambient(spec.family, spec.rank)
     coroots_amb = [cartan.coroot(a) for a in simple_amb]
-    pos_amb = cartan.positive_roots(simple_amb)
+    pos_amb = old_positive_roots(simple_amb)
     theta_amb = cartan.highest_root(simple_amb, pos_amb)
     basis = old_lattice_basis(spec, simple_amb, coroots_amb)
     n = len(basis)
@@ -112,3 +146,28 @@ def test_dual_and_central_covectors(spec):
     assert len(datum.central_covectors) == datum.central_rank
     # rho is the sum of the fundamental weights
     assert tuple(map(sum, zip(*datum.fundamental_weights))) == datum.rho
+
+
+@pytest.mark.parametrize("spec", DATA)
+def test_positive_root_order_matches_the_fraction_sort(spec):
+    spec = parse_spec(spec)
+    simple = cartan.simple_roots_ambient(spec.family, spec.rank)
+    new = cartan.positive_roots(simple)
+    assert new == old_positive_roots(simple)
+    assert all(type(c) is Fraction for beta, _c in new for c in beta)
+    datum = RootDatum(spec)
+    assert datum.root_coefficients == tuple(c for _beta, c in new)
+
+
+@pytest.mark.parametrize("spec", DATA)
+def test_pairing_inverse_solves_the_pairing_system(spec):
+    datum = RootDatum(parse_spec(spec))
+    denom, columns = datum.pairing_inverse
+    rows = list(datum.simple_roots)
+    if datum.central_rank:
+        rows.append(datum.central_vector)
+    assert len(columns) == len(rows)
+    for k, column in enumerate(columns):
+        assert [dot(column, row) for row in rows] == [denom * (j == k) for j in range(len(rows))]
+    # the least common denominator of the inverse matrix
+    assert math.gcd(denom, *(c for column in columns for c in column)) == 1

@@ -115,6 +115,7 @@ def test_leq_rejects_a_newton_difference_off_the_coroot_span():
             tuple(dot(nu, w) for w in datum.fundamental_weights),
             tuple(dot(nu, a) for a in datum.central_covectors),
             dot(nu, datum.two_rho),
+            c.zero_set,
         )
         assert moved.coords == c.coords
         assert not old_leq(c, moved)

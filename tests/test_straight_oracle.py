@@ -1,0 +1,125 @@
+"""Differential oracle for the straight-element enumeration.
+
+Newton points now come from the integer orbit sum of the translation
+over its period under z o delta, straightness is an integer identity,
+the Weyl table keeps only words and inversion masks, and candidate
+translations come from a pruned search over the simple-root pairings.
+``matrix_reference`` keeps the forms they replaced: ``Fraction`` Newton
+points averaged over the full order of z o delta, a matrix per table
+element, and the full product of pairing ranges. They are compared on
+every element of the acceptance corpora and of the rank-3/4 corpora,
+and on every enumeration bound those corpora reach.
+"""
+
+import functools
+import math
+
+import pytest
+
+import matrix_reference as ref
+from adlvkit import affine_weyl as aw
+from adlvkit import bg_poset as bg
+from adlvkit import checks
+from adlvkit.conjugacy import class_invariant, is_straight, newton_point
+from adlvkit.linalg import dot
+from adlvkit.root_datum import RootDatum, parse_spec
+
+CORPORA = (
+    ("A1:adj", 8),
+    ("A2:adj", 8),
+    ("C2:sc", 8),
+    ("G2:sc", 8),
+    ("A3:gl", 6),
+    ("2A3:sc", 6),
+    ("B3:adj", 6),
+    ("C3:sc", 6),
+    ("2A4:sc", 4),
+    ("3D4:sc", 4),
+    ("A5:gl", 2),
+)
+
+
+def fresh(spec):
+    return RootDatum(parse_spec(spec))
+
+
+@functools.lru_cache(maxsize=None)
+def corpus(spec, max_length):
+    datum = fresh(spec)
+    return datum, tuple(checks.corpus(datum, max_length))
+
+
+@pytest.mark.parametrize("spec,max_length", CORPORA)
+def test_class_invariants_match_the_fraction_newton_point(spec, max_length):
+    datum, elements = corpus(spec, max_length)
+    for x in elements:
+        nu = ref.newton_point(x)
+        assert newton_point(x) == nu, aw.format_element(x)
+        assert is_straight(x) == ref.is_straight(x), aw.format_element(x)
+        c = class_invariant(x)
+        assert c.newton == nu
+        assert c.pairing_two_rho == dot(nu, datum.two_rho)
+        assert c.zero_set == frozenset(
+            i + 1 for i, alpha in enumerate(datum.simple_roots) if dot(nu, alpha) == 0
+        )
+
+
+def _filters(datum, elements):
+    """(bound, class) per enumeration a defect of the corpus classes runs.
+
+    Classes with equal bound, Kottwitz point and central part enumerate
+    the same elements, so one class stands for each such triple.
+    """
+    out = {}
+    for x in elements:
+        c = class_invariant(x)
+        bound = math.floor(c.pairing_two_rho)
+        out.setdefault((bound, c.kottwitz, c.central), (bound, c))
+    return sorted(out.values(), key=lambda e: (e[0], e[1].sort_key()))
+
+
+@pytest.mark.parametrize("spec,max_length", CORPORA)
+def test_enumerations_match_the_full_product(spec, max_length):
+    # the classes come from the corpus datum; filters only read their values
+    _datum, elements = corpus(spec, max_length)
+    datum, oracle = fresh(spec), fresh(spec)
+    normalized = tuple(range(datum.n)) if datum.central_rank else None
+    calls = [(max_length, None, normalized)] + [
+        (bound, c, (bg._central_sum(datum, c),) if datum.central_rank else None)
+        for bound, c in _filters(datum, elements)
+    ]
+    for bound, c, central in calls:
+        got = bg._translation_candidates(datum, bound, central, bg.DEFAULT_ENUM_BUDGET)
+        assert list(got) == ref.translation_candidates(oracle, bound, central), bound
+        got = [
+            aw.format_element(x)
+            for x in bg.iter_elements(
+                datum, bound, kottwitz=c, normalize_central=c is None and bool(normalized)
+            )
+        ]
+        want = [
+            aw.format_element(x)
+            for x in ref.iter_elements(
+                oracle, bound, central, None if c is None else c.kottwitz
+            )
+        ]
+        assert got == want, (bound, c)
+
+
+@pytest.mark.parametrize("spec", sorted({spec for spec, _bound in CORPORA}))
+def test_weyl_table_matches_the_matrix_search(spec):
+    datum, oracle = fresh(spec), fresh(spec)
+    matrices, words, masks = ref.weyl_table(oracle)
+    assert datum.weyl_words() == words
+    assert datum.weyl_inversions() == masks
+    assert datum.weyl_elements() == matrices
+
+
+@pytest.mark.parametrize("spec", ["A2:adj", "A3:gl", "2A4:sc", "3D4:sc", "A5:gl"])
+def test_weyl_elements_leave_the_caches_empty(spec):
+    """Building the table interns nothing: a datum stays cold after set-up."""
+    datum = fresh(spec)
+    assert datum.weyl_elements()
+    caches = {k: v for k, v in vars(datum).items() if k.endswith("_cache")}
+    assert caches
+    assert [k for k, v in caches.items() if v and k != "_word_cache"] == []

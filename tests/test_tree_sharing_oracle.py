@@ -4,8 +4,9 @@
 ``purity_report`` read trees that their caller built once per seed, and
 ``path_summary`` memoizes on the tree. The functions prefixed ``ref_``
 are the forms they replaced: each builds its own trees from
-``(w, seeds, cap)``, and path summaries share one memo keyed by
-``(node, seed)`` across every tree of every datum.
+``(w, seeds, cap)``, path summaries share one memo keyed by
+``(node, seed)`` across every tree of every datum, and the zero sets
+I(nu) come from ``Fraction`` dots instead of the class invariant.
 """
 
 import functools
@@ -19,6 +20,7 @@ from adlvkit.affine_weyl import format_element, length, parse_element
 from adlvkit.bg_poset import extrema, interval
 from adlvkit.conjugacy import DEFAULT_BFS_CAP, class_invariant, replay_moves
 from adlvkit.errors import NoUniqueExtremumError, NotComparableError
+from adlvkit.linalg import dot
 from adlvkit.root_datum import build_root_datum
 
 CORPORA = (("A2:adj", 6), ("C2:sc", 6), ("2A3:sc", 4))
@@ -26,6 +28,13 @@ SEEDS = tuple(range(10))
 
 # (node, seed) -> path summary, shared by every tree as the datum-wide memo was
 _REF_MEMO = {}
+
+
+def ref_newton_zero_set(datum, nu):
+    """I(nu) from Fraction dots, as computed before class invariants stored it."""
+    return frozenset(
+        i + 1 for i in range(datum.rank) if dot(nu, datum.simple_roots[i]) == 0
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -119,8 +128,8 @@ def ref_purity_report(w, seed, cap=DEFAULT_BFS_CAP):
             helper.append({"node": format_element(node), "pivot": format_element(pivot),
                            "note": str(exc)})
             continue
-        i_min = cl.newton_zero_set(datum, node_min.newton)
-        i_one = cl.newton_zero_set(datum, sub_min["I"][0].newton)
+        i_min = ref_newton_zero_set(datum, node_min.newton)
+        i_one = ref_newton_zero_set(datum, sub_min["I"][0].newton)
         helper.append(
             {
                 "node": format_element(node),
