@@ -35,19 +35,11 @@ CORPORA = (
 
 
 def audit_corpora(corpora):
-    """Audit reports keyed by datum string, plus their total time under ``_total_elapsed``."""
-    out = {}
-    total = 0.0
-    for datum_string, max_length in corpora:
-        report = checks.audit_datum_string(datum_string, max_length, seeds=SEEDS)
-        out[datum_string] = report
-        total += report.elapsed
-    out["_total_elapsed"] = total
-    return out
-
-
-def _reports(audits):
-    return [(d, report) for d, report in audits.items() if not d.startswith("_")]
+    """Audit reports keyed by datum string, in corpus order."""
+    return {
+        datum_string: checks.audit_datum_string(datum_string, max_length, seeds=SEEDS)
+        for datum_string, max_length in corpora
+    }
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +57,7 @@ def _criterion(number, description, violations):
 
 def _collect(audits, *suite_names):
     out = []
-    for datum_string, report in _reports(audits):
+    for datum_string, report in audits.items():
         for name in suite_names:
             for v in report.results[name].violations:
                 out.append({"datum": datum_string, "suite": name, **v})
@@ -114,7 +106,7 @@ def test_criterion_1_paper_examples():
 
 def test_criterion_2_type_counts_match_formulas(audits):
     violations = _collect(audits, "formula_type_counts")
-    total = audits["_total_elapsed"]
+    total = sum(report.elapsed for report in audits.values())
     _criterion(
         2,
         f"every path's (type I, type II) counts equal the closed formulas "
@@ -183,9 +175,9 @@ def test_criterion_8_integrality_tripwires(audits):
 
 
 def test_corpus_accounting(audits):
-    sizes = {d: report.corpus_size for d, report in _reports(audits)}
-    geo = {d: report.geo_cox_count for d, report in _reports(audits)}
-    total = audits["_total_elapsed"]
+    sizes = {d: report.corpus_size for d, report in audits.items()}
+    geo = {d: report.geo_cox_count for d, report in audits.items()}
+    total = sum(report.elapsed for report in audits.values())
     print(
         "corpus sizes "
         + ", ".join(f"{d}:{n}" for d, n in sizes.items())
@@ -193,7 +185,7 @@ def test_corpus_accounting(audits):
         + f"; total audit time {total:.0f}s"
     )
     assert all(n > 0 for n in sizes.values())
-    for _d, report in _reports(audits):
+    for report in audits.values():
         assert report.results["datum_invariants"].passed
         assert report.results["length_properties"].passed
         assert report.results["class_invariance"].passed
@@ -210,8 +202,8 @@ def test_audit_counts_match_golden(audits):
 
 def assert_counts_match_golden(audits, name):
     golden = json.loads((Path(__file__).resolve().parent / "golden" / name).read_text())
-    assert sorted(golden) == sorted(d for d, _report in _reports(audits))
-    for datum_string, report in _reports(audits):
+    assert sorted(golden) == sorted(audits)
+    for datum_string, report in audits.items():
         counts = {
             "corpus_size": report.corpus_size,
             "geo_cox_count": report.geo_cox_count,

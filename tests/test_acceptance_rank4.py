@@ -15,11 +15,11 @@ lines.
 
 import pytest
 
-# the criteria are collected again here and read this module's fixture
+# the criteria are collected again here, in this order, and read this
+# module's fixture
 from test_acceptance import (  # noqa: F401
     assert_counts_match_golden,
     audit_corpora,
-    test_corpus_accounting,
     test_criterion_2_type_counts_match_formulas,
     test_criterion_3_dimension_consistency,
     test_criterion_4_saturation,
@@ -27,6 +27,7 @@ from test_acceptance import (  # noqa: F401
     test_criterion_6_inequality_and_equality_case,
     test_criterion_7_structural_conservation,
     test_criterion_8_integrality_tripwires,
+    test_corpus_accounting,
 )
 
 CORPORA = (
