@@ -19,10 +19,11 @@ simple coroot pairs to 1 with rho.
 
 The defect of a class is the twisted reflection length of the classical
 part of any straight element in the class; witnesses are found by
-exhaustive enumeration of straight elements (every class here has one of
-length exactly <nu, 2 rho>; He, Ann. Math. 2014) and the independence of the witness
-choice is a tested invariant. Straightness is an integer test on the
-orbit sum of the translation (see :func:`conjugacy.is_straight`).
+exhaustive enumeration of straight elements (every class here has one
+of length exactly <nu, 2 rho>; He, Ann. Math. 2014) and the
+independence of the witness choice is a tested invariant. Straightness
+is an integer test on the orbit sum of the translation (see
+:func:`conjugacy.is_straight`).
 
 The enumeration of t^lambda z up to a length bound reads the datum's
 finite Weyl table, least words and inversion bitmasks without matrices,
