@@ -1,6 +1,9 @@
 """Exact combinatorics of extended affine Weyl groups with a twist.
 
-The package computes, entirely in integer and rational arithmetic:
+The package computes, entirely in integer and rational arithmetic (root
+data are built in integers; ``Fraction`` holds only Newton points and
+the values read with them: rho, the fundamental weights and coweights,
+and class coordinates):
 
 * root data over a chosen coweight lattice (`root_datum`),
 * the extended affine Weyl group with its length function, length-zero

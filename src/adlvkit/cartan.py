@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import UnsupportedDatumError
-from .linalg import dot, vec_scale, vec_sub
+from .linalg import dot, vec_sub
 
 FAMILIES = frozenset("ABCDEFG")
 
@@ -93,24 +93,20 @@ def simple_roots_ambient(family: str, rank: int):
         return roots[:rank]
 
 
-def coroot(root):
-    norm = dot(root, root)
-    return vec_scale(root, Fraction(2, 1) / norm)
-
-
 def integer_scaled(simple):
-    """(d, roots): the simple roots times the least common denominator d of their coordinates.
+    """The simple roots times the least common denominator d of their coordinates.
 
     Inner products of the scaled roots are those of the ambient roots
     times d^2, so ratios and signs, and with them the Cartan integers,
     are read in integers.
     """
     denom = math.lcm(*(Fraction(c).denominator for a in simple for c in a))
-    return denom, [tuple(int(c * denom) for c in a) for a in simple]
+    return [tuple(int(c * denom) for c in a) for a in simple]
 
 
 def positive_roots(simple):
-    """Positive roots sorted by (height, coordinates), with coefficients.
+    """Coefficient vectors of the positive roots over ``simple``, sorted by
+    (height, ambient coordinates).
 
     The closure runs on the integer coefficient vectors c over the simple
     roots: s_i lowers c_i by <beta, alpha_i^> = sum_j c_j <alpha_j, alpha_i^>.
@@ -118,9 +114,9 @@ def positive_roots(simple):
     the images with a negative coefficient (only -alpha_i) are dropped.
     The sort reads the ambient coordinates with the simple roots scaled
     to integers by their common denominator; a positive scale keeps the
-    order, and only the sorted roots are divided back.
+    order.
     """
-    denom, scaled = integer_scaled(simple)
+    scaled = integer_scaled(simple)
     r = len(scaled)
     pairing = [[2 * dot(a, b) // dot(b, b) for b in scaled] for a in scaled]
     start = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
@@ -136,22 +132,22 @@ def positive_roots(simple):
                     seen.add(img)
                     new.append(img)
         frontier = new
-    pos = []
-    for c in seen:
-        beta = tuple(sum(map(mul, c, col)) for col in zip(*scaled))
-        pos.append((sum(c), beta, c))
-    pos.sort()
-    return [
-        (tuple(Fraction(x, denom) for x in beta), c) for _h, beta, c in pos
-    ]
+    return sorted(
+        seen,
+        key=lambda c: (sum(c), tuple(sum(map(mul, c, col)) for col in zip(*scaled))),
+    )
 
 
-def highest_root(simple, positive):
-    """The last of ``positive``, the output of ``positive_roots(simple)``."""
-    theta, coeffs = positive[-1]
-    # the highest root is the unique dominant root of maximal height
-    for alpha in simple:
-        if 2 * dot(theta, alpha) / dot(alpha, alpha) < 0:
+def highest_root(cartan_matrix, positive):
+    """The last of ``positive``, the output of ``positive_roots``.
+
+    ``cartan_matrix[i][j]`` is <alpha_i^, alpha_j>. The highest root is
+    the unique dominant root of maximal height, so it must pair
+    nonnegatively with every simple coroot.
+    """
+    theta = positive[-1]
+    for row in cartan_matrix:
+        if sum(map(mul, row, theta)) < 0:
             raise AssertionError("highest root is not dominant")
     return theta
 

@@ -272,13 +272,15 @@ _FILTERS = {
 }
 
 
-def _check_max_length(args):
-    if args.max_length < 0:
-        raise UsageError(f"--max-length expects a nonnegative length, got {args.max_length}")
+def _check_nonnegative(args):
+    """Reject a negative --max-length, --cap-bfs or --cap-enum, naming the flag."""
+    for flag in ("--max-length", "--cap-bfs", "--cap-enum"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} expects a nonnegative value, got {value}")
 
 
 def _cmd_scan(args, out):
-    _check_max_length(args)
     if args.jobs < 0:
         raise UsageError("--jobs expects 0 (available parallelism) or a positive count")
     datum = build_root_datum(args.datum)
@@ -391,7 +393,6 @@ def _cmd_scan(args, out):
 
 
 def _cmd_check(args, out):
-    _check_max_length(args)
     datum = build_root_datum(args.datum)
     seeds = _parse_seeds(args.seeds)
     report = checks.audit(
@@ -420,6 +421,7 @@ def main(argv=None, out=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_nonnegative(args)
         if args.command == "classify":
             datum = build_root_datum(args.datum)
             seeds = _parse_seeds(args.seeds)

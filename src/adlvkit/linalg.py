@@ -1,11 +1,18 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
 All matrices here are small and dense (bounded by the rank of a root
-system), so everything is tuples of tuples of Python ints or Fractions.
-No floating point is used anywhere in the package.
+system), so everything is tuples of tuples of Python ints. Ranks,
+inverses and lattice quotients are computed in integers (Bareiss
+elimination and the Smith normal form); nothing here solves a system
+over Q. ``Fraction`` only enters through the products of ``mat_vec`` and
+``dot`` with rational Newton points, and ``as_int_vector`` casts
+rationals with denominator 1 back to ints. No floating point is used
+anywhere in the package.
 
 >>> smith_normal_form(((2, 4), (6, 8)))[1]
 ((2, 0), (0, 4))
+>>> integer_inverse(((2, -1), (-1, 2)))
+(3, ((2, 1), (1, 2)))
 """
 
 from __future__ import annotations
@@ -53,10 +60,6 @@ def vec_neg(v: Vector) -> Vector:
     return tuple(-a for a in v)
 
 
-def vec_scale(v: Vector, c) -> Vector:
-    return tuple(c * a for a in v)
-
-
 def dot(u: Vector, v: Vector):
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
@@ -76,31 +79,6 @@ def as_int_vector(v: Sequence) -> Vector:
 
 def as_int_matrix(m) -> Matrix:
     return tuple(as_int_vector(row) for row in m)
-
-
-def _rref(rows):
-    """Reduced row echelon form over Q. Returns (rows, pivot columns)."""
-    rows = [[Fraction(a) for a in row] for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
 
 
 def mat_rank(m: Matrix) -> int:
@@ -137,32 +115,6 @@ def mat_rank(m: Matrix) -> int:
         if rank == nrows:
             break
     return rank
-
-
-def mat_inv(m: Matrix) -> Matrix:
-    """Exact inverse over Q; raises ValueError on singular input."""
-    n = len(m)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    rows, pivots = _rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
-
-
-def nullspace(m: Matrix):
-    """Rational basis of the right kernel of ``m``."""
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rows, pivots = _rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def smith_normal_form(a: Matrix):
@@ -246,6 +198,26 @@ def smith_normal_form(a: Matrix):
         t += 1
 
     return mat_from_rows(u), mat_from_rows(m), mat_from_rows(v)
+
+
+def integer_inverse(m: Matrix):
+    """(d, adj) with d the least positive integer that makes d * m^(-1)
+    integral, and adj = d * m^(-1).
+
+    Read off the Smith normal form u m v = diag(d_1 | ... | d_n): then
+    m^(-1) = v diag(1/d_i) u, which d makes integral exactly when every
+    d_i divides d, so d = d_n and adj = v diag(d_n/d_i) u. A zero
+    invariant factor means m is singular and raises ValueError.
+    """
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix is not square")
+    u, s, v = smith_normal_form(m)
+    factors = [s[i][i] for i in range(len(s))]
+    if not factors or 0 in factors:
+        raise ValueError("matrix is singular")
+    d = factors[-1]
+    scaled_u = tuple(tuple(d // f * x for x in row) for row, f in zip(u, factors))
+    return d, tuple(vec_mat(row, scaled_u) for row in v)
 
 
 class LatticeQuotient:

@@ -18,6 +18,15 @@ presets are supported:
     familiar matrix-group realization. The lattice has a one-dimensional
     central direction.
 
+Construction runs in integers. The Cartan matrix and the positive
+roots' coefficient vectors come from the ambient realization scaled to
+integers; every root and coroot is an integer vector mapped from them;
+the dual bases come from two inverses read off the Smith normal form
+(:func:`adlvkit.linalg.integer_inverse`), of the pairing matrix and of
+the Cartan matrix. No system is solved over Q. ``Fraction`` appears
+only in the stored rational values ``rho``, ``fundamental_weights`` and
+``fundamental_coweights``, in which Newton points are read.
+
 The lattice data are fixed at construction. The per-datum caches are
 not: construction leaves every one of them empty, any call may fill them
 lazily, and there is no guarantee for concurrent use of one datum from
@@ -65,10 +74,9 @@ from .linalg import (
     as_int_matrix,
     dot,
     identity_matrix,
-    mat_inv,
+    integer_inverse,
     mat_mul,
     mat_vec,
-    nullspace,
     vec_mat,
 )
 
@@ -145,19 +153,25 @@ class RootDatum:
     """
 
     def __init__(self, spec: CartanSpec):
+        """Build the lattice data of ``spec`` in integers (see the module docstring).
+
+        Raises AssertionError if a construction tripwire fails: a coroot
+        outside the lattice, a positivity probe that pairs nonpositively
+        with a positive root, or a twist that moves the highest coroot.
+        """
         self.spec = spec
         self.rank = spec.rank
         family = spec.family
 
         simple_amb = cartan.simple_roots_ambient(family, spec.rank)
-        pos_amb = cartan.positive_roots(simple_amb)
-        cartan.highest_root(simple_amb, pos_amb)  # theta is the last positive root
-        _denom, scaled = cartan.integer_scaled(simple_amb)
+        scaled = cartan.integer_scaled(simple_amb)
         norms = [dot(a, a) for a in scaled]
         # cartan_matrix[i][j] = <alpha_i^, alpha_j>
         self.cartan_matrix = tuple(
             tuple(2 * dot(a, b) // norm for b in scaled) for a, norm in zip(scaled, norms)
         )
+        coefficients = cartan.positive_roots(simple_amb)
+        cartan.highest_root(self.cartan_matrix, coefficients)  # theta is the last one
         roots, coroots = self._simple_lattice_coordinates(simple_amb)
         self.n = len(roots[0])
         self.simple_roots = roots
@@ -173,7 +187,7 @@ class RootDatum:
         scale = tuple(norm // shortest for norm in norms)
         self.root_coroot = {}
         positive = []
-        for _beta, c in pos_amb:
+        for c in coefficients:
             beta = vec_mat(c, roots)
             u = vec_mat(tuple(a * b for a, b in zip(c, scale)), coroots)
             q = dot(u, beta)
@@ -185,7 +199,7 @@ class RootDatum:
             self.root_coroot[tuple(-x for x in beta)] = tuple(-x for x in coroot)
         self.positive_roots = tuple(positive)
         # the coefficients of each positive root over the simple roots
-        self.root_coefficients = tuple(c for _beta, c in pos_amb)
+        self.root_coefficients = tuple(coefficients)
         self.theta = self.positive_roots[-1]
         self.theta_coroot = self.root_coroot[self.theta]
         self.rho = tuple(Fraction(sum(col), 2) for col in zip(*self.positive_roots))
@@ -201,26 +215,25 @@ class RootDatum:
         # a signed permutation matrix: its inverse is its transpose
         self.delta_inv = tuple(zip(*self.delta))
 
-        # A^(-1) for the Cartan matrix A, behind the fundamental coweights
-        # and weights in the coroot and root spans
-        cartan_inv = mat_inv(self.cartan_matrix)
-        span_coweights = tuple(vec_mat(row, coroots) for row in cartan_inv)
-        # the covectors dual to the simple coroots, and a basis of the
-        # covectors that vanish on every coroot (the central covector on
-        # gl, none on adj and sc); the class poset reads Newton points in
-        # these coordinates
-        self.fundamental_weights = tuple(
-            vec_mat(col, roots) for col in zip(*cartan_inv)
-        )
-        self.central_covectors = tuple(_integral(v) for v in nullspace(coroots))
+        # gl preset: the lattice has a central line spanned by (1,...,1)
+        self.central_rank = self.n - self.rank
+        self.central_vector = (1,) * self.n if self.central_rank else None
+        # the covectors that vanish on every coroot: the central covector
+        # on gl, none on adj and sc; with the fundamental weights below,
+        # the class poset reads Newton points in these coordinates
+        self.central_covectors = (self.central_vector,) if self.central_rank else ()
 
-        # integer vector with strictly positive pairing against every
-        # positive root; root sign tests reduce to one dot product
-        self._probe = _integral(tuple(map(sum, zip(*span_coweights))))
-        for beta in self.positive_roots:
-            if dot(self._probe, beta) <= 0:
-                raise AssertionError("positivity probe failed")
-
+        # (d, columns): the inverse of the pairing matrix P, whose rows are
+        # the simple roots and, on gl, (1,...,1). The lattice vector with
+        # simple-root pairings p_k (and, on gl, coordinate sum s) is
+        # (sum p_k columns[k] + s columns[rank]) / d. The first rank
+        # columns over d pair to delta_kj with the simple roots and to 0
+        # with (1,...,1): they are the fundamental coweights in the coroot
+        # span.
+        pairing = roots + ((self.central_vector,) if self.central_rank else ())
+        denom, adj = integer_inverse(pairing)
+        columns = tuple(zip(*adj))
+        self.pairing_inverse = (denom, columns)
         if spec.lattice_preset == "gl":
             # e_1 + ... + e_k for k = 1..n
             self.fundamental_coweights = tuple(
@@ -228,7 +241,28 @@ class RootDatum:
                 for k in range(1, self.n + 1)
             )
         else:
-            self.fundamental_coweights = span_coweights
+            self.fundamental_coweights = tuple(
+                tuple(Fraction(c, denom) for c in v) for v in columns[: self.rank]
+            )
+
+        # the covectors dual to the simple coroots: column j of A^(-1) for
+        # the Cartan matrix A holds the root coefficients of omega_j
+        cartan_denom, cartan_adj = integer_inverse(self.cartan_matrix)
+        self.fundamental_weights = tuple(
+            tuple(Fraction(c, cartan_denom) for c in vec_mat(col, roots))
+            for col in zip(*cartan_adj)
+        )
+
+        # integer vector with strictly positive pairing against every
+        # positive root (the sum of the fundamental coweights in the
+        # coroot span, times the least integer that clears its
+        # denominator); root sign tests reduce to one dot product
+        total = tuple(map(sum, zip(*columns[: self.rank])))
+        g = math.gcd(denom, *total)
+        self._probe = tuple(c // g for c in total)
+        for beta in self.positive_roots:
+            if dot(self._probe, beta) <= 0:
+                raise AssertionError("positivity probe failed")
 
         gens = [list(c) for c in self.simple_coroots]
         self.omega_quotient = LatticeQuotient(self.n, gens)
@@ -237,21 +271,6 @@ class RootDatum:
             for j in range(self.n)
         ]
         self.kottwitz_quotient = LatticeQuotient(self.n, gens + delta_minus_1)
-
-        # gl preset: the lattice has a central line spanned by (1,...,1)
-        self.central_rank = self.n - self.rank
-        self.central_vector = (1,) * self.n if self.central_rank else None
-
-        # (d, columns): the lattice vector with simple-root pairings p_k
-        # (and, on gl, coordinate sum s) is (sum p_k columns[k] + s
-        # columns[rank]) / d. The coweights in the coroot span pair to
-        # delta_kj with the simple roots and sum to 0 on gl, where
-        # (1,...,1)/n pairs to 0 with every root and to 1 with (1,...,1).
-        solved = list(span_coweights)
-        if self.central_rank:
-            solved.append(tuple(Fraction(c, self.n) for c in self.central_vector))
-        denom = math.lcm(*(Fraction(c).denominator for v in solved for c in v))
-        self.pairing_inverse = (denom, tuple(tuple(int(c * denom) for c in v) for v in solved))
 
         # affine index i -> (root, coroot) of the reflection r_i behind
         # s_i, with r_0 = s_theta; the twist fixes theta^, so sigma(s_0) = s_0
@@ -601,12 +620,6 @@ class RootDatum:
 
     def __repr__(self):
         return f"RootDatum({self.spec.datum_string()!r})"
-
-
-def _integral(v):
-    """A rational vector times the least common denominator of its entries."""
-    d = math.lcm(*(Fraction(c).denominator for c in v))
-    return tuple(int(c * d) for c in v)
 
 
 _REGISTRY: dict[CartanSpec, RootDatum] = {}

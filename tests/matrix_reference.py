@@ -1,8 +1,9 @@
 """Test-only reference paths that the package no longer runs.
 
-``solve`` is the rational solver that older constructions of the datum
-and the class poset used; the oracles that re-derive those constructions
-still need it.
+``_rref``, ``mat_inv``, ``nullspace`` and ``solve`` are the rational
+Gauss-Jordan elimination that older constructions of the datum and the
+class poset used; the oracles that re-derive those constructions still
+need them.
 
 The element functions below are the group law of the extended affine Weyl
 group as it was computed before finite Weyl parts became interned
@@ -21,17 +22,67 @@ from fractions import Fraction
 
 from adlvkit import affine_weyl as aw
 from adlvkit.linalg import (
-    _rref,
+    Matrix,
     as_int_matrix,
     dot,
     identity_matrix,
-    mat_inv,
     mat_mul,
     mat_vec,
     vec_add,
     vec_mat,
     vec_neg,
 )
+
+
+def _rref(rows):
+    """Reduced row echelon form over Q. Returns (rows, pivot columns)."""
+    rows = [[Fraction(a) for a in row] for row in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def mat_inv(m: Matrix) -> Matrix:
+    """Exact inverse over Q; raises ValueError on singular input."""
+    n = len(m)
+    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
+    rows, pivots = _rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return tuple(tuple(rows[i][n:]) for i in range(n))
+
+
+def nullspace(m: Matrix):
+    """Rational basis of the right kernel of ``m``."""
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    rows, pivots = _rref(m)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def solve(m, b):

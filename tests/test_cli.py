@@ -169,6 +169,25 @@ def test_negative_max_length_is_a_usage_error(command, capsys):
     assert capsys.readouterr().err.startswith("error: --max-length")
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["classify", "--datum", "C3:sc", "s0 s1 s2 s3", "--cap-bfs", "-3"], "--cap-bfs"),
+        (["tree", "--datum", "A1:adj", "s0", "--cap-bfs", "-1"], "--cap-bfs"),
+        (["bgw", "--datum", "A1:adj", "s0", "--cap-bfs", "-1"], "--cap-bfs"),
+        (["scan", "--datum", "A1:adj", "--max-length", "2", "--cap-bfs", "-1"], "--cap-bfs"),
+        (["check", "--datum", "A1:adj", "--max-length", "2", "--cap-bfs", "-1"], "--cap-bfs"),
+        (["scan", "--datum", "A1:adj", "--max-length", "2", "--cap-enum", "-1"], "--cap-enum"),
+        (["check", "--datum", "A1:adj", "--max-length", "2", "--cap-enum", "-1"], "--cap-enum"),
+    ],
+)
+def test_negative_cap_is_a_usage_error(argv, flag, capsys):
+    code, out = run(argv)
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+
 @pytest.mark.parametrize("command", ["classify", "tree", "bgw"])
 def test_cap_enum_is_only_for_corpus_commands(command, capsys):
     code, out = run([command, "--datum", "A1:adj", "s0", "--cap-enum", "5"])

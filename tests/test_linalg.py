@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adlvkit import linalg as la
-from matrix_reference import solve
+from matrix_reference import _rref, mat_inv, nullspace, solve
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -33,7 +34,7 @@ def test_inverse_roundtrip():
         m = random_matrix(rng, n, n)
         if la.mat_rank(m) < n:
             continue
-        inv = la.mat_inv(m)
+        inv = mat_inv(m)
         prod = la.mat_mul(m, inv)
         assert prod == tuple(
             tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
@@ -42,7 +43,7 @@ def test_inverse_roundtrip():
 
 def test_mat_inv_singular():
     with pytest.raises(ValueError):
-        la.mat_inv(((1, 2), (2, 4)))
+        mat_inv(((1, 2), (2, 4)))
 
 
 def test_solve_and_nullspace():
@@ -51,7 +52,7 @@ def test_solve_and_nullspace():
     x = solve(m, (6, 12))
     assert x is not None
     assert la.mat_vec(m, x) == (Fraction(6), Fraction(12))
-    basis = la.nullspace(m)
+    basis = nullspace(m)
     assert len(basis) == 2
     for v in basis:
         assert la.mat_vec(m, v) == (0, 0)
@@ -70,7 +71,7 @@ def rref_rank(m):
     """The rank as ``mat_rank`` took it before: pivots of the Fraction RREF."""
     if not m or not m[0]:
         return 0
-    return len(la._rref(m)[1])
+    return len(_rref(m)[1])
 
 
 @st.composite
@@ -104,7 +105,7 @@ def _is_unimodular(m):
     if la.mat_rank(m) < len(m):
         return False
     try:
-        la.as_int_matrix(la.mat_inv(m))
+        la.as_int_matrix(mat_inv(m))
     except ValueError:
         return False
     return True
@@ -135,6 +136,39 @@ def test_smith_normal_form_random():
 def test_smith_known():
     _u, d, _v = la.smith_normal_form(((2, 4), (6, 8)))
     assert (d[0][0], d[1][1]) == (2, 4)
+
+
+square_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple),
+        min_size=n,
+        max_size=n,
+    ).map(tuple)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices)
+def test_integer_inverse_matches_the_fraction_inverse(m):
+    if la.mat_rank(m) < len(m):
+        with pytest.raises(ValueError):
+            la.integer_inverse(m)
+        return
+    d, adj = la.integer_inverse(m)
+    inv = mat_inv(m)
+    # d is the least common denominator of the rational inverse
+    assert d == math.lcm(*(c.denominator for row in inv for c in row))
+    assert adj == tuple(tuple(int(d * c) for c in row) for row in inv)
+    assert all(type(c) is int for row in adj for c in row)
+    assert math.gcd(d, *(c for row in adj for c in row)) == 1
+
+
+def test_integer_inverse_rejects_singular_and_non_square():
+    for m in (((1, 2), (2, 4)), ((0, 0), (0, 0)), ((1, 0, 0), (0, 1, 0), (1, 1, 0))):
+        with pytest.raises(ValueError, match="singular"):
+            la.integer_inverse(m)
+    with pytest.raises(ValueError, match="square"):
+        la.integer_inverse(((1, 2, 3), (4, 5, 6)))
 
 
 def test_lattice_quotient_cyclic():

@@ -19,9 +19,9 @@ from adlvkit import affine_weyl as aw
 from adlvkit import bg_poset as bg
 from adlvkit.conjugacy import ClassInvariant, class_invariant, reflection_length
 from adlvkit.errors import NotComparableError
-from adlvkit.linalg import _rref, dot, mat_mul, vec_add, vec_sub
+from adlvkit.linalg import dot, mat_mul, vec_add, vec_sub
 from adlvkit.root_datum import RootDatum, parse_spec
-from matrix_reference import solve
+from matrix_reference import _rref, solve
 
 # the acceptance-corpus data and B3:adj, with the straight enumeration bound
 POSET_DATA = (

@@ -19,10 +19,10 @@ from adlvkit import bg_poset as bg
 from adlvkit import cartan
 from adlvkit.conjugacy import class_invariant, is_straight, reflection_length
 from adlvkit.errors import CapExceededError
-from adlvkit.linalg import dot, identity_matrix, mat_inv, mat_mul, mat_vec, vec_mat
+from adlvkit.linalg import dot, identity_matrix, mat_mul, mat_vec, vec_mat
 from adlvkit.root_datum import RootDatum, parse_spec
 import matrix_reference
-from matrix_reference import solve
+from matrix_reference import mat_inv, solve
 
 TABLE_DATA = (
     "A1:adj",
@@ -217,8 +217,12 @@ def test_positive_roots_match_ambient_closure(family, rank):
     simple = cartan.simple_roots_ambient(family, rank)
     new = cartan.positive_roots(simple)
     old = old_positive_roots(simple)
-    assert [beta for beta, _c in new] == [beta for beta, _c in old]
-    assert [tuple(c) for _b, c in new] == [tuple(c) for _b, c in old]
+    ambient = [
+        tuple(sum(c[j] * simple[j][k] for j in range(rank)) for k in range(len(simple[0])))
+        for c in new
+    ]
+    assert ambient == [beta for beta, _c in old]
+    assert new == [tuple(c) for _b, c in old]
 
 
 # -- lengths and candidates ------------------------------------------------------
