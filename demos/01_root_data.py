@@ -6,6 +6,7 @@ exact rational covectors, so the printed numbers are the actual values.
 """
 
 from adlvkit import build_root_datum
+from adlvkit.linalg import identity_matrix, mat_mul, mat_vec
 
 print("== the three presets ==")
 for spec in ("A2:adj", "A2:sc", "A2:gl"):
@@ -26,7 +27,13 @@ print(f"  rho = {c2.rho}  (pairs to 1 with every simple coroot)")
 print()
 print("== dominance normalization ==")
 v = (-1, 2)
-dom, z = c2.dominant_representative(v)
+dom = c2.dominant(v)
+# the same descent, applying s_i while some pairing is negative, keeps the matrix
+cur, z = v, identity_matrix(c2.n)
+while cur != dom:
+    i = next(i for i, alpha in enumerate(c2.simple_roots) if c2.pair(cur, alpha) < 0)
+    cur = mat_vec(c2.weyl_generators[i], cur)
+    z = mat_mul(c2.weyl_generators[i], z)
 print(f"  {v} is dominant: {c2.is_dominant(v)}")
 print(f"  its dominant representative is {dom}, via the matrix {z}")
 

@@ -335,13 +335,18 @@ def enumerate_straight(
     <nu, 2 rho>, so scanning lengths up to floor(max_pairing) and
     filtering by straightness finds every class. Results are deduplicated
     by class invariant and sorted canonically; two runs return equal
-    lists. ``kottwitz`` may be a ClassInvariant used as a filter.
+    lists. ``kottwitz`` may be a ClassInvariant used as a filter; the
+    enumeration reads only its Kottwitz point and, on a central line, its
+    central sum, so filters that share these share one cached result.
     """
     if max_pairing < 0:
         raise UsageError("max_pairing must be nonnegative")
     bound = _floor(Fraction(max_pairing))
-    key = (bound, kottwitz.kottwitz if kottwitz is not None else None,
-           tuple(kottwitz.newton) if kottwitz is not None else None)
+    if kottwitz is None:
+        key = (bound, None, None)
+    else:
+        central = _central_sum(datum, kottwitz) if datum.central_rank else None
+        key = (bound, kottwitz.kottwitz, central)
     cached = datum._straight_cache.get(key)
     if cached is not None:
         return cached

@@ -30,7 +30,13 @@ from .affine_weyl import (
 from .conjugacy import class_invariant, is_min_len, is_straight
 from .errors import AdlvkitError, InternalInvariantError, UsageError
 from .linalg import dot, mat_vec
-from .reduction_tree import build_tree, path_summary, summary_classes, verify_edge
+from .reduction_tree import (
+    build_tree,
+    path_summary,
+    share_equal_trees,
+    summary_classes,
+    verify_edge,
+)
 
 CHECK_NAMES = (
     "datum_invariants",
@@ -134,11 +140,14 @@ def audit(
 
     elements = corpus(datum, max_length, budget=enum_budget)
     geo_count = 0
+    additivity = {}  # MinCoxWitness -> its additivity failures, for this audit only
     for pos, w in enumerate(elements):
         if progress is not None:
             progress(pos, len(elements), w)
         try:
-            geo_count += _audit_element(w, seeds, bfs_cap, results, fail, bump)
+            geo_count += _audit_element(
+                w, seeds, bfs_cap, results, fail, bump, additivity
+            )
         except InternalInvariantError as exc:
             fail("integrality", format_element(w), str(exc))
         except AdlvkitError as exc:
@@ -295,14 +304,24 @@ def _audit_defect_independence(datum, max_length, budget, fail, bump):
 # -- per-element checks ----------------------------------------------------------
 
 
-def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
+def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> int:
     """Run the tree, class and formula suites on one element.
+
+    Seeds whose trees are equal share one tree (:func:`share_equal_trees`).
+    Endpoint certificates and edge replays run once per distinct tree, the
+    multiplicity count and the formula scan once per distinct path
+    summary, and each seed replays their counts and failures in seed
+    order, so the suites read as if every seed had been checked on its
+    own. ``additivity`` memoizes the witness additivity checks across the
+    elements of one audit (see :func:`_check_witness_additivity`).
 
     Returns 1 when the element has geometric Coxeter type.
     """
     datum = w.datum
     text = format_element(w)
     base_len = length(w)
+    if additivity is None:
+        additivity = {}
 
     members = conjugacy.shift_class(w, cap=bfs_cap)
     inv = class_invariant(w)
@@ -316,8 +335,9 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
             fail("straight_implies_minlen", text, "straight but not minimal")
         bump("straight_implies_minlen")
 
-    trees = [build_tree(w, seed=seed, cap=bfs_cap) for seed in seeds]
+    trees = share_equal_trees([build_tree(w, seed=seed, cap=bfs_cap) for seed in seeds])
     summaries = {}
+    certified = {}  # tree -> its certificate events
     for seed, tree in zip(seeds, trees):
         summary = path_summary(tree)
         summaries[seed] = summary
@@ -325,14 +345,12 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
             if base_len != lend + c1 + 2 * c2:
                 fail("conservation", text, f"seed {seed}: {base_len} != {lend}+{c1}+2*{c2}")
             bump("conservation", mult)
-        for endpoint in tree.endpoints():
-            if not is_min_len(endpoint, cap=bfs_cap).is_min_len:
-                fail("endpoint_certificates", text, f"endpoint {format_element(endpoint)} not minimal")
+        for detail in _replayed(certified, tree, lambda: _certificate_failures(tree, bfs_cap)):
+            if detail is not None:
+                fail("endpoint_certificates", text, detail)
             bump("endpoint_certificates")
-        for edge in tree.edges:
-            if not verify_edge(edge):
-                fail("endpoint_certificates", text, "edge witness replay failed")
-            bump("endpoint_certificates")
+    # shared trees share their memoized summary, so identity finds the repeats
+    distinct = list({id(summary): summary for summary in summaries.values()}.values())
 
     first = summaries[seeds[0]]
     key_set = summary_classes(first)
@@ -346,7 +364,7 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
             for (cls2, _a, _b, _l), mult in summary.items()
             if cls2 == cls
         ) == 1
-        for summary in summaries.values()
+        for summary in distinct
         for cls in summary_classes(summary)
     )
     for seed, summary in summaries.items():
@@ -385,10 +403,10 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
     bump("mct_slack")
 
     if witness is not None:
-        _check_witness_additivity(datum, witness, text, fail, bump)
+        _check_witness_additivity(datum, witness, text, fail, bump, additivity)
     for endpoint_witness in geo.endpoint_witnesses.values():
         if endpoint_witness is not None:
-            _check_witness_additivity(datum, endpoint_witness, text, fail, bump)
+            _check_witness_additivity(datum, endpoint_witness, text, fail, bump, additivity)
 
     if not geo.is_geo_cox:
         return 0
@@ -404,20 +422,18 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
         ell1 = classifier.ell1_formula(datum, c_min, cls)
         ell2 = classifier.ell2_formula(w, cls, c_max)
         dim = classifier.dim_formula(w, cls)
-        best = None
+        scans = {id(summary): _formula_scan(summary, cls, (ell1, ell2)) for summary in distinct}
         for seed, summary in summaries.items():
-            for (cls2, c1, c2, lend), mult in summary.items():
-                if cls2 != cls:
-                    continue
-                if (c1, c2) != (ell1, ell2):
-                    fail(
-                        "formula_type_counts",
-                        text,
-                        f"seed {seed} class {cls}: path ({c1},{c2}) != formulas ({ell1},{ell2})",
-                    )
-                bump("formula_type_counts", mult)
-                candidate = c1 + c2 + (lend - cls.pairing_two_rho)
-                best = candidate if best is None else max(best, candidate)
+            mismatches, paths, _top = scans[id(summary)]
+            for c1, c2 in mismatches:
+                fail(
+                    "formula_type_counts",
+                    text,
+                    f"seed {seed} class {cls}: path ({c1},{c2}) != formulas ({ell1},{ell2})",
+                )
+            bump("formula_type_counts", paths)
+        tops = [top for _m, _p, top in scans.values() if top is not None]
+        best = max(tops) if tops else None
         if best != dim:
             fail("dimension_consistency", text, f"class {cls}: formula {dim} vs tree {best}")
         bump("dimension_consistency")
@@ -444,12 +460,67 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump) -> int:
     return 1
 
 
-def _check_witness_additivity(datum, witness, text, fail, bump):
+def _replayed(records, key, events):
+    """Yield what ``events()`` yields, or what it yielded when ``key`` was met.
+
+    A record is kept only once the events have run to their end, so a
+    check that raised raises again the next time.
+    """
+    record = records.get(key)
+    if record is not None:
+        yield from record
+        return
+    record = []
+    for event in events():
+        record.append(event)
+        yield event
+    records[key] = record
+
+
+def _certificate_failures(tree, bfs_cap):
+    """Per endpoint, then per edge: None if its certificate holds, else why not."""
+    for endpoint in tree.endpoints():
+        if is_min_len(endpoint, cap=bfs_cap).is_min_len:
+            yield None
+        else:
+            yield f"endpoint {format_element(endpoint)} not minimal"
+    for edge in tree.edges:
+        yield None if verify_edge(edge) else "edge witness replay failed"
+
+
+def _formula_scan(summary, cls, formulas):
+    """The paths of ``summary`` that end in ``cls``, against the formulas.
+
+    Returns the (count_I, count_II) of each summary entry that misses
+    ``formulas``, the number of paths, and the largest dimension
+    candidate (None without a path).
+    """
+    mismatches, paths, top = [], 0, None
+    for (cls2, c1, c2, lend), mult in summary.items():
+        if cls2 != cls:
+            continue
+        if (c1, c2) != formulas:
+            mismatches.append((c1, c2))
+        paths += mult
+        candidate = c1 + c2 + (lend - cls.pairing_two_rho)
+        top = candidate if top is None else max(top, candidate)
+    return mismatches, paths, top
+
+
+def _check_witness_additivity(datum, witness, text, fail, bump, memo):
     """Reflection lengths add along the witness decomposition.
 
     Also pins the relative term to the orbit count of the transported
-    twist, which is what makes the Coxeter condition quantitative.
+    twist, which is what makes the Coxeter condition quantitative. The
+    check runs once per witness in ``memo``; later elements with the same
+    witness replay its failures under their own name.
     """
+    for detail in _replayed(memo, witness, lambda: _additivity_failures(datum, witness)):
+        fail("reflection_additivity", text, detail)
+    bump("reflection_additivity", 2)
+
+
+def _additivity_failures(datum, witness):
     total = classifier.classical_reflection_length(
         multiply(witness.c, witness.x)
     )
@@ -459,16 +530,11 @@ def _check_witness_additivity(datum, witness, text, fail, bump):
     twist = mat_mul(witness.x.finite, datum.delta)
     relative = conjugacy.relative_reflection_length(datum, witness.c.finite, twist)
     if total != base + relative:
-        fail("reflection_additivity", text, f"{total} != {base} + {relative}")
+        yield f"{total} != {base} + {relative}"
     perm = classifier.twist_permutation(witness.x, witness.K)
     orbit_count = len(classifier._orbits(perm)) if perm is not None else 0
     if relative != orbit_count:
-        fail(
-            "reflection_additivity",
-            text,
-            f"relative length {relative} != orbit count {orbit_count}",
-        )
-    bump("reflection_additivity", 2)
+        yield f"relative length {relative} != orbit count {orbit_count}"
 
 
 # -- convenience entry point -------------------------------------------------------

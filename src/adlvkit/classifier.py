@@ -51,7 +51,13 @@ from .errors import (
     NoUniqueExtremumError,
     UsageError,
 )
-from .reduction_tree import build_tree, enumerate_paths, path_summary, summary_classes
+from .reduction_tree import (
+    build_tree,
+    enumerate_paths,
+    path_summary,
+    share_equal_trees,
+    summary_classes,
+)
 
 DEFAULT_SEEDS = tuple(range(10))
 
@@ -258,9 +264,11 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
 def strong_multiplicity_one(trees):
     """One path per endpoint class, in every given tree.
 
-    Returns (bool, the first offending class in tree order or None).
+    A tree object given more than once (see :func:`share_equal_trees`) is
+    read once, in first-occurrence order. Returns (bool, the first
+    offending class in tree order or None).
     """
-    for tree in trees:
+    for tree in dict.fromkeys(trees):
         counts = {}
         for (cls, _c1, _c2, _lend), mult in path_summary(tree).items():
             counts[cls] = counts.get(cls, 0) + mult
@@ -281,13 +289,14 @@ class GeoCoxResult:
 def is_geometric_coxeter_type(trees, cap=DEFAULT_BFS_CAP):
     """Strong multiplicity one and a witness at every endpoint.
 
-    Reads the given trees (one per seed, all with the same root); ``cap``
-    bounds the minimal Coxeter type search on each endpoint.
+    Reads the given trees (one per seed, all with the same root), each
+    distinct tree object once in first-occurrence order; ``cap`` bounds
+    the minimal Coxeter type search on each endpoint.
     """
     smo, offending = strong_multiplicity_one(trees)
     witnesses = {}
     all_witnessed = True
-    for tree in trees:
+    for tree in dict.fromkeys(trees):
         for endpoint in tree.endpoints():
             if endpoint not in witnesses:
                 witnesses[endpoint] = is_minimal_coxeter_type(endpoint, cap=cap)
@@ -506,11 +515,15 @@ class ClassificationReport:
 def classify(
     w: AffineElement, seeds=DEFAULT_SEEDS, cap=DEFAULT_BFS_CAP
 ) -> ClassificationReport:
-    """Run the whole pipeline on one element."""
+    """Run the whole pipeline on one element.
+
+    Builds one tree per seed; seeds whose trees are equal share the first
+    one (:func:`share_equal_trees`), so the tree readers do its work once.
+    """
     datum = w.datum
     minimal = is_min_len(w, cap=cap).is_min_len
     min_cox = is_minimal_coxeter_type(w, cap=cap) if minimal else None
-    trees = [build_tree(w, seed=s, cap=cap) for s in seeds]
+    trees = share_equal_trees([build_tree(w, seed=s, cap=cap) for s in seeds])
     geo = is_geometric_coxeter_type(trees, cap=cap)
 
     first_tree = trees[0]

@@ -161,7 +161,14 @@ def _build_parser():
         "length in their coset under the corresponding parabolic",
     )
     p.add_argument("--format", choices=("jsonl", "table"), default="jsonl")
-    p.add_argument("--jobs", type=int, default=0, help="0 = available parallelism")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=0,
+        help="worker processes, 0 = available parallelism; a result cache "
+        "(--cache or ADLVKIT_CACHE) makes the scan serial, with a warning "
+        "when --jobs asks for more than one",
+    )
 
     p = sub.add_parser("check", help="run the invariant suites over a scan corpus")
     common(p, corpus=True)
@@ -286,6 +293,12 @@ def _cmd_scan(args, out):
     datum = build_root_datum(args.datum)
     seeds = _parse_seeds(args.seeds)
     cache = _cache_from(args)
+    if cache is not None and args.jobs > 1:
+        print(
+            f"warning: --jobs {args.jobs} is ignored with a result cache; "
+            "scanning serially",
+            file=sys.stderr,
+        )
     filters = []
     if args.filter:
         for name in args.filter.split(","):

@@ -16,6 +16,11 @@ are tried in, and yields a reproducible diversity of trees for the
 tree-independence tests. A tree memoizes the path summary of each of its
 nodes, so the memo lives and dies with the tree; pipelines build each
 seed's tree once and hand it to every function that reads it.
+
+Different seeds often build the same tree. :func:`share_equal_trees`
+replaces every seed's tree whose expansions equal an earlier seed's by
+that earlier object, so the readers can do each distinct tree's work once
+(skipping objects they have met) and replay the result for every seed.
 """
 
 from __future__ import annotations
@@ -137,6 +142,28 @@ def build_tree(
         stack.append(child_one)
         stack.append(child_two)
     return ReductionTree(w, seed, expansions)
+
+
+def share_equal_trees(trees):
+    """The trees in their order, each repeat replaced by its first occurrence.
+
+    A tree whose root and ``expansions`` equal an earlier tree's is
+    replaced by that earlier object, ``seed`` included, so a reader that
+    skips objects it has met does each distinct tree's work once. For trees from :func:`build_tree` equal expansions also mean
+    equal node order: the build inserts nodes by a walk that reads only
+    the root and the expansions.
+    """
+    distinct = []
+    shared = []
+    for tree in trees:
+        for earlier in distinct:
+            if earlier.root == tree.root and earlier.expansions == tree.expansions:
+                tree = earlier
+                break
+        else:
+            distinct.append(tree)
+        shared.append(tree)
+    return shared
 
 
 def verify_edge(edge: Edge) -> bool:

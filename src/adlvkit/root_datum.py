@@ -75,7 +75,6 @@ from .linalg import (
     dot,
     identity_matrix,
     integer_inverse,
-    mat_mul,
     mat_vec,
     vec_mat,
 )
@@ -378,23 +377,6 @@ class RootDatum:
                     break
             else:
                 return cur
-
-    def dominant_representative(self, v):
-        """Dominant Weyl-orbit representative and an element mapping v to it.
-
-        Greedy descent: apply s_i whenever the pairing with alpha_i is
-        negative. The vector may have Fraction entries (Newton points do).
-        """
-        cur = tuple(v)
-        z = identity_matrix(self.n)
-        while True:
-            for i in range(self.rank):
-                if dot(cur, self.simple_roots[i]) < 0:
-                    cur = mat_vec(self.weyl_generators[i], cur)
-                    z = mat_mul(self.weyl_generators[i], z)
-                    break
-            else:
-                return cur, z
 
     # -- finite Weyl elements as interned indices ---------------------------
 

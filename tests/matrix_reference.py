@@ -245,8 +245,27 @@ def newton_point(x):
         for i in range(datum.n):
             acc[i] += cur[i]
     nu = tuple(Fraction(a, n) for a in acc)
-    dom, _z = datum.dominant_representative(nu)
+    dom, _z = dominant_representative(datum, nu)
     return dom
+
+
+def dominant_representative(datum, v):
+    """Dominant Weyl-orbit representative and an element mapping v to it.
+
+    Greedy descent: apply s_i whenever the pairing with alpha_i is
+    negative, multiplying the lattice matrices along the way. The vector
+    may have Fraction entries (Newton points do).
+    """
+    cur = tuple(v)
+    z = identity_matrix(datum.n)
+    while True:
+        for i in range(datum.rank):
+            if dot(cur, datum.simple_roots[i]) < 0:
+                cur = mat_vec(datum.weyl_generators[i], cur)
+                z = mat_mul(datum.weyl_generators[i], z)
+                break
+        else:
+            return cur, z
 
 
 def is_straight(x):

@@ -10,6 +10,7 @@ from adlvkit.errors import (
     NotComparableError,
     UsageError,
 )
+from adlvkit.root_datum import RootDatum, parse_spec
 
 
 def inv(datum, text):
@@ -119,6 +120,31 @@ def test_enumerate_straight_idempotent(c2sc):
 def test_enumerate_straight_needs_pinning_for_central(gl2):
     with pytest.raises(UsageError):
         list(bg.iter_elements(gl2, 2))
+
+
+@pytest.mark.parametrize(
+    "spec,texts", [("A3:gl", ("s1", "t(1,0,0,-1)")), ("C2:sc", ("s0", "t(1,0)"))]
+)
+def test_enumerate_straight_one_entry_per_kottwitz_point(spec, texts):
+    # the filter enters only through its Kottwitz point (and central sum),
+    # so two classes that share them share one cached enumeration
+    datum = RootDatum(parse_spec(spec))
+    a, b = (inv(datum, text) for text in texts)
+    assert a.kottwitz == b.kottwitz and a.newton != b.newton
+    shared = bg.enumerate_straight(datum, 4, kottwitz=a)
+    assert bg.enumerate_straight(datum, 4, kottwitz=b) is shared
+    assert len(datum._straight_cache) == 1
+    for text in texts:
+        alone = RootDatum(parse_spec(spec))
+        records = bg.enumerate_straight(alone, 4, kottwitz=inv(alone, text))
+        assert [r.as_dict() for r in records] == [r.as_dict() for r in shared]
+
+
+def test_enumerate_straight_filter_on_a_moved_central_line():
+    # a twist that negates the central line leaves no central sum to key by
+    datum = RootDatum(parse_spec("2A2:gl"))
+    with pytest.raises(UsageError):
+        bg.enumerate_straight(datum, 2, kottwitz=inv(datum, "s1"))
 
 
 def test_interval(a1):

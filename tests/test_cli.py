@@ -275,6 +275,38 @@ def test_scan_parallel_matches_sequential():
     assert seq == par
 
 
+@pytest.mark.parametrize(
+    "cache,jobs,warned",
+    [
+        ("flag", None, False),
+        ("flag", "1", False),
+        ("flag", "2", True),
+        ("env", "3", True),
+        (None, "2", False),
+    ],
+)
+def test_scan_warns_when_a_cache_overrides_jobs(tmp_path, monkeypatch, capsys, cache, jobs, warned):
+    # a result cache makes the scan serial; say so only when --jobs asked for more
+    monkeypatch.delenv("ADLVKIT_CACHE", raising=False)
+    argv = ["scan", "--datum", "A1:adj", "--max-length", "3"]
+    _code, plain = run(argv + ["--jobs", "1"])
+    capsys.readouterr()
+    if cache == "flag":
+        argv += ["--cache", str(tmp_path / "cache")]
+    elif cache == "env":
+        monkeypatch.setenv("ADLVKIT_CACHE", str(tmp_path / "cache"))
+    if jobs is not None:
+        argv += ["--jobs", jobs]
+    code, out = run(argv)
+    assert code == 0
+    assert out == plain
+    err = capsys.readouterr().err.splitlines()
+    if warned:
+        assert err == [f"warning: --jobs {jobs} is ignored with a result cache; scanning serially"]
+    else:
+        assert err == []
+
+
 def test_scan_truncation_marker(monkeypatch):
     # classification blowing a cap mid-scan flushes a marker and exits 2
     from adlvkit import cli as cli_mod

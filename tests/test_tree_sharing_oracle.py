@@ -7,20 +7,33 @@ are the forms they replaced: each builds its own trees from
 ``(w, seeds, cap)``, path summaries share one memo keyed by
 ``(node, seed)`` across every tree of every datum, and the zero sets
 I(nu) come from ``Fraction`` dots instead of the class invariant.
+
+Seeds whose trees are equal now share one tree object
+(``share_equal_trees``), and ``checks._audit_element`` certifies each
+distinct tree and scans each distinct summary once, replaying the counts
+and failures per seed. ``ref_audit_element`` is the per-seed form it
+replaced, which checks every seed's tree on its own; the suites must
+come out the same, also when a check is made to fail.
 """
 
 import functools
+import types
 
 import pytest
 
-from adlvkit import checks
+from adlvkit import bg_poset, checks, conjugacy
 from adlvkit import classifier as cl
 from adlvkit import reduction_tree as rt
-from adlvkit.affine_weyl import format_element, length, parse_element
+from adlvkit.affine_weyl import format_element, length, multiply, parse_element
 from adlvkit.bg_poset import extrema, interval
-from adlvkit.conjugacy import DEFAULT_BFS_CAP, class_invariant, replay_moves
+from adlvkit.conjugacy import (
+    DEFAULT_BFS_CAP,
+    class_invariant,
+    is_straight,
+    replay_moves,
+)
 from adlvkit.errors import NoUniqueExtremumError, NotComparableError
-from adlvkit.linalg import dot
+from adlvkit.linalg import dot, mat_mul
 from adlvkit.root_datum import build_root_datum
 
 CORPORA = (("A2:adj", 6), ("C2:sc", 6), ("2A3:sc", 4))
@@ -235,3 +248,318 @@ def test_audit_element_builds_one_tree_per_seed(build_count, text, geo):
     assert checks._audit_element(w, SEEDS, DEFAULT_BFS_CAP, results, fail, bump) == geo
     assert failures == []
     assert sorted(build_count) == list(SEEDS)
+
+
+# -- sharing equal trees --------------------------------------------------------
+
+
+def test_share_equal_trees_keeps_one_object_per_distinct_tree():
+    for spec, max_length in CORPORA:
+        for w in corpus(spec, max_length):
+            trees = [rt.build_tree(w, seed=s) for s in SEEDS]
+            shared = rt.share_equal_trees(trees)
+            assert len(shared) == len(trees)
+            for tree, kept in zip(trees, shared):
+                first = next(t for t in trees if t.expansions == tree.expansions)
+                assert kept is first
+            distinct = list(dict.fromkeys(shared))
+            assert all(
+                a.expansions != b.expansions
+                for i, a in enumerate(distinct)
+                for b in distinct[i + 1:]
+            )
+
+
+def _bad_trees():
+    """A C2:sc tree with strong multiplicity one and two without it."""
+    datum = build_root_datum("C2:sc")
+    return [
+        rt.build_tree(parse_element(datum, text))
+        for text in ("s0 s1 s2", "t(1,-1) s1", "t(-1,2) s2")
+    ]
+
+
+def test_strong_multiplicity_one_reports_first_offender_with_repeats():
+    good, bad_a, bad_b = _bad_trees()
+    offending_a = cl.strong_multiplicity_one([bad_a])
+    offending_b = cl.strong_multiplicity_one([bad_b])
+    assert cl.strong_multiplicity_one([good]) == (True, None)
+    assert not offending_a[0] and not offending_b[0]
+    assert offending_a != offending_b
+    assert cl.strong_multiplicity_one([good, bad_b, good, bad_a, bad_b]) == offending_b
+    assert cl.strong_multiplicity_one([good, good, bad_a, bad_b, bad_a]) == offending_a
+    assert cl.strong_multiplicity_one([good, good, good]) == (True, None)
+
+
+def test_geometric_coxeter_type_reads_repeats_once():
+    good, bad_a, bad_b = _bad_trees()
+    repeated = cl.is_geometric_coxeter_type([good, bad_a, good, bad_b, bad_a])
+    once = cl.is_geometric_coxeter_type([good, bad_a, bad_b])
+    assert repeated == once
+    assert list(repeated.endpoint_witnesses) == list(once.endpoint_witnesses)
+
+
+# -- the per-seed audit as the reference ----------------------------------------
+
+
+def ref_audit_element(w, seeds, bfs_cap, results, fail, bump, _additivity=None) -> int:
+    """The audit of one element with every seed's tree checked on its own."""
+    datum = w.datum
+    text = format_element(w)
+    base_len = length(w)
+
+    members = conjugacy.shift_class(w, cap=bfs_cap)
+    inv = class_invariant(w)
+    for member in members:
+        if class_invariant(member) != inv:
+            fail("class_invariance", text, f"invariant moved at {format_element(member)}")
+    bump("class_invariance", len(members))
+
+    if is_straight(w):
+        if not checks.is_min_len(w, cap=bfs_cap).is_min_len:
+            fail("straight_implies_minlen", text, "straight but not minimal")
+        bump("straight_implies_minlen")
+
+    trees = [rt.build_tree(w, seed=seed, cap=bfs_cap) for seed in seeds]
+    summaries = {}
+    for seed, tree in zip(seeds, trees):
+        summary = rt.path_summary(tree)
+        summaries[seed] = summary
+        for (cls, c1, c2, lend), mult in summary.items():
+            if base_len != lend + c1 + 2 * c2:
+                fail("conservation", text, f"seed {seed}: {base_len} != {lend}+{c1}+2*{c2}")
+            bump("conservation", mult)
+        for endpoint in tree.endpoints():
+            if not checks.is_min_len(endpoint, cap=bfs_cap).is_min_len:
+                fail("endpoint_certificates", text, f"endpoint {format_element(endpoint)} not minimal")
+            bump("endpoint_certificates")
+        for edge in tree.edges:
+            if not checks.verify_edge(edge):
+                fail("endpoint_certificates", text, "edge witness replay failed")
+            bump("endpoint_certificates")
+
+    first = summaries[seeds[0]]
+    key_set = rt.summary_classes(first)
+    if inv not in key_set:
+        fail("contains_own_class", text, "own class missing from endpoint classes")
+    bump("contains_own_class")
+
+    smo = all(
+        sum(
+            mult
+            for (cls2, _a, _b, _l), mult in summary.items()
+            if cls2 == cls
+        ) == 1
+        for summary in summaries.values()
+        for cls in rt.summary_classes(summary)
+    )
+    for seed, summary in summaries.items():
+        if rt.summary_classes(summary) != key_set:
+            fail("seed_invariance", text, f"seed {seed} changed the endpoint class set")
+        if smo:
+            if summary != first:
+                fail("seed_invariance", text, f"seed {seed} changed the path multiset")
+        else:
+            if summary != first:
+                results["seed_invariance"].findings.append(
+                    {
+                        "element": text,
+                        "detail": f"per-class count multiset varies between seeds {seeds[0]} and {seed}",
+                    }
+                )
+        bump("seed_invariance")
+
+    geo = ref_is_geometric_coxeter_type(w, seeds, bfs_cap)
+    if geo.smo != smo:
+        fail("seed_invariance", text, "smo flag disagrees with raw multiplicity count")
+
+    mct = cl.mct_inequality(w, cap=bfs_cap)
+    minimal_rep, _moves = conjugacy.descend_to_min_len(w, cap=bfs_cap)
+    witness = cl.is_minimal_coxeter_type(minimal_rep, cap=bfs_cap)
+    w_minimal = checks.is_min_len(w, cap=bfs_cap).is_min_len
+    if mct["equality"] != (w_minimal and witness is not None):
+        fail(
+            "mct_slack",
+            text,
+            f"slack {mct['slack']}, min-len {w_minimal}, "
+            f"witness {'exists' if witness else 'missing'}",
+        )
+    bump("mct_slack")
+
+    if witness is not None:
+        ref_check_witness_additivity(datum, witness, text, fail, bump)
+    for endpoint_witness in geo.endpoint_witnesses.values():
+        if endpoint_witness is not None:
+            ref_check_witness_additivity(datum, endpoint_witness, text, fail, bump)
+
+    if not geo.is_geo_cox:
+        return 0
+
+    classes = sorted(key_set, key=lambda c: c.sort_key())
+    c_min, c_max = bg_poset.extrema(classes)
+    if c_min != inv:
+        fail("min_class_is_own", text, f"minimum {c_min} is not the element's class")
+    bump("min_class_is_own")
+
+    for cls in classes:
+        ell1 = cl.ell1_formula(datum, c_min, cls)
+        ell2 = cl.ell2_formula(w, cls, c_max)
+        dim = cl.dim_formula(w, cls)
+        best = None
+        for seed, summary in summaries.items():
+            for (cls2, c1, c2, lend), mult in summary.items():
+                if cls2 != cls:
+                    continue
+                if (c1, c2) != (ell1, ell2):
+                    fail(
+                        "formula_type_counts",
+                        text,
+                        f"seed {seed} class {cls}: path ({c1},{c2}) != formulas ({ell1},{ell2})",
+                    )
+                bump("formula_type_counts", mult)
+                candidate = c1 + c2 + (lend - cls.pairing_two_rho)
+                best = candidate if best is None else max(best, candidate)
+        if best != dim:
+            fail("dimension_consistency", text, f"class {cls}: formula {dim} vs tree {best}")
+        bump("dimension_consistency")
+        gap = bg_poset.essential_gap(cls, c_max)
+        if dim - cl.dim_formula(w, c_max) != gap:
+            fail("purity_equalities", text, f"class {cls}: dimension jump is not the gap")
+        bump("purity_equalities")
+
+    between = bg_poset.interval(c_min, c_max)
+    if set(between) != set(classes):
+        fail(
+            "saturation",
+            text,
+            f"interval has {len(between)} classes, endpoints give {len(classes)}",
+        )
+    bump("saturation")
+
+    purity = cl.purity_report(trees[0])
+    for check in purity["helper_checks"]:
+        for key in ("min_follows_type_II", "max_follows_type_I", "i_set_difference_is_one_orbit"):
+            if not check.get(key, False):
+                fail("helper_replay", text, f"{key} failed at node {check['node']}")
+            bump("helper_replay")
+    return 1
+
+
+def ref_check_witness_additivity(datum, witness, text, fail, bump):
+    total = cl.classical_reflection_length(multiply(witness.c, witness.x))
+    base = cl.classical_reflection_length(witness.x)
+    twist = mat_mul(witness.x.finite, datum.delta)
+    relative = conjugacy.relative_reflection_length(datum, witness.c.finite, twist)
+    if total != base + relative:
+        fail("reflection_additivity", text, f"{total} != {base} + {relative}")
+    perm = cl.twist_permutation(witness.x, witness.K)
+    orbit_count = len(cl._orbits(perm)) if perm is not None else 0
+    if relative != orbit_count:
+        fail(
+            "reflection_additivity",
+            text,
+            f"relative length {relative} != orbit count {orbit_count}",
+        )
+    bump("reflection_additivity", 2)
+
+
+def suites(report):
+    return {
+        name: (r.checked, r.violations, r.findings)
+        for name, r in report.results.items()
+    }
+
+
+def audit_both(monkeypatch, spec, max_length, seeds):
+    """The audit's suites with the shared-tree element audit and with the reference."""
+    datum = build_root_datum(spec)
+    shared = checks.audit(datum, max_length, seeds=seeds)
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_audit_element", ref_audit_element)
+        reference = checks.audit(datum, max_length, seeds=seeds)
+    assert (shared.corpus_size, shared.geo_cox_count) == (
+        reference.corpus_size,
+        reference.geo_cox_count,
+    )
+    return suites(shared), suites(reference)
+
+
+AUDIT_CORPORA = (("A2:adj", 6), ("C2:sc", 6), ("G2:sc", 6), ("2A3:sc", 4))
+
+
+@pytest.mark.parametrize("seeds", [SEEDS, tuple(range(10, 20))], ids=["0-9", "10-19"])
+@pytest.mark.parametrize("spec,max_length", AUDIT_CORPORA)
+def test_audit_matches_per_seed_reference(monkeypatch, spec, max_length, seeds):
+    shared, reference = audit_both(monkeypatch, spec, max_length, seeds)
+    assert shared == reference
+
+
+def element_suites(element_audit, w, seeds):
+    results = {name: checks.SuiteResult(name) for name in checks.CHECK_NAMES}
+
+    def fail(name, element, detail):
+        results[name].violations.append({"element": element, "detail": detail})
+
+    def bump(name, k=1):
+        results[name].checked += k
+
+    geo = element_audit(w, seeds, DEFAULT_BFS_CAP, results, fail, bump)
+    return geo, {name: (r.checked, r.violations, r.findings) for name, r in results.items()}
+
+
+def partly_shared(pick):
+    """An A2:adj element and a ``pick`` of its first tree missing from a later tree."""
+    for w in corpus("A2:adj", 6):
+        trees = rt.share_equal_trees([rt.build_tree(w, seed=s) for s in SEEDS])
+        for other in trees[1:]:
+            missing = [x for x in pick(trees[0]) if x not in pick(other)]
+            if missing:
+                return w, trees, missing[0]
+    raise AssertionError("every A2:adj <= 6 element has one tree for all seeds")
+
+
+def test_failed_edge_is_reported_per_seed(monkeypatch):
+    w, trees, bad = partly_shared(lambda tree: tree.edges)
+    monkeypatch.setattr(checks, "verify_edge", lambda edge: edge != bad and rt.verify_edge(edge))
+    geo, shared = element_suites(checks._audit_element, w, SEEDS)
+    assert (geo, shared) == element_suites(ref_audit_element, w, SEEDS)
+    seeds_with_edge = sum(bad in tree.edges for tree in trees)
+    assert 0 < seeds_with_edge < len(SEEDS)
+    checked, violations, _findings = shared["endpoint_certificates"]
+    assert checked == sum(len(t.endpoints()) + len(t.edges) for t in trees)
+    assert [v["detail"] for v in violations] == ["edge witness replay failed"] * seeds_with_edge
+
+
+def test_failed_endpoint_is_reported_per_seed(monkeypatch):
+    w, trees, bad = partly_shared(lambda tree: tree.endpoints())
+
+    def is_min_len(x, cap=DEFAULT_BFS_CAP):
+        if x == bad:
+            return types.SimpleNamespace(is_min_len=False)
+        return conjugacy.is_min_len(x, cap=cap)
+
+    monkeypatch.setattr(checks, "is_min_len", is_min_len)
+    geo, shared = element_suites(checks._audit_element, w, SEEDS)
+    assert (geo, shared) == element_suites(ref_audit_element, w, SEEDS)
+    seeds_with_endpoint = sum(bad in tree.endpoints() for tree in trees)
+    assert 0 < seeds_with_endpoint < len(SEEDS)
+    detail = f"endpoint {format_element(bad)} not minimal"
+    _checked, violations, _findings = shared["endpoint_certificates"]
+    assert [v["detail"] for v in violations] == [detail] * seeds_with_endpoint
+
+
+def test_failed_witness_additivity_is_reported_per_element(monkeypatch):
+    # one relative length off by one: every element with a witness whose
+    # Coxeter part is s1 fails, also after an earlier element filled the memo
+    datum = build_root_datum("C2:sc")
+    target = datum.weyl_generators[0]
+    relative = conjugacy.relative_reflection_length
+
+    def off_by_one(datum_, c_finite, twist):
+        return relative(datum_, c_finite, twist) + (c_finite == target)
+
+    monkeypatch.setattr(conjugacy, "relative_reflection_length", off_by_one)
+    shared, reference = audit_both(monkeypatch, "C2:sc", 6, SEEDS)
+    assert shared == reference
+    _checked, violations, _findings = shared["reflection_additivity"]
+    assert len({v["element"] for v in violations}) > 1
