@@ -262,11 +262,7 @@ def affine_reflection(datum: RootDatum, a) -> AffineElement:
     coroot = datum.root_coroot.get(tuple(alpha))
     if coroot is None:
         raise UsageError(f"gradient {alpha} is not a root")
-    n = datum.n
-    refl = tuple(
-        tuple((1 if r == c else 0) - coroot[r] * alpha[c] for c in range(n))
-        for r in range(n)
-    )
+    refl = datum._reflection_matrix(alpha, coroot)
     return AffineElement(
         datum, tuple(k * c for c in coroot), datum.finite_index(refl)
     )
@@ -307,27 +303,33 @@ def sigma_on_affine_index(datum: RootDatum, i: int) -> int:
     return datum.delta_diagram[i]
 
 
-# -- length-zero elements --------------------------------------------------
+# -- greedy descents and length-zero elements ----------------------------
 
 
-def stabilizer_descend(x: AffineElement):
-    """Greedy left descents until no affine simple reflection shortens x.
+def strip_left_descents(x: AffineElement, indices):
+    """Strip left descents s_i, i in ``indices``, until none is left.
 
-    Applied to a pure translation this lands on the unique length-zero
-    element of its coset modulo the coroot lattice.
+    Each step strips the first index, in the given order, whose simple
+    reflection shortens the element. Returns (y, letters) with
+    x = s_(letters[0]) ... s_(letters[-1]) y and len(y) = len(x) -
+    len(letters). Over all affine indices y has length zero, since an
+    element of positive length has a left descent; applied to a pure
+    translation this lands on the unique length-zero element of its coset
+    modulo the coroot lattice.
     """
-    cur = x
-    cur_len = length(cur)
+    letters = []
+    cur_len = length(x)
     while cur_len > 0:
-        for i in range(x.datum.rank + 1):
-            y = left_by_simple(cur, i)
+        for i in indices:
+            y = left_by_simple(x, i)
             ylen = length(y)
             if ylen < cur_len:
-                cur, cur_len = y, ylen
+                x, cur_len = y, ylen
+                letters.append(i)
                 break
         else:
             break
-    return cur
+    return x, tuple(letters)
 
 
 def omega_element(datum: RootDatum, k: int) -> AffineElement:
@@ -350,7 +352,9 @@ def omega_element(datum: RootDatum, k: int) -> AffineElement:
         raise UsageError(
             f"tau{k} does not exist: fundamental coweight {k} is not in the lattice"
         )
-    tau = stabilizer_descend(translation(datum, omega))
+    tau, _letters = strip_left_descents(
+        translation(datum, omega), range(datum.rank + 1)
+    )
     if length(tau) != 0:
         raise InternalInvariantError("descent from a coweight missed length zero")
     return tau

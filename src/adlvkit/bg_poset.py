@@ -43,6 +43,7 @@ their suffixes on the way, and only they enter the length cache.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -51,8 +52,8 @@ from .affine_weyl import AffineElement, length, translation_pairings
 from .conjugacy import (
     ClassInvariant,
     class_invariant,
+    classical_reflection_length,
     is_straight,
-    reflection_length,
 )
 from .errors import (
     CapExceededError,
@@ -185,8 +186,8 @@ def _translation_candidates(datum, bound: int, central_values, budget):
     some divisor of d, and only that class is tried. The result is a
     superset of what any element of length <= bound allows; exact
     length tests happen at the caller. ``budget`` caps the number of
-    tuples of the full product, checked before any search and before
-    any cached result is returned.
+    tuples of the full product, checked before any search. Results are
+    not cached here: ``enumerate_straight`` caches what it builds on them.
     """
     b = bound + 1
     size = (2 * b + 1) ** datum.rank
@@ -199,10 +200,6 @@ def _translation_candidates(datum, bound: int, central_values, budget):
         size *= len(central_values)
     if size > budget:
         raise CapExceededError(budget, "translation enumeration")
-    key = (bound, tuple(central_values) if central_values is not None else None)
-    cached = datum._translation_cache.get(key)
-    if cached is not None:
-        return cached
     denom, columns = datum.pairing_inverse
     last = datum.rank - 1
     # per coordinate k, the non-simple positive roots whose support ends
@@ -248,9 +245,7 @@ def _translation_candidates(datum, bound: int, central_values, budget):
     else:
         extend(0, (), (0,) * datum.n)
     out.sort()
-    cached = tuple(out)
-    datum._translation_cache[key] = cached
-    return cached
+    return tuple(out)
 
 
 def _translation_lengths(datum, lam, max_length=None):
@@ -269,10 +264,6 @@ def _translation_lengths(datum, lam, max_length=None):
         base + inv.bit_count() - 2 * (inv & up).bit_count()
         for inv in datum.weyl_inversions()
     ]
-
-
-def _floor(f: Fraction) -> int:
-    return f.numerator // f.denominator
 
 
 def iter_elements(
@@ -341,7 +332,7 @@ def enumerate_straight(
     """
     if max_pairing < 0:
         raise UsageError("max_pairing must be nonnegative")
-    bound = _floor(Fraction(max_pairing))
+    bound = math.floor(max_pairing)
     if kottwitz is None:
         key = (bound, None, None)
     else:
@@ -367,8 +358,7 @@ def enumerate_straight(
         if inv.pairing_two_rho > max_pairing:
             continue
         if inv not in records:
-            refl = reflection_length(datum, x.finite, datum.delta)
-            records[inv] = ClassRecord(inv, x, refl)
+            records[inv] = ClassRecord(inv, x, classical_reflection_length(x))
     out = tuple(sorted(records.values(), key=lambda r: r.invariant.sort_key()))
     datum._straight_cache[key] = out
     return out

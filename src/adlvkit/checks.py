@@ -290,10 +290,7 @@ def _audit_defect_independence(datum, max_length, budget, fail, bump):
     except UsageError:
         return
     for cls, witnesses in per_class.items():
-        values = {
-            conjugacy.reflection_length(datum, x.finite, datum.delta)
-            for x in witnesses
-        }
+        values = {conjugacy.classical_reflection_length(x) for x in witnesses}
         if len(values) != 1:
             fail(name, repr(cls), f"witness defects disagree: {sorted(values)}")
         if max(values) > datum.rank:
@@ -521,10 +518,8 @@ def _check_witness_additivity(datum, witness, text, fail, bump, memo):
 
 
 def _additivity_failures(datum, witness):
-    total = classifier.classical_reflection_length(
-        multiply(witness.c, witness.x)
-    )
-    base = classifier.classical_reflection_length(witness.x)
+    total = conjugacy.classical_reflection_length(multiply(witness.c, witness.x))
+    base = conjugacy.classical_reflection_length(witness.x)
     from .linalg import mat_mul
 
     twist = mat_mul(witness.x.finite, datum.delta)

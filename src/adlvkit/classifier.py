@@ -27,11 +27,11 @@ from .affine_weyl import (
     act_on_affine_root,
     affine_simple_roots,
     format_element,
-    left_by_simple,
     length,
     multiply,
     right_by_simple,
     sigma_on_affine_index,
+    strip_left_descents,
 )
 from .bg_poset import chain_length, defect, extrema, interval
 from .conjugacy import (
@@ -39,9 +39,9 @@ from .conjugacy import (
     ClassInvariant,
     ShiftClass,
     class_invariant,
+    classical_reflection_length,
     is_min_len,
     is_straight,
-    reflection_length,
     replay_moves,
 )
 from .errors import (
@@ -87,7 +87,8 @@ def coset_decompose(w: AffineElement, K):
     """Split w = u . x with x minimal in its double coset, or None.
 
     x is the unique minimal-length element of W_K w (greedy descents
-    inside K), u = w x^(-1) is the product of the stripped generators.
+    inside K, :func:`strip_left_descents`), u = w x^(-1) is the product
+    of the stripped generators.
     Returns None when x fails right-minimality against sigma(K) or does
     not stabilize K through the twist.
     """
@@ -95,18 +96,7 @@ def coset_decompose(w: AffineElement, K):
     K = tuple(sorted(K))
     if len(set(K)) != len(K) or not set(K) < set(range(datum.rank + 1)):
         raise UsageError(f"index set {K} is not spherical")
-    x = w
-    letters = []
-    progress = True
-    while progress:
-        progress = False
-        for i in K:
-            y = left_by_simple(x, i)
-            if length(y) < length(x):
-                x = y
-                letters.append(i)
-                progress = True
-                break
+    x, letters = strip_left_descents(w, K)
     u = _product(datum, letters)
     if multiply(u, x) != w:
         raise InternalInvariantError("coset decomposition does not recompose")
@@ -116,7 +106,7 @@ def coset_decompose(w: AffineElement, K):
             return None
     if twist_permutation(x, K) is None:
         return None
-    return u, x, tuple(letters)
+    return u, x, letters
 
 
 def _product(datum, letters):
@@ -169,23 +159,14 @@ def _orbits(perm: dict):
 
 def reduced_word_in_parabolic(u: AffineElement, K):
     """Least reduced word of u, asserting all letters lie in K."""
-    datum = u.datum
-    word = []
-    cur = u
-    while length(cur) > 0:
-        for i in range(datum.rank + 1):
-            y = left_by_simple(cur, i)
-            if length(y) < length(cur):
-                word.append(i)
-                cur = y
-                break
-        else:
-            raise InternalInvariantError("positive length with no descent")
+    cur, word = strip_left_descents(u, range(u.datum.rank + 1))
+    if length(cur) > 0:
+        raise InternalInvariantError("positive length with no descent")
     if not cur.is_identity():
         raise UsageError("element is not in the parabolic subgroup")
     if any(i not in K for i in word):
         raise UsageError(f"element has support {sorted(set(word))} outside {K}")
-    return tuple(word)
+    return word
 
 
 def is_twisted_coxeter(u: AffineElement, K, x: AffineElement) -> bool:
@@ -315,30 +296,7 @@ def is_geometric_coxeter_type(trees, cap=DEFAULT_BFS_CAP):
 
 def count_orbit_classes(datum, indices) -> int:
     """Number of twist orbits on a twist-stable set of finite indices."""
-    seen = set()
-    count = 0
-    for i in sorted(indices):
-        if i in seen:
-            continue
-        count += 1
-        cur = i
-        while cur not in seen:
-            seen.add(cur)
-            cur = datum.delta_diagram[cur]
-    return count
-
-
-def classical_reflection_length(w: AffineElement) -> int:
-    """Twisted reflection length of the classical part of w.
-
-    It depends on the finite part only, so it is memoized per finite index.
-    """
-    cache = w.datum._reflection_length_cache
-    refl = cache.get(w.finite_index)
-    if refl is None:
-        refl = reflection_length(w.datum, w.finite, w.datum.delta)
-        cache[w.finite_index] = refl
-    return refl
+    return len(_orbits({i: datum.delta_diagram[i] for i in indices}))
 
 
 def dim_formula(w: AffineElement, c: ClassInvariant):

@@ -25,7 +25,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import __version__, bg_poset, checks, classifier, conjugacy
-from .affine_weyl import format_element, length, parse_element
+from .affine_weyl import _DIGITS, format_element, length, parse_element
 from .classifier import REPORT_SCHEMA, classify, report_to_dict
 from .errors import (
     AdlvkitError,
@@ -121,7 +121,7 @@ def _build_parser():
             p.add_argument(
                 "--seeds",
                 default="0,1,2,3,4,5,6,7,8,9",
-                help="comma separated strategy seeds (distinct, nonempty)",
+                help="comma separated strategy seeds: distinct nonnegative integers",
             )
         p.add_argument("--cap-bfs", type=int, default=conjugacy.DEFAULT_BFS_CAP)
         if corpus:
@@ -176,13 +176,22 @@ def _build_parser():
     return parser
 
 
+def _integer_list(text, what):
+    """Comma separated nonnegative integers in ASCII digits.
+
+    int() alone would accept '-1', whose random.Random shuffles like 1's,
+    and read '٣' as 3 and '1_0' as 10.
+    """
+    parts = text.split(",")
+    if not all(_DIGITS.fullmatch(p) for p in parts):
+        raise UsageError(f"bad {what} {text!r}: expected nonnegative integers in ASCII digits")
+    return tuple(int(p) for p in parts)
+
+
 def _parse_seeds(text):
-    try:
-        seeds = tuple(int(s) for s in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad seed list {text!r}") from exc
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise UsageError("seeds must be nonempty and distinct")
+    seeds = _integer_list(text, "seed list")
+    if len(set(seeds)) != len(seeds):
+        raise UsageError("seeds must be distinct")
     return seeds
 
 
@@ -311,7 +320,7 @@ def _cmd_scan(args, out):
         from .affine_weyl import omega_element
 
         k = args.coset[3:]
-        if not (args.coset.startswith("tau") and k.isascii() and k.isdigit()):
+        if not (args.coset.startswith("tau") and _DIGITS.fullmatch(k)):
             raise UsageError(f"--coset expects tauK, got {args.coset!r}")
         target = datum.omega_quotient.key(omega_element(datum, int(k)).translation)
         elements = [
@@ -320,10 +329,7 @@ def _cmd_scan(args, out):
     if args.left_minimal:
         from .affine_weyl import left_by_simple
 
-        try:
-            indices = [int(i) for i in args.left_minimal.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad index list {args.left_minimal!r}") from exc
+        indices = _integer_list(args.left_minimal, "index list")
         if any(not 1 <= i <= datum.rank for i in indices):
             raise UsageError("--left-minimal expects finite simple indices")
         elements = [

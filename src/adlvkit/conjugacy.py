@@ -273,6 +273,19 @@ def reflection_length(datum, z, twist=None) -> int:
     return mat_rank(shifted)
 
 
+def classical_reflection_length(x: AffineElement) -> int:
+    """Twisted reflection length of the classical part of x.
+
+    It depends on the finite part only, so it is memoized per finite index.
+    """
+    cache = x.datum._reflection_length_cache
+    refl = cache.get(x.finite_index)
+    if refl is None:
+        refl = reflection_length(x.datum, x.finite, x.datum.delta)
+        cache[x.finite_index] = refl
+    return refl
+
+
 def relative_reflection_length(datum, z, twist) -> int:
     """dim of the twist's fixed space minus dim of (z o twist)'s.
 

@@ -224,8 +224,8 @@ class LatticeQuotient:
     """Z^n modulo the integer column span of a generator list.
 
     Built once per root datum via Smith normal form; afterwards class
-    keys cost one matrix-vector product. Keys are additive, so quotient
-    classes can be compared and combined without re-reducing.
+    keys cost one matrix-vector product. Keys are additive modulo the
+    elementary divisors, so quotient classes compare as keys.
     """
 
     def __init__(self, n: int, generators: Sequence[Vector]):
@@ -249,13 +249,6 @@ class LatticeQuotient:
             (y[i] % d) if d else y[i] for i, d in enumerate(self._diag)
         )
 
-    def combine(self, k1: tuple, k2: tuple) -> tuple:
-        """Key of the sum of two vectors, from their keys alone."""
-        return tuple(
-            ((a + b) % d) if d else a + b
-            for a, b, d in zip(k1, k2, self._diag)
-        )
-
     @property
     def is_finite(self) -> bool:
         return all(d != 0 for d in self._diag)
@@ -268,9 +261,6 @@ class LatticeQuotient:
         for d in self._diag:
             out *= d
         return out
-
-    def free_rank(self) -> int:
-        return sum(1 for d in self._diag if d == 0)
 
 
 if __name__ == "__main__":

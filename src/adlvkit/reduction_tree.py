@@ -35,7 +35,6 @@ from .affine_weyl import (
     left_by_simple,
     length,
     multiply,
-    parse_element,
     right_by_simple,
     sigma_act,
     sigma_on_affine_index,
@@ -298,24 +297,3 @@ def export_tree(tree: ReductionTree, format: str = "json") -> str:
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown tree format {format!r}")
 
-
-def tree_from_dict(datum, data: dict) -> ReductionTree:
-    root = parse_element(datum, data["root"])
-    expansions = {parse_element(datum, t): None for t in data["nodes"]}
-    by_source = {}
-    for e in data["edges"]:
-        by_source.setdefault(e["from"], []).append(e)
-    for src_text, pair in by_source.items():
-        src = parse_element(datum, src_text)
-        ordered = sorted(pair, key=lambda e: e["kind"])  # I before II
-        expansions[src] = tuple(
-            Edge(
-                src,
-                parse_element(datum, e["to"]),
-                e["kind"],
-                tuple(e["witness_shifts"]),
-                e["witness_index"],
-            )
-            for e in ordered
-        )
-    return ReductionTree(root, data["seed"], expansions)

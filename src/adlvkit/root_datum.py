@@ -50,7 +50,7 @@ several threads. They are plain dicts named ``*_cache``:
     :func:`adlvkit.affine_weyl.simple_reflection`.
 ``_length_cache``, ``_shift_class_cache``, ``_class_cache``,
 ``_move_cache``, ``_mincox_cache``, ``_defect_cache``,
-``_straight_cache``, ``_translation_cache``
+``_straight_cache``
     per-element and per-class results of the layers above.
 
 Each of these grows at most linearly in the elements, classes or
@@ -305,7 +305,6 @@ class RootDatum:
         self._mincox_cache = {}
         self._defect_cache = {}
         self._straight_cache = {}
-        self._translation_cache = {}
 
     # -- construction helpers -------------------------------------------
 

@@ -11,8 +11,12 @@ indices: an element is a pair ``(translation, matrix)`` and every
 operation multiplies dense lattice matrices. The differential tests
 compare the package's table-driven operations with them.
 
-The last section is the straight-element enumeration as it was computed
+The next section is the straight-element enumeration as it was computed
 before it moved to integer orbit sums and a pruned translation search.
+
+The last section holds the three greedy left-descent loops and the
+orbit count as they were before ``affine_weyl.strip_left_descents`` and
+``classifier._orbits`` served them.
 """
 
 import functools
@@ -21,6 +25,8 @@ import math
 from fractions import Fraction
 
 from adlvkit import affine_weyl as aw
+from adlvkit import classifier as cl
+from adlvkit.errors import InternalInvariantError, UsageError
 from adlvkit.linalg import (
     Matrix,
     as_int_matrix,
@@ -308,3 +314,100 @@ def iter_elements(datum, max_length, central_values=None, kottwitz_key=None):
         for z, inv in zip(matrices, masks):
             if base + inv.bit_count() - 2 * (inv & up).bit_count() <= max_length:
                 yield aw.AffineElement(datum, lam, datum.finite_index(z))
+
+
+# -- greedy descents and twist orbits, one copy per caller ------------------
+
+
+def stabilizer_descend(x):
+    """Greedy left descents until no affine simple reflection shortens x."""
+    cur = x
+    cur_len = aw.length(cur)
+    while cur_len > 0:
+        for i in range(x.datum.rank + 1):
+            y = aw.left_by_simple(cur, i)
+            ylen = aw.length(y)
+            if ylen < cur_len:
+                cur, cur_len = y, ylen
+                break
+        else:
+            break
+    return cur
+
+
+def coset_decompose(w, K):
+    """w = u . x with x minimal in its double coset, or None."""
+    datum = w.datum
+    K = tuple(sorted(K))
+    x = w
+    letters = []
+    progress = True
+    while progress:
+        progress = False
+        for i in K:
+            y = aw.left_by_simple(x, i)
+            if aw.length(y) < aw.length(x):
+                x = y
+                letters.append(i)
+                progress = True
+                break
+    u = cl._product(datum, letters)
+    if aw.multiply(u, x) != w:
+        raise InternalInvariantError("coset decomposition does not recompose")
+    sigma_K = tuple(sorted(aw.sigma_on_affine_index(datum, i) for i in K))
+    for j in sigma_K:
+        if aw.length(aw.right_by_simple(x, j)) < aw.length(x):
+            return None
+    if cl.twist_permutation(x, K) is None:
+        return None
+    return u, x, tuple(letters)
+
+
+def reduced_word_in_parabolic(u, K):
+    """Least reduced word of u, asserting all letters lie in K."""
+    word = []
+    cur = u
+    while aw.length(cur) > 0:
+        for i in range(u.datum.rank + 1):
+            y = aw.left_by_simple(cur, i)
+            if aw.length(y) < aw.length(cur):
+                word.append(i)
+                cur = y
+                break
+        else:
+            raise InternalInvariantError("positive length with no descent")
+    if not cur.is_identity():
+        raise UsageError("element is not in the parabolic subgroup")
+    if any(i not in K for i in word):
+        raise UsageError(f"element has support {sorted(set(word))} outside {K}")
+    return tuple(word)
+
+
+def is_twisted_coxeter(u, K, x):
+    """One generator from each orbit of the transported twist on K."""
+    perm = cl.twist_permutation(x, K)
+    if perm is None:
+        return False
+    word = reduced_word_in_parabolic(u, K)
+    orbits = cl._orbits(perm)
+    if len(word) != len(orbits):
+        return False
+    support = set(word)
+    if len(support) != len(word):
+        return False
+    return all(len(support & orbit) == 1 for orbit in orbits)
+
+
+def count_orbit_classes(datum, indices):
+    """Number of twist orbits on a twist-stable set of finite indices."""
+    seen = set()
+    count = 0
+    for i in sorted(indices):
+        if i in seen:
+            continue
+        count += 1
+        cur = i
+        while cur not in seen:
+            seen.add(cur)
+            cur = datum.delta_diagram[cur]
+    return count

@@ -41,6 +41,22 @@ def test_classify_usage_errors():
     assert code == 1
 
 
+@pytest.mark.parametrize("seeds", ["1,-1", "\u0663,4", "1_0", "0,,1", "", " 1", "+1"])
+def test_seed_lists_take_ascii_digits_only(seeds):
+    # Random(-1) shuffles like Random(1); int() reads '\u0663' as 3, '1_0' as 10
+    code, out = run(["classify", "--datum", "A1:adj", "s1", "--seeds", seeds])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+
+
+@pytest.mark.parametrize("indices", ["\u0661", "1,-1", "1_0", "1,"])
+def test_left_minimal_takes_ascii_digits_only(indices):
+    argv = ["scan", "--datum", "A2:adj", "--max-length", "2", "--jobs", "1"]
+    code, out = run(argv + ["--left-minimal", indices])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+
+
 def test_cap_exit_code(monkeypatch):
     # an empty registry, so the command builds a cold datum and no cache
     # warmed by other tests can hide the cap
