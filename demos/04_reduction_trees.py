@@ -15,6 +15,7 @@ from adlvkit import (
     format_element,
     length,
     parse_element,
+    sort_classes,
 )
 
 a2 = build_root_datum("A2:adj")
@@ -27,7 +28,7 @@ print(f"tree with seed 0: {len(tree.nodes)} nodes, {len(tree.edges)} edges, "
 
 print()
 print("== endpoint classes with their paths ==")
-for cls, paths in sorted(bgw(w, seed=0).items(), key=lambda kv: kv[0].sort_key()):
+for cls, paths in sort_classes(bgw(w, seed=0).items(), key=lambda kv: kv[0]):
     for p in paths:
         print(f"  {cls}: {p.count_I} type I + {p.count_II} type II, "
               f"ending at {format_element(p.end)}")

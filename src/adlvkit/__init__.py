@@ -1,9 +1,10 @@
 """Exact combinatorics of extended affine Weyl groups with a twist.
 
 The package computes, entirely in integer and rational arithmetic (root
-data are built in integers; ``Fraction`` holds only Newton points and
-the values read with them: rho, the fundamental weights and coweights,
-and class coordinates):
+data and class invariants are built in integers; ``Fraction`` holds only
+rational views for reports and tests: rho, the fundamental weights and
+coweights, and Newton points as ``newton_point`` and
+``ClassInvariant.newton`` give them):
 
 * root data over a chosen coweight lattice (`root_datum`),
 * the extended affine Weyl group with its length function, length-zero
@@ -47,6 +48,7 @@ from .bg_poset import (
     interval,
     iter_elements,
     leq,
+    sort_classes,
 )
 from .classifier import (
     ClassificationReport,
@@ -145,6 +147,7 @@ __all__ = [
     "shift_class",
     "sigma_act",
     "simple_reflection",
+    "sort_classes",
     "strong_multiplicity_one",
     "translation",
 ]

@@ -232,10 +232,7 @@ def right_by_simple(x: AffineElement, i: int) -> AffineElement:
 
 def affine_simple_roots(datum: RootDatum):
     """Simple affine roots, indexed 0..rank: index 0 is (1, theta)."""
-    out = [(1, datum.theta)]
-    for alpha in datum.simple_roots:
-        out.append((0, vec_neg(alpha)))
-    return out
+    return list(datum.affine_simple)
 
 
 def simple_reflection(datum: RootDatum, i: int) -> AffineElement:

@@ -3,19 +3,18 @@
 Classes are keyed by (dominant Newton point, Kottwitz point). The order
 compares equal Kottwitz points and asks the Newton difference to be a
 nonnegative rational combination of simple coroots. Nothing is solved
-per comparison: each class invariant stores, once, the pairings of its
-Newton point with the datum's fundamental weights (its coefficients over
-the simple coroots) and with the covectors vanishing on every coroot
-(its central part). c1 <= c2 is then "equal Kottwitz points, equal
-central parts, coordinatewise <=". Chain lengths come from the closed
-formula
+per comparison: each class invariant stores, once and in integers, the
+pairings of its Newton point with the fundamental weights (its
+coefficients over the simple coroots) and with the covectors vanishing
+on every coroot (its central part). c1 <= c2 is then "equal Kottwitz
+points, equal central parts, coordinatewise <=", each side scaled by the
+other's period. Chain lengths come from the closed formula
 
-    len([b1],[b2]) = <nu2 - nu1, rho> + def(b1)/2 - def(b2)/2
+    len([b1],[b2]) = (<nu2 - nu1, 2 rho> + def(b1) - def(b2)) / 2
 
 whose integrality is asserted rather than assumed: the poset is ranked,
-so a non-integer value means a broken convention, not bad input. Its
-<nu2 - nu1, rho> is the sum of the coefficient differences, since every
-simple coroot pairs to 1 with rho.
+so an odd or negative numerator means a broken convention, not bad
+input. :func:`sort_classes` owns the canonical order of classes.
 
 The defect of a class is the twisted reflection length of the classical
 part of any straight element in the class; witnesses are found by
@@ -45,10 +44,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 
-from .affine_weyl import AffineElement, length, translation_pairings
+from .affine_weyl import AffineElement, format_element, length, translation_pairings
 from .conjugacy import (
     ClassInvariant,
     class_invariant,
@@ -68,57 +66,61 @@ from .linalg import identity_matrix, mat_vec
 DEFAULT_ENUM_BUDGET = 10**7
 
 
-def _check_same_datum(c1, c2):
-    if c1.datum is not c2.datum:
-        raise DatumMismatchError("class invariants from different root data")
-
-
 def leq(c1: ClassInvariant, c2: ClassInvariant) -> bool:
     """Partial order: equal Kottwitz points and dominance of Newton points.
 
     nu2 - nu1 is a nonnegative combination of simple coroots exactly when
     it vanishes on the central covectors and its pairings with the
     fundamental weights, its coefficients, are nonnegative. Both are read
-    off the coordinates stored in the class invariants.
+    off the integer coordinates stored in the class invariants, each
+    scaled by the other class's period.
     """
-    _check_same_datum(c1, c2)
+    if c1.datum is not c2.datum:
+        raise DatumMismatchError("class invariants from different root data")
+    p1, p2 = c1.period, c2.period
     return (
         c1.kottwitz == c2.kottwitz
-        and c1.central == c2.central
-        and all(a <= b for a, b in zip(c1.coords, c2.coords))
+        and all(a * p2 == b * p1 for a, b in zip(c1.central, c2.central))
+        and all(a * p2 <= b * p1 for a, b in zip(c1.coords, c2.coords))
     )
 
 
-def _rho_gap(c1, c2):
-    """<nu2 - nu1, rho> for c1 <= c2: the sum of the coefficient gaps.
-
-    Every simple coroot pairs to 1 with rho (an audited datum invariant).
-    """
-    return sum(b - a for a, b in zip(c1.coords, c2.coords))
-
-
-def _half_defect_term(c1, c2):
-    return Fraction(defect(c1) - defect(c2), 2)
+def _half_gap(c1, c2, sign, what):
+    """(<nu2 - nu1, 2 rho> + sign (def(c1) - def(c2))) / 2, a nonnegative integer."""
+    if not leq(c1, c2):
+        raise NotComparableError(f"{c1} is not below {c2}")
+    value = c2.pairing_two_rho - c1.pairing_two_rho + sign * (defect(c1) - defect(c2))
+    if value % 2 or value < 0:
+        raise InternalInvariantError(f"{what} {value}/2 is not a nonnegative integer")
+    return value // 2
 
 
 def chain_length(c1: ClassInvariant, c2: ClassInvariant) -> int:
     """Common length of maximal chains from c1 up to c2."""
-    if not leq(c1, c2):
-        raise NotComparableError(f"{c1} is not below {c2}")
-    value = _rho_gap(c1, c2) + _half_defect_term(c1, c2)
-    if value.denominator != 1 or value < 0:
-        raise InternalInvariantError(f"chain length {value} is not a nonnegative integer")
-    return int(value)
+    return _half_gap(c1, c2, 1, "chain length")
 
 
 def essential_gap(c1: ClassInvariant, c2: ClassInvariant) -> int:
     """Chain length corrected by defects: controls dimension jumps."""
-    if not leq(c1, c2):
-        raise NotComparableError(f"{c1} is not below {c2}")
-    value = _rho_gap(c1, c2) - _half_defect_term(c1, c2)
-    if value.denominator != 1 or value < 0:
-        raise InternalInvariantError(f"essential gap {value} is not a nonnegative integer")
-    return int(value)
+    return _half_gap(c1, c2, -1, "essential gap")
+
+
+def sort_classes(items, key=None) -> list:
+    """``items`` in the canonical class order: <nu, 2 rho>, then kappa, then nu.
+
+    ``key`` maps an item to its class invariant (default: the item is
+    one). Newton points are compared as integer vectors over the lcm of
+    the periods in this call, which orders them as their rational values.
+    """
+    items = list(items)
+    key = key or (lambda c: c)
+    scale = math.lcm(*(key(item).period for item in items))
+
+    def rank(item):
+        c = key(item)
+        return c.pairing_two_rho, c.kottwitz, tuple(a * (scale // c.period) for a in c.dom)
+
+    return sorted(items, key=rank)
 
 
 @dataclass(frozen=True)
@@ -128,11 +130,8 @@ class ClassRecord:
     defect: int
 
     def as_dict(self):
-        from .affine_weyl import format_element
-
         return {
-            "newton": [str(c) for c in self.invariant.newton],
-            "kottwitz": [int(c) for c in self.invariant.kottwitz],
+            **self.invariant.as_dict(),
             "defect": self.defect,
             "witness": format_element(self.straight_witness),
         }
@@ -165,10 +164,10 @@ def _central_sum(datum, c: ClassInvariant):
             "Kottwitz filters cannot pin the central direction when the "
             "twist moves it; pass normalize_central instead"
         )
-    total = Fraction(sum(c.newton))
-    if total.denominator != 1:
+    total, rest = divmod(sum(c.dom), c.period)
+    if rest:
         raise InternalInvariantError("central part of a Newton point is fractional")
-    return int(total)
+    return total
 
 
 def _translation_candidates(datum, bound: int, central_values, budget):
@@ -359,7 +358,7 @@ def enumerate_straight(
             continue
         if inv not in records:
             records[inv] = ClassRecord(inv, x, classical_reflection_length(x))
-    out = tuple(sorted(records.values(), key=lambda r: r.invariant.sort_key()))
+    out = tuple(sort_classes(records.values(), key=attrgetter("invariant")))
     datum._straight_cache[key] = out
     return out
 
@@ -375,7 +374,7 @@ def interval(c_lo: ClassInvariant, c_hi: ClassInvariant):
         for r in enumerate_straight(datum, bound, kottwitz=c_lo)
         if leq(c_lo, r.invariant) and leq(r.invariant, c_hi)
     ]
-    return sorted(out, key=lambda c: c.sort_key())
+    return sort_classes(out)
 
 
 def extrema(classes):

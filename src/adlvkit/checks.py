@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from . import bg_poset, classifier, conjugacy
 from .affine_weyl import (
+    affine_reflection,
     format_element,
     identity,
     length,
@@ -29,7 +30,7 @@ from .affine_weyl import (
 )
 from .conjugacy import class_invariant, is_min_len, is_straight
 from .errors import AdlvkitError, InternalInvariantError, UsageError
-from .linalg import dot, mat_vec
+from .linalg import dot, mat_mul, mat_vec, vec_mat
 from .reduction_tree import (
     build_tree,
     path_summary,
@@ -37,6 +38,7 @@ from .reduction_tree import (
     summary_classes,
     verify_edge,
 )
+from .root_datum import build_root_datum
 
 CHECK_NAMES = (
     "datum_invariants",
@@ -182,8 +184,6 @@ def _audit_datum(datum, results, fail, bump):
             fail(name, tag, f"rho does not pair to 1 with coroot {i + 1}")
         bump(name, 2)
     # pairing invariance under every generator, over all roots
-    from .linalg import vec_mat
-
     for g in datum.weyl_generators:
         ginv = datum.weyl_inverse(g)
         for alpha, coroot in datum.root_coroot.items():
@@ -206,8 +206,8 @@ def _audit_datum(datum, results, fail, bump):
         fail(name, tag, "twist does not preserve dominance")
     bump(name)
     # positive root count equals the length of the longest element
-    w0_len = max(len(datum.weyl_word(z)) for z in datum.weyl_elements())
-    if w0_len != len(datum.positive_roots):
+    # weyl_words() is sorted by length: w0's word comes last
+    if len(datum.weyl_words()[-1]) != len(datum.positive_roots):
         fail(name, tag, "positive root count differs from len(w0)")
     bump(name)
     if not datum.is_dominant(datum.theta_coroot):
@@ -242,8 +242,6 @@ def _audit_length_properties(datum, elements, results, fail, bump):
             bump(name)
     for root in (datum.theta, datum.simple_roots[0]):
         for level in (-2, -1, 0, 1, 2):
-            from .affine_weyl import affine_reflection
-
             refl = affine_reflection(datum, (level, root))
             if not multiply(refl, refl).is_identity():
                 fail(name, tag, f"affine reflection ({level}) is not an involution")
@@ -409,7 +407,7 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> i
         return 0
 
     # closed formulas against every path of every seed's tree
-    classes = sorted(key_set, key=lambda c: c.sort_key())
+    classes = bg_poset.sort_classes(key_set)
     c_min, c_max = bg_poset.extrema(classes)
     if c_min != inv:
         fail("min_class_is_own", text, f"minimum {c_min} is not the element's class")
@@ -520,8 +518,6 @@ def _check_witness_additivity(datum, witness, text, fail, bump, memo):
 def _additivity_failures(datum, witness):
     total = conjugacy.classical_reflection_length(multiply(witness.c, witness.x))
     base = conjugacy.classical_reflection_length(witness.x)
-    from .linalg import mat_mul
-
     twist = mat_mul(witness.x.finite, datum.delta)
     relative = conjugacy.relative_reflection_length(datum, witness.c.finite, twist)
     if total != base + relative:
@@ -536,6 +532,4 @@ def _additivity_failures(datum, witness):
 
 
 def audit_datum_string(datum_string, max_length, seeds=classifier.DEFAULT_SEEDS, **kw):
-    from .root_datum import build_root_datum
-
     return audit(build_root_datum(datum_string), max_length, seeds=seeds, **kw)

@@ -21,19 +21,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .affine_weyl import (
     AffineElement,
     act_on_affine_root,
-    affine_simple_roots,
     format_element,
+    identity,
     length,
     multiply,
     right_by_simple,
     sigma_on_affine_index,
     strip_left_descents,
 )
-from .bg_poset import chain_length, defect, extrema, interval
+from .bg_poset import chain_length, defect, extrema, interval, sort_classes
 from .conjugacy import (
     DEFAULT_BFS_CAP,
     ClassInvariant,
@@ -92,30 +93,27 @@ def coset_decompose(w: AffineElement, K):
     Returns None when x fails right-minimality against sigma(K) or does
     not stabilize K through the twist.
     """
+    dec = _coset_split(w, K)
+    return None if dec is None else dec[:3]
+
+
+def _coset_split(w: AffineElement, K):
+    """:func:`coset_decompose` and the twist permutation of x on K; ``letters`` spell u reduced."""
     datum = w.datum
     K = tuple(sorted(K))
     if len(set(K)) != len(K) or not set(K) < set(range(datum.rank + 1)):
         raise UsageError(f"index set {K} is not spherical")
     x, letters = strip_left_descents(w, K)
-    u = _product(datum, letters)
+    u = reduce(right_by_simple, letters, identity(datum))
     if multiply(u, x) != w:
         raise InternalInvariantError("coset decomposition does not recompose")
-    sigma_K = tuple(sorted(sigma_on_affine_index(datum, i) for i in K))
-    for j in sigma_K:
-        if length(right_by_simple(x, j)) < length(x):
-            return None
-    if twist_permutation(x, K) is None:
+    x_len = length(x)
+    if any(length(right_by_simple(x, sigma_on_affine_index(datum, i))) < x_len for i in K):
         return None
-    return u, x, letters
-
-
-def _product(datum, letters):
-    from .affine_weyl import identity
-
-    out = identity(datum)
-    for i in letters:
-        out = right_by_simple(out, i)
-    return out
+    perm = twist_permutation(x, K)
+    if perm is None:
+        return None
+    return u, x, letters, perm
 
 
 def twist_permutation(x: AffineElement, K):
@@ -126,34 +124,28 @@ def twist_permutation(x: AffineElement, K):
     stability x sigma(K) = K.
     """
     datum = x.datum
-    simples = affine_simple_roots(datum)
-    lookup = {simples[i]: i for i in range(datum.rank + 1)}
     perm = {}
     for i in K:
-        j_pre = sigma_on_affine_index(datum, i)
-        image = act_on_affine_root(x, simples[j_pre])
-        j = lookup.get(image)
-        if j is None or j not in K:
+        image = act_on_affine_root(x, datum.affine_simple[sigma_on_affine_index(datum, i)])
+        j = datum.affine_simple_index.get(image)
+        if j not in K:
             return None
         perm[i] = j
-    if sorted(perm.values()) != sorted(K):
-        return None
-    return perm
+    return perm if sorted(perm.values()) == sorted(K) else None
 
 
 def _orbits(perm: dict):
     seen = set()
     orbits = []
     for start in sorted(perm):
-        if start in seen:
-            continue
         orbit = []
         cur = start
         while cur not in seen:
             seen.add(cur)
             orbit.append(cur)
             cur = perm[cur]
-        orbits.append(frozenset(orbit))
+        if orbit:
+            orbits.append(frozenset(orbit))
     return orbits
 
 
@@ -169,24 +161,21 @@ def reduced_word_in_parabolic(u: AffineElement, K):
     return word
 
 
-def is_twisted_coxeter(u: AffineElement, K, x: AffineElement) -> bool:
-    """One generator from each orbit of the transported twist on K.
+def _one_letter_per_orbit(word, perm) -> bool:
+    """The reduced ``word``, with letters in K, has one generator per orbit of ``perm``.
 
-    Equivalent test: the length of u equals the number of orbits and the
-    support of u meets every orbit exactly once; the support of a Coxeter
-    group element does not depend on the chosen reduced word.
+    Its length and support, which no choice of reduced word changes, are
+    the number of orbits and a set meeting each orbit once.
     """
-    perm = twist_permutation(x, K)
-    if perm is None:
-        return False
-    word = reduced_word_in_parabolic(u, K)
     orbits = _orbits(perm)
-    if len(word) != len(orbits):
-        return False
     support = set(word)
-    if len(support) != len(word):
-        return False
-    return all(len(support & orbit) == 1 for orbit in orbits)
+    return len(word) == len(orbits) and all(len(support & orbit) == 1 for orbit in orbits)
+
+
+def is_twisted_coxeter(u: AffineElement, K, x: AffineElement) -> bool:
+    """One generator from each orbit of the transported twist on K."""
+    perm = twist_permutation(x, K)
+    return perm is not None and _one_letter_per_orbit(reduced_word_in_parabolic(u, K), perm)
 
 
 # -- minimal Coxeter type ------------------------------------------------------
@@ -224,13 +213,11 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
     witness = None
     for K in spherical_subsets(datum):
         for member, shifts in members:
-            dec = coset_decompose(member, K)
+            dec = _coset_split(member, K)
             if dec is None:
                 continue
-            u, x, _letters = dec
-            if not is_straight(x):
-                continue
-            if is_twisted_coxeter(u, K, x):
+            u, x, letters, perm = dec
+            if is_straight(x) and _one_letter_per_orbit(letters, perm):
                 witness = MinCoxWitness(K, x, u, shifts)
                 break
         if witness is not None:
@@ -369,7 +356,7 @@ def mct_inequality(w: AffineElement, cap=DEFAULT_BFS_CAP):
     slack = length(w) - rhs
     if slack < 0:
         raise InternalInvariantError(f"negative slack {slack} for {format_element(w)}")
-    return {"slack": int(slack), "equality": slack == 0}
+    return {"slack": slack, "equality": slack == 0}
 
 
 # -- purity ----------------------------------------------------------------------
@@ -385,9 +372,7 @@ def purity_report(tree):
     branch minima differ by exactly one twist orbit of simple roots.
     """
     datum = tree.root.datum
-    classes = sorted(
-        summary_classes(path_summary(tree)), key=lambda c: c.sort_key()
-    )
+    classes = sort_classes(summary_classes(path_summary(tree)))
     try:
         c_min, c_max = extrema(classes)
         between = interval(c_min, c_max)
@@ -395,9 +380,7 @@ def purity_report(tree):
         return {"saturated": None, "interval_diff": [], "helper_checks": [],
                 "note": str(exc)}
     saturated = set(between) == set(classes)
-    diff = sorted(
-        set(between).symmetric_difference(classes), key=lambda c: c.sort_key()
-    )
+    diff = sort_classes(set(between).symmetric_difference(classes))
 
     helper = []
     for node, exp in tree.expansions.items():
@@ -409,9 +392,9 @@ def purity_report(tree):
             sub_min = {}
             for label, child in (("I", edge_one.target), ("II", edge_two.target)):
                 sub_classes = summary_classes(path_summary(tree, start=child))
-                sub_min[label] = extrema(sorted(sub_classes, key=lambda c: c.sort_key()))
+                sub_min[label] = extrema(sort_classes(sub_classes))
             node_classes = summary_classes(path_summary(tree, start=node))
-            node_min, node_max = extrema(sorted(node_classes, key=lambda c: c.sort_key()))
+            node_min, node_max = extrema(sort_classes(node_classes))
         except NoUniqueExtremumError as exc:
             helper.append({"node": format_element(node), "pivot": format_element(pivot),
                            "note": str(exc)})
@@ -489,7 +472,7 @@ def classify(
     per_class = {}
     for (cls, c1, c2, _lend), mult in summary.items():
         per_class.setdefault(cls, []).extend([(c1, c2)] * mult)
-    classes = sorted(per_class, key=lambda c: c.sort_key())
+    classes = sort_classes(per_class)
     try:
         c_min, c_max = extrema(classes)
     except NoUniqueExtremumError:
@@ -585,8 +568,7 @@ def report_to_dict(report: ClassificationReport) -> dict:
         "seeds": list(report.seeds),
         "min_len": report.min_len,
         "straight": report.straight,
-        "newton": [str(c) for c in inv.newton],
-        "kottwitz": [int(c) for c in inv.kottwitz],
+        **inv.as_dict(),
         "min_cox": report.min_cox.as_dict() if report.min_cox else None,
         "smo": report.smo,
         "geo_cox": report.geo_cox,
@@ -594,8 +576,7 @@ def report_to_dict(report: ClassificationReport) -> dict:
         "mct": report.mct,
         "bgw": [
             {
-                "newton": [str(c) for c in row.invariant.newton],
-                "kottwitz": [int(c) for c in row.invariant.kottwitz],
+                **row.invariant.as_dict(),
                 "defect": row.defect,
                 "num_paths": row.num_paths,
                 "observed": [list(p) for p in row.observed],
@@ -613,10 +594,7 @@ def report_to_dict(report: ClassificationReport) -> dict:
         ],
         "purity": {
             "saturated": report.purity["saturated"],
-            "interval_diff": [
-                {"newton": [str(c) for c in d.newton], "kottwitz": [int(c) for c in d.kottwitz]}
-                for d in report.purity["interval_diff"]
-            ],
+            "interval_diff": [d.as_dict() for d in report.purity["interval_diff"]],
             "helper_checks": report.purity["helper_checks"],
             "note": report.purity.get("note"),
         },

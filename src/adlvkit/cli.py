@@ -123,11 +123,11 @@ def _build_parser():
                 default="0,1,2,3,4,5,6,7,8,9",
                 help="comma separated strategy seeds: distinct nonnegative integers",
             )
-        p.add_argument("--cap-bfs", type=int, default=conjugacy.DEFAULT_BFS_CAP)
+        p.add_argument("--cap-bfs", default=conjugacy.DEFAULT_BFS_CAP)
         if corpus:
             # the commands that enumerate a corpus up to --max-length
-            p.add_argument("--max-length", type=int, required=True)
-            p.add_argument("--cap-enum", type=int, default=bg_poset.DEFAULT_ENUM_BUDGET)
+            p.add_argument("--max-length", required=True)
+            p.add_argument("--cap-enum", default=bg_poset.DEFAULT_ENUM_BUDGET)
         p.add_argument("--cache", default=None, help="cache directory (or ADLVKIT_CACHE)")
 
     p = sub.add_parser("classify", help="full report for one element")
@@ -138,7 +138,7 @@ def _build_parser():
     p = sub.add_parser("tree", help="emit one reduction tree")
     common(p, seeds=False)
     p.add_argument("element")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
     p = sub.add_parser("bgw", help="endpoint classes with path counts")
@@ -163,7 +163,6 @@ def _build_parser():
     p.add_argument("--format", choices=("jsonl", "table"), default="jsonl")
     p.add_argument(
         "--jobs",
-        type=int,
         default=0,
         help="worker processes, 0 = available parallelism; a result cache "
         "(--cache or ADLVKIT_CACHE) makes the scan serial, with a warning "
@@ -289,16 +288,17 @@ _FILTERS = {
 
 
 def _check_nonnegative(args):
-    """Reject a negative --max-length, --cap-bfs or --cap-enum, naming the flag."""
-    for flag in ("--max-length", "--cap-bfs", "--cap-enum"):
-        value = getattr(args, flag[2:].replace("-", "_"), None)
-        if value is not None and value < 0:
-            raise UsageError(f"{flag} expects a nonnegative value, got {value}")
+    """Read the given integer flags as ASCII decimals; reject '-1', '٣', '1_0', '²'."""
+    for flag in ("--seed", "--max-length", "--cap-bfs", "--cap-enum", "--jobs"):
+        name = flag[2:].replace("-", "_")
+        value = getattr(args, name, None)
+        if isinstance(value, str):
+            if not _DIGITS.fullmatch(value):
+                raise UsageError(f"{flag} expects a nonnegative integer in ASCII digits, got {value!r}")
+            setattr(args, name, int(value))
 
 
 def _cmd_scan(args, out):
-    if args.jobs < 0:
-        raise UsageError("--jobs expects 0 (available parallelism) or a positive count")
     datum = build_root_datum(args.datum)
     seeds = _parse_seeds(args.seeds)
     cache = _cache_from(args)
@@ -441,12 +441,13 @@ def main(argv=None, out=None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_nonnegative(args)
-        if args.command == "classify":
+        if args.command in ("classify", "bgw"):
             datum = build_root_datum(args.datum)
             seeds = _parse_seeds(args.seeds)
             data = _classified(
                 datum, args.element, seeds, args.cap_bfs, _cache_from(args)
             )
+        if args.command == "classify":
             if args.format == "json":
                 out.write(_stable_json(data) + "\n")
             else:
@@ -460,11 +461,6 @@ def main(argv=None, out=None) -> int:
             out.write(text if text.endswith("\n") else text + "\n")
             return EXIT_OK
         if args.command == "bgw":
-            datum = build_root_datum(args.datum)
-            seeds = _parse_seeds(args.seeds)
-            data = _classified(
-                datum, args.element, seeds, args.cap_bfs, _cache_from(args)
-            )
             table = {
                 "schema": REPORT_SCHEMA,
                 "datum": data["datum"],

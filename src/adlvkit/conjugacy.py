@@ -8,14 +8,19 @@ records every member's same-length neighbours and length-dropping
 indices. Minimality tests and their certificates, reduction moves and
 the Coxeter witness search all walk that one graph (He-Nie: cyclic
 shifts reach a minimal length element, so the class graph is the only
-search object needed). Class invariants pair the dominant Newton point with the Kottwitz point (the
-translation part in the twisted coinvariants of X modulo the coroot
-lattice); together these separate the conjugacy classes this package
-cares about.
+search object needed).
+
+Class invariants pair the dominant Newton point with the Kottwitz point
+(the translation part in the twisted coinvariants of X modulo the coroot
+lattice); together they separate the classes this package cares about.
+This module owns the Newton point's format: integers over a period (see
+:class:`ClassInvariant`), with ``Fraction`` only in the rational views
+:func:`newton_point` and ``ClassInvariant.newton``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,16 +237,14 @@ def _orbit_sum(x: AffineElement):
 
 
 def newton_point(x: AffineElement):
-    """Dominant average of the translation along twisted powers.
+    """Dominant average of the translation along twisted powers, in Fractions.
 
     With m = z o delta and p the period of lambda under m, the point is
     the dominant Weyl representative of (lambda + m lambda + ... +
-    m^(p-1) lambda)/p. The descent runs on the integer sum; the division
-    by p comes last. It is fixed by the twist and constant on twisted
-    conjugacy classes.
+    m^(p-1) lambda)/p, the rational view of ``class_invariant(x)``. It is
+    fixed by the twist and constant on twisted conjugacy classes.
     """
-    period, total = _orbit_sum(x)
-    return tuple(Fraction(c, period) for c in x.datum.dominant(total))
+    return class_invariant(x).newton
 
 
 def kottwitz_point(x: AffineElement):
@@ -298,49 +301,62 @@ def relative_reflection_length(datum, z, twist) -> int:
     )
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms as ``str(Fraction(num, den))`` writes it."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 @dataclass(frozen=True, eq=False)
 class ClassInvariant:
     """Key of a twisted conjugacy class: dominant Newton point + Kottwitz point.
 
-    Built only by :func:`class_invariant`, which also stores the Newton
-    point's coordinates read by the class poset: ``coords`` pairs it with
-    the datum's fundamental weights (its coefficients over the simple
-    coroots, when it lies in their span), ``central`` with the datum's
-    central covectors, and ``pairing_two_rho`` is <nu, 2 rho>.
-    ``zero_set`` is I(nu), the indices i of the simple roots with
-    <nu, alpha_i> = 0, read by the closed formulas of the classifier.
+    Built only by :func:`class_invariant`, in integers. The Newton point
+    is nu = dom / period with gcd(period, *dom) = 1, so equal classes have
+    equal fields. ``coords`` pairs ``dom`` with the numerators d omega_j
+    of the fundamental weights (nu's coefficients over the simple
+    coroots, times period * d) and ``central`` with the central
+    covectors; two classes compare by cross multiplying their periods.
+    ``pairing_two_rho`` is <nu, 2 rho>; ``zero_set`` is I(nu), the i with
+    <nu, alpha_i> = 0. ``newton`` is nu in ``Fraction`` coordinates, built
+    on demand; ``as_dict`` is the report form.
     """
 
     datum: object
-    newton: tuple
+    dom: tuple
+    period: int
     kottwitz: tuple
     coords: tuple
     central: tuple
-    pairing_two_rho: Fraction
+    pairing_two_rho: int
     zero_set: frozenset
 
     def __eq__(self, other):
         return (
             isinstance(other, ClassInvariant)
             and self.datum is other.datum
-            and self.newton == other.newton
+            and self.dom == other.dom
+            and self.period == other.period
             and self.kottwitz == other.kottwitz
         )
 
-    def __post_init__(self):
-        # hashing Fraction coordinates is slow, and invariants key many dicts
-        object.__setattr__(self, "_hash", hash((self.newton, self.kottwitz)))
-
     def __hash__(self):
-        return self._hash
+        return hash((self.dom, self.period, self.kottwitz))
 
-    def sort_key(self):
-        return (self.pairing_two_rho, self.kottwitz, self.newton)
+    @property
+    def newton(self):
+        return tuple(Fraction(c, self.period) for c in self.dom)
+
+    def as_dict(self):
+        """Newton coordinates as reduced fraction strings, Kottwitz point as ints."""
+        return {
+            "newton": [_ratio_text(c, self.period) for c in self.dom],
+            "kottwitz": [int(c) for c in self.kottwitz],
+        }
 
     def __repr__(self):
-        nu = ",".join(str(c) for c in self.newton)
-        kap = ",".join(str(c) for c in self.kottwitz)
-        return f"[nu=({nu}) kappa=({kap})]"
+        text = self.as_dict()
+        return f"[nu=({','.join(text['newton'])}) kappa=({','.join(map(str, text['kottwitz']))})]"
 
 
 def class_invariant(x: AffineElement) -> ClassInvariant:
@@ -351,14 +367,21 @@ def class_invariant(x: AffineElement) -> ClassInvariant:
         dom = datum.dominant(total)
         if mat_vec(datum.delta, dom) != dom:
             raise InternalInvariantError("Newton point is not twist-fixed")
-        nu = tuple(Fraction(c, period) for c in dom)
+        # every class has a straight element of length <nu, 2 rho>
+        pairing = sum(abs(dot(total, beta)) for beta in datum.positive_roots)
+        two_rho, rest = divmod(pairing, period)
+        if rest:
+            raise InternalInvariantError("<nu, 2 rho> is not an integer")
+        g = math.gcd(period, *dom)
+        dom = tuple(c // g for c in dom)
         cached = ClassInvariant(
             datum,
-            nu,
+            dom,
+            period // g,
             kottwitz_point(x),
-            tuple(dot(nu, w) for w in datum.fundamental_weights),
-            tuple(dot(nu, a) for a in datum.central_covectors),
-            Fraction(sum(abs(dot(total, beta)) for beta in datum.positive_roots), period),
+            tuple(dot(dom, w) for w in datum.weight_numerators),
+            tuple(dot(dom, a) for a in datum.central_covectors),
+            two_rho,
             frozenset(
                 i for i, alpha in enumerate(datum.simple_roots, 1) if dot(dom, alpha) == 0
             ),

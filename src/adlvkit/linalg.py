@@ -4,10 +4,11 @@ All matrices here are small and dense (bounded by the rank of a root
 system), so everything is tuples of tuples of Python ints. Ranks,
 inverses and lattice quotients are computed in integers (Bareiss
 elimination and the Smith normal form); nothing here solves a system
-over Q. ``Fraction`` only enters through the products of ``mat_vec`` and
-``dot`` with rational Newton points, and ``as_int_vector`` casts
-rationals with denominator 1 back to ints. No floating point is used
-anywhere in the package.
+over Q. ``Fraction`` only enters through ``mat_vec`` and ``dot`` with
+rational vectors (the datum's rational views and the test oracles; class
+invariants are integer), and ``as_int_vector`` casts rationals with
+denominator 1 back to ints. No floating point is used anywhere in the
+package.
 
 >>> smith_normal_form(((2, 4), (6, 8)))[1]
 ((2, 0), (0, 4))

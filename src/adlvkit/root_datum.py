@@ -24,8 +24,9 @@ integers; every root and coroot is an integer vector mapped from them;
 the dual bases come from two inverses read off the Smith normal form
 (:func:`adlvkit.linalg.integer_inverse`), of the pairing matrix and of
 the Cartan matrix. No system is solved over Q. ``Fraction`` appears
-only in the stored rational values ``rho``, ``fundamental_weights`` and
-``fundamental_coweights``, in which Newton points are read.
+only in the stored rational views ``rho``, ``fundamental_weights`` and
+``fundamental_coweights``; class invariants read Newton points with the
+integer numerators ``weight_numerators`` instead.
 
 The lattice data are fixed at construction. The per-datum caches are
 not: construction leaves every one of them empty, any call may fill them
@@ -245,11 +246,12 @@ class RootDatum:
             )
 
         # the covectors dual to the simple coroots: column j of A^(-1) for
-        # the Cartan matrix A holds the root coefficients of omega_j
+        # the Cartan matrix A holds the root coefficients of omega_j; class
+        # invariants pair with the integer numerators d omega_j
         cartan_denom, cartan_adj = integer_inverse(self.cartan_matrix)
+        self.weight_numerators = tuple(vec_mat(col, roots) for col in zip(*cartan_adj))
         self.fundamental_weights = tuple(
-            tuple(Fraction(c, cartan_denom) for c in vec_mat(col, roots))
-            for col in zip(*cartan_adj)
+            tuple(Fraction(c, cartan_denom) for c in num) for num in self.weight_numerators
         )
 
         # integer vector with strictly positive pairing against every
@@ -279,6 +281,11 @@ class RootDatum:
         )
         if mat_vec(self.delta, self.theta_coroot) != self.theta_coroot:
             raise AssertionError("the twist moves the highest coroot")
+        # the simple affine roots (1, theta), (0, -alpha_i) and their indices
+        self.affine_simple = ((1, self.theta),) + tuple(
+            (0, tuple(-a for a in alpha)) for alpha in self.simple_roots
+        )
+        self.affine_simple_index = {a: i for i, a in enumerate(self.affine_simple)}
         # bit of the simple root alpha_i in the inversion masks, i = 1..rank
         self._simple_bits = tuple(
             1 << self.positive_roots.index(alpha) for alpha in self.simple_roots

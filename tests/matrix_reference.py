@@ -14,19 +14,26 @@ compare the package's table-driven operations with them.
 The next section is the straight-element enumeration as it was computed
 before it moved to integer orbit sums and a pruned translation search.
 
-The last section holds the three greedy left-descent loops and the
-orbit count as they were before ``affine_weyl.strip_left_descents`` and
-``classifier._orbits`` served them.
+The next section holds the three greedy left-descent loops, the orbit
+count and the minimal Coxeter type search as they were before
+``affine_weyl.strip_left_descents``, ``classifier._orbits`` and
+``classifier._coset_split`` served them.
+
+The last section is the class invariant as it was before it moved to
+integers: ``Fraction`` Newton coordinates, the order and gaps read off
+them, and the sort key.
 """
 
 import functools
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from adlvkit import affine_weyl as aw
 from adlvkit import classifier as cl
-from adlvkit.errors import InternalInvariantError, UsageError
+from adlvkit import conjugacy as cj
+from adlvkit.errors import InternalInvariantError, NotMinLenError, UsageError
 from adlvkit.linalg import (
     Matrix,
     as_int_matrix,
@@ -351,7 +358,7 @@ def coset_decompose(w, K):
                 letters.append(i)
                 progress = True
                 break
-    u = cl._product(datum, letters)
+    u = functools.reduce(aw.right_by_simple, letters, aw.identity(datum))
     if aw.multiply(u, x) != w:
         raise InternalInvariantError("coset decomposition does not recompose")
     sigma_K = tuple(sorted(aw.sigma_on_affine_index(datum, i) for i in K))
@@ -411,3 +418,92 @@ def count_orbit_classes(datum, indices):
             seen.add(cur)
             cur = datum.delta_diagram[cur]
     return count
+
+
+def is_minimal_coxeter_type(w, cap=cj.DEFAULT_BFS_CAP):
+    """The witness search as it ran before the decomposition was shared.
+
+    Each (member, K) decomposes through ``coset_decompose``, and the
+    Coxeter test recomputes the twist permutation and descends u again.
+    """
+    datum = w.datum
+    if not cj.is_min_len(w, cap=cap).is_min_len:
+        raise NotMinLenError(f"{aw.format_element(w)} is not of minimal length")
+    members = list(cj.ShiftClass.of(w, cap).bfs(w, range(datum.rank + 1)))
+    for K in cl.spherical_subsets(datum):
+        for member, shifts in members:
+            dec = coset_decompose(member, K)
+            if dec is None:
+                continue
+            u, x, _letters = dec
+            if cj.is_straight(x) and is_twisted_coxeter(u, K, x):
+                return cl.MinCoxWitness(K, x, u, shifts)
+    return None
+
+
+# -- class invariants in Fraction coordinates --------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class FractionClassInvariant:
+    """The class invariant with Fraction Newton point, coordinates and <nu, 2 rho>."""
+
+    datum: object
+    newton: tuple
+    kottwitz: tuple
+    coords: tuple
+    central: tuple
+    pairing_two_rho: Fraction
+    zero_set: frozenset
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FractionClassInvariant)
+            and self.datum is other.datum
+            and self.newton == other.newton
+            and self.kottwitz == other.kottwitz
+        )
+
+    def __hash__(self):
+        return hash((self.newton, self.kottwitz))
+
+    def __repr__(self):
+        nu = ",".join(str(c) for c in self.newton)
+        kap = ",".join(str(c) for c in self.kottwitz)
+        return f"[nu=({nu}) kappa=({kap})]"
+
+
+def fraction_class_invariant(x):
+    datum = x.datum
+    period, total = cj._orbit_sum(x)
+    dom = datum.dominant(total)
+    nu = tuple(Fraction(c, period) for c in dom)
+    return FractionClassInvariant(
+        datum,
+        nu,
+        cj.kottwitz_point(x),
+        tuple(dot(nu, w) for w in datum.fundamental_weights),
+        tuple(dot(nu, a) for a in datum.central_covectors),
+        Fraction(sum(abs(dot(total, beta)) for beta in datum.positive_roots), period),
+        frozenset(i for i, alpha in enumerate(datum.simple_roots, 1) if dot(dom, alpha) == 0),
+    )
+
+
+def class_sort_key(c):
+    """The canonical class order as a key on Fraction Newton coordinates."""
+    return (c.pairing_two_rho, c.kottwitz, c.newton)
+
+
+def fraction_leq(c1, c2):
+    return (
+        c1.kottwitz == c2.kottwitz
+        and c1.central == c2.central
+        and all(a <= b for a, b in zip(c1.coords, c2.coords))
+    )
+
+
+def fraction_gaps(c1, c2, defect1, defect2):
+    """(chain length, essential gap) from the coefficient gaps and the defects."""
+    rho_gap = sum(b - a for a, b in zip(c1.coords, c2.coords))
+    half = Fraction(defect1 - defect2, 2)
+    return rho_gap + half, rho_gap - half

@@ -233,7 +233,7 @@ def test_dominant_translation_times_coxeter_is_geo(a2, c2sc):
 def test_formulas_a1(a1):
     w = aw.parse_element(a1, "s0 s1 s0")
     grouped = rt.bgw(w, seed=0)
-    classes = sorted(grouped, key=lambda c: c.sort_key())
+    classes = bg.sort_classes(grouped)
     c_min, c_max = bg.extrema(classes)
     basic = cj.class_invariant(aw.identity(a1))
     top = cj.class_invariant(aw.parse_element(a1, "t(1)"))
@@ -253,7 +253,7 @@ def test_ell1_difference_form(c2sc):
     # set difference (this element is the smallest such case in C2)
     w = aw.parse_element(c2sc, "t(0,-1) s2")
     grouped = rt.bgw(w, seed=0)
-    classes = sorted(grouped, key=lambda c: c.sort_key())
+    classes = bg.sort_classes(grouped)
     c_min, c_max = bg.extrema(classes)
     z_min, z_max = c_min.zero_set, c_max.zero_set
     assert not z_max <= z_min and not z_min <= z_max
@@ -310,7 +310,7 @@ def test_formulas_match_oracle_small_corpus(a2):
         if not geo.is_geo_cox:
             continue
         summary = rt.path_summary(rt.build_tree(w, seed=0))
-        classes = sorted(rt.summary_classes(summary), key=lambda c: c.sort_key())
+        classes = bg.sort_classes(rt.summary_classes(summary))
         c_min, c_max = bg.extrema(classes)
         for (cls, c1, c2, _lend), _mult in summary.items():
             assert (c1, c2) == (

@@ -204,6 +204,24 @@ def test_negative_cap_is_a_usage_error(argv, flag, capsys):
     assert capsys.readouterr().err.startswith(f"error: {flag}")
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["tree", "--datum", "A1:adj", "s0 s1 s0", "--seed", "\u0663"], "--seed"),
+        (["check", "--datum", "A1:adj", "--max-length", "1_0"], "--max-length"),
+        (["scan", "--datum", "A1:adj", "--max-length", "1", "--jobs", "\u00b2"], "--jobs"),
+        (["classify", "--datum", "A1:adj", "s0", "--cap-bfs", "+5"], "--cap-bfs"),
+        (["scan", "--datum", "A1:adj", "--max-length", "1", "--cap-enum", " 7"], "--cap-enum"),
+    ],
+)
+def test_integer_flags_take_only_ascii_digits(argv, flag, capsys):
+    # int() reads all of these but the superscript two as numbers
+    code, out = run(argv)
+    assert code == 1
+    assert out == ""
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+
 @pytest.mark.parametrize("command", ["classify", "tree", "bgw"])
 def test_cap_enum_is_only_for_corpus_commands(command, capsys):
     code, out = run([command, "--datum", "A1:adj", "s0", "--cap-enum", "5"])

@@ -8,7 +8,11 @@ now counts the orbits of ``classifier._orbits`` instead of walking the
 twist itself. ``matrix_reference`` keeps the replaced code; here the two
 are compared on every fundamental coweight coset of a range of data, on
 every element of the acceptance corpora against every spherical K, and
-on every twist-stable set of finite indices.
+on every twist-stable set of finite indices. The minimal Coxeter type
+search now reads u's word and the twist permutation off the one
+decomposition of each (member, K); the old search, which decomposed and
+descended again, is compared with it on every minimal element of the
+rank-2, 2A3:sc and A3:gl corpora.
 """
 
 import itertools
@@ -17,9 +21,11 @@ import pytest
 
 import matrix_reference as ref
 from adlvkit import affine_weyl as aw
+from adlvkit import checks
 from adlvkit import classifier as cl
+from adlvkit import conjugacy as cj
 from adlvkit.errors import InternalInvariantError, UsageError
-from adlvkit.root_datum import build_root_datum
+from adlvkit.root_datum import RootDatum, build_root_datum, parse_spec
 from test_datum_oracle import DATA
 from test_finite_index_oracle import CORPORA, corpus
 
@@ -58,6 +64,23 @@ def test_coset_decompose_and_coxeter_test_match_the_old_loops(spec, max_length):
             assert cl.reduced_word_in_parabolic(u, K) == ref.reduced_word_in_parabolic(u, K)
             assert cl.is_twisted_coxeter(u, K, x) == ref.is_twisted_coxeter(u, K, x), (w, K)
     assert decomposed
+
+
+@pytest.mark.parametrize(
+    "spec,max_length",
+    (("A2:adj", 8), ("C2:sc", 8), ("G2:sc", 8), ("2A3:sc", 4), ("A3:gl", 5)),
+)
+def test_minimal_coxeter_witnesses_match_the_old_search(spec, max_length):
+    # a fresh datum: no witness comes from another test's cache
+    datum = RootDatum(parse_spec(spec))
+    found = 0
+    for w in checks.corpus(datum, max_length):
+        if not cj.is_min_len(w).is_min_len:
+            continue
+        witness = cl.is_minimal_coxeter_type(w)
+        assert witness == ref.is_minimal_coxeter_type(w), w
+        found += witness is not None
+    assert found
 
 
 @pytest.mark.parametrize("spec", DATA)

@@ -11,6 +11,7 @@ compared on every ordered pair of classes that ``enumerate_straight``
 finds, and on every finite Weyl element.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -108,16 +109,22 @@ def test_leq_rejects_a_newton_difference_off_the_coroot_span():
     shift = (Fraction(1, 4),) * datum.n
     for c in straight_classes(datum, 4):
         nu = vec_add(c.newton, shift)
+        # the integer form: nu = dom / period in lowest terms
+        period = math.lcm(*(a.denominator for a in nu))
+        dom = tuple(int(a * period) for a in nu)
         moved = ClassInvariant(
             datum,
-            nu,
+            dom,
+            period,
             c.kottwitz,
-            tuple(dot(nu, w) for w in datum.fundamental_weights),
-            tuple(dot(nu, a) for a in datum.central_covectors),
-            dot(nu, datum.two_rho),
+            tuple(dot(dom, w) for w in datum.weight_numerators),
+            tuple(dot(dom, a) for a in datum.central_covectors),
+            int(dot(nu, datum.two_rho)),
             c.zero_set,
         )
-        assert moved.coords == c.coords
+        assert moved.newton == nu
+        # equal coefficients over the simple coroots, after scaling by the periods
+        assert [a * c.period for a in moved.coords] == [b * period for b in c.coords]
         assert not old_leq(c, moved)
         assert not bg.leq(c, moved)
         assert not bg.leq(moved, c)

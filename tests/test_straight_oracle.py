@@ -13,6 +13,7 @@ and on every enumeration bound those corpora reach.
 
 import functools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -74,8 +75,9 @@ def _filters(datum, elements):
     for x in elements:
         c = class_invariant(x)
         bound = math.floor(c.pairing_two_rho)
-        out.setdefault((bound, c.kottwitz, c.central), (bound, c))
-    return sorted(out.values(), key=lambda e: (e[0], e[1].sort_key()))
+        central = tuple(Fraction(a, c.period) for a in c.central)
+        out.setdefault((bound, c.kottwitz, central), (bound, c))
+    return sorted(out.values(), key=lambda e: (e[0], ref.class_sort_key(e[1])))
 
 
 @pytest.mark.parametrize("spec,max_length", CORPORA)

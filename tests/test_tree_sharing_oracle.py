@@ -21,6 +21,7 @@ import types
 
 import pytest
 
+import matrix_reference as ref
 from adlvkit import bg_poset, checks, conjugacy
 from adlvkit import classifier as cl
 from adlvkit import reduction_tree as rt
@@ -109,7 +110,7 @@ def ref_is_geometric_coxeter_type(w, seeds, cap=DEFAULT_BFS_CAP):
 
 
 def _sorted_classes(summary):
-    return sorted(rt.summary_classes(summary), key=lambda c: c.sort_key())
+    return sorted(rt.summary_classes(summary), key=ref.class_sort_key)
 
 
 def ref_purity_report(w, seed, cap=DEFAULT_BFS_CAP):
@@ -123,7 +124,7 @@ def ref_purity_report(w, seed, cap=DEFAULT_BFS_CAP):
         return {"saturated": None, "interval_diff": [], "helper_checks": [],
                 "note": str(exc)}
     diff = sorted(
-        set(between).symmetric_difference(classes), key=lambda c: c.sort_key()
+        set(between).symmetric_difference(classes), key=ref.class_sort_key
     )
     helper = []
     for node, exp in tree.expansions.items():
@@ -395,7 +396,7 @@ def ref_audit_element(w, seeds, bfs_cap, results, fail, bump, _additivity=None) 
     if not geo.is_geo_cox:
         return 0
 
-    classes = sorted(key_set, key=lambda c: c.sort_key())
+    classes = sorted(key_set, key=ref.class_sort_key)
     c_min, c_max = bg_poset.extrema(classes)
     if c_min != inv:
         fail("min_class_is_own", text, f"minimum {c_min} is not the element's class")

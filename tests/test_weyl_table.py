@@ -141,7 +141,7 @@ def old_enumerate_straight(datum, max_pairing, kottwitz=None):
             continue
         if inv not in records:
             records[inv] = (inv, x, reflection_length(datum, x.finite, datum.delta))
-    return sorted(records.values(), key=lambda r: r[0].sort_key())
+    return sorted(records.values(), key=lambda r: matrix_reference.class_sort_key(r[0]))
 
 
 def old_positive_roots(simple):
