@@ -14,7 +14,8 @@ coweights, and Newton points as ``newton_point`` and
 * reduction trees with typed edges and replayable witnesses
   (`reduction_tree`),
 * the ranked poset of class invariants with chain lengths, defects and
-  straight-element enumeration (`bg_poset`),
+  class intervals (`bg_poset`), read off length-zero elements of Levi
+  subgroups (`levi`), and the straight-element enumeration,
 * Coxeter-type classification with the closed dimension and path-length
   formulas, cross-checked against tree enumeration (`classifier`),
 * corpus-wide invariant suites (`checks`) and a deterministic CLI with a

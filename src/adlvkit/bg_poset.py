@@ -16,13 +16,19 @@ whose integrality is asserted rather than assumed: the poset is ranked,
 so an odd or negative numerator means a broken convention, not bad
 input. :func:`sort_classes` owns the canonical order of classes.
 
-The defect of a class is the twisted reflection length of the classical
-part of any straight element in the class; witnesses are found by
-exhaustive enumeration of straight elements (every class here has one
-of length exactly <nu, 2 rho>; He, Ann. Math. 2014) and the
-independence of the witness choice is a tested invariant. Straightness
-is an integer test on the orbit sum of the translation (see
-:func:`conjugacy.is_straight`).
+The defect of a class and the classes of an interval are read off
+length-zero elements of Levi subgroups (:mod:`adlvkit.levi`, imported by
+:func:`defect` and :func:`interval` on first use): the defect is the
+twisted reflection length of the classical part of the class's Levi
+witness, and the interval filters the Levi class set below the upper
+class. Neither builds the finite Weyl table.
+
+The exhaustive enumeration of straight elements stays for the audit
+suites (rankedness, defect independence, corpora) and as the oracle of
+the Levi path: every class has a straight element of length exactly
+<nu, 2 rho> (He, Ann. Math. 2014), and the independence of the defect
+from the witness is a tested invariant. Straightness is an integer test
+on the orbit sum of the translation (see :func:`conjugacy.is_straight`).
 
 The enumeration of t^lambda z up to a length bound reads the datum's
 finite Weyl table, least words and inversion bitmasks without matrices,
@@ -138,19 +144,20 @@ class ClassRecord:
 
 
 def defect(c: ClassInvariant) -> int:
-    """Twisted reflection length of the classical part of a straight witness."""
+    """Twisted reflection length of the classical part of the Levi witness of c.
+
+    The Levi witness (``levi.levi_witness``) lies in the class and the
+    classical reflection length is constant on twisted conjugacy classes
+    of the extended affine Weyl group (conjugation by t^mu w sends the
+    classical part z to w z sigma(w)^-1), so this is the defect that any
+    straight witness gives.
+    """
     datum = c.datum
     cached = datum._defect_cache.get(c)
-    if cached is not None:
-        return cached
-    bound = c.pairing_two_rho
-    for record in enumerate_straight(datum, bound, kottwitz=c):
-        datum._defect_cache.setdefault(record.invariant, record.defect)
-    cached = datum._defect_cache.get(c)
     if cached is None:
-        raise InternalInvariantError(
-            f"no straight witness found for {c} within length {bound}"
-        )
+        from .levi import levi_witness
+
+        cached = datum._defect_cache[c] = classical_reflection_length(levi_witness(c))
     return cached
 
 
@@ -364,17 +371,16 @@ def enumerate_straight(
 
 
 def interval(c_lo: ClassInvariant, c_hi: ClassInvariant):
-    """All classes between c_lo and c_hi, via straight enumeration."""
+    """All classes between c_lo and c_hi, read off ``levi.levi_classes``."""
     if not leq(c_lo, c_hi):
         raise NotComparableError(f"{c_lo} is not below {c_hi}")
-    datum = c_lo.datum
-    bound = c_hi.pairing_two_rho
-    out = [
-        r.invariant
-        for r in enumerate_straight(datum, bound, kottwitz=c_lo)
-        if leq(c_lo, r.invariant) and leq(r.invariant, c_hi)
+    from .levi import levi_classes
+
+    return [
+        c
+        for c in levi_classes(c_lo.datum, c_hi.pairing_two_rho, c_lo)
+        if leq(c_lo, c) and leq(c, c_hi)
     ]
-    return sort_classes(out)
 
 
 def extrema(classes):

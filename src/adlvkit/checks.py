@@ -523,7 +523,7 @@ def _additivity_failures(datum, witness):
     if total != base + relative:
         yield f"{total} != {base} + {relative}"
     perm = classifier.twist_permutation(witness.x, witness.K)
-    orbit_count = len(classifier._orbits(perm)) if perm is not None else 0
+    orbit_count = len(conjugacy.permutation_orbits(perm)) if perm is not None else 0
     if relative != orbit_count:
         yield f"relative length {relative} != orbit count {orbit_count}"
 

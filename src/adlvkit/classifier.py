@@ -27,7 +27,6 @@ from .affine_weyl import (
     AffineElement,
     act_on_affine_root,
     format_element,
-    identity,
     length,
     multiply,
     right_by_simple,
@@ -43,6 +42,7 @@ from .conjugacy import (
     classical_reflection_length,
     is_min_len,
     is_straight,
+    permutation_orbits,
     replay_moves,
 )
 from .errors import (
@@ -104,7 +104,8 @@ def _coset_split(w: AffineElement, K):
     if len(set(K)) != len(K) or not set(K) < set(range(datum.rank + 1)):
         raise UsageError(f"index set {K} is not spherical")
     x, letters = strip_left_descents(w, K)
-    u = reduce(right_by_simple, letters, identity(datum))
+    # index 0 is the identity of the finite Weyl group
+    u = reduce(right_by_simple, letters, AffineElement(datum, (0,) * datum.n, 0))
     if multiply(u, x) != w:
         raise InternalInvariantError("coset decomposition does not recompose")
     x_len = length(x)
@@ -134,21 +135,6 @@ def twist_permutation(x: AffineElement, K):
     return perm if sorted(perm.values()) == sorted(K) else None
 
 
-def _orbits(perm: dict):
-    seen = set()
-    orbits = []
-    for start in sorted(perm):
-        orbit = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            cur = perm[cur]
-        if orbit:
-            orbits.append(frozenset(orbit))
-    return orbits
-
-
 def reduced_word_in_parabolic(u: AffineElement, K):
     """Least reduced word of u, asserting all letters lie in K."""
     cur, word = strip_left_descents(u, range(u.datum.rank + 1))
@@ -167,7 +153,7 @@ def _one_letter_per_orbit(word, perm) -> bool:
     Its length and support, which no choice of reduced word changes, are
     the number of orbits and a set meeting each orbit once.
     """
-    orbits = _orbits(perm)
+    orbits = permutation_orbits(perm)
     support = set(word)
     return len(word) == len(orbits) and all(len(support & orbit) == 1 for orbit in orbits)
 
@@ -210,8 +196,19 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
     if not is_min_len(w, cap=cap).is_min_len:
         raise NotMinLenError(f"{format_element(w)} is not of minimal length")
     members = list(ShiftClass.of(w, cap).bfs(w, range(datum.rank + 1)))
+    # Exact prune. A witness w' = u x is a shift-class member of w, so
+    # len(w') = len(w); the descents are stripped greedily, so len(w') =
+    # len(u) + len(x); x is straight, so len(x) = <nu_x, 2 rho>; x sigma
+    # normalizes the finite group W_K, so (u x sigma)^m lies in W_K
+    # (x sigma)^m and nu_x = nu_w; and a twisted Coxeter u has len(u) =
+    # #orbits <= |K|. Hence |K| >= len(w) - <nu_w, 2 rho>. The search
+    # order is by |K| first, so skipping the smaller K keeps the first
+    # witness.
+    smallest = length(w) - class_invariant(w).pairing_two_rho
     witness = None
     for K in spherical_subsets(datum):
+        if len(K) < smallest:
+            continue
         for member, shifts in members:
             dec = _coset_split(member, K)
             if dec is None:
@@ -283,7 +280,7 @@ def is_geometric_coxeter_type(trees, cap=DEFAULT_BFS_CAP):
 
 def count_orbit_classes(datum, indices) -> int:
     """Number of twist orbits on a twist-stable set of finite indices."""
-    return len(_orbits({i: datum.delta_diagram[i] for i in indices}))
+    return len(permutation_orbits({i: datum.delta_diagram[i] for i in indices}))
 
 
 def dim_formula(w: AffineElement, c: ClassInvariant):

@@ -210,6 +210,22 @@ def replay_moves(x: AffineElement, moves) -> AffineElement:
     return x
 
 
+def permutation_orbits(perm: dict):
+    """The orbits of a permutation given as a dict, as frozensets ordered by least element."""
+    seen = set()
+    orbits = []
+    for start in sorted(perm):
+        orbit = []
+        cur = start
+        while cur not in seen:
+            seen.add(cur)
+            orbit.append(cur)
+            cur = perm[cur]
+        if orbit:
+            orbits.append(frozenset(orbit))
+    return orbits
+
+
 # -- class invariants --------------------------------------------------------
 
 
@@ -364,30 +380,39 @@ def class_invariant(x: AffineElement) -> ClassInvariant:
     cached = datum._class_cache.get(x)
     if cached is None:
         period, total = _orbit_sum(x)
-        dom = datum.dominant(total)
-        if mat_vec(datum.delta, dom) != dom:
-            raise InternalInvariantError("Newton point is not twist-fixed")
-        # every class has a straight element of length <nu, 2 rho>
-        pairing = sum(abs(dot(total, beta)) for beta in datum.positive_roots)
-        two_rho, rest = divmod(pairing, period)
-        if rest:
-            raise InternalInvariantError("<nu, 2 rho> is not an integer")
-        g = math.gcd(period, *dom)
-        dom = tuple(c // g for c in dom)
-        cached = ClassInvariant(
-            datum,
-            dom,
-            period // g,
-            kottwitz_point(x),
-            tuple(dot(dom, w) for w in datum.weight_numerators),
-            tuple(dot(dom, a) for a in datum.central_covectors),
-            two_rho,
-            frozenset(
-                i for i, alpha in enumerate(datum.simple_roots, 1) if dot(dom, alpha) == 0
-            ),
-        )
+        cached = invariant_from_sum(datum, period, total, kottwitz_point(x))
         datum._class_cache[x] = cached
     return cached
+
+
+def invariant_from_sum(datum, period: int, total, kottwitz) -> ClassInvariant:
+    """The class invariant with Newton point dom(total) / period and Kottwitz point ``kottwitz``.
+
+    ``total`` is any Weyl conjugate of period * nu: an orbit sum, or a
+    Newton numerator built directly (``levi.levi_classes``).
+    """
+    dom = datum.dominant(total)
+    if mat_vec(datum.delta, dom) != dom:
+        raise InternalInvariantError("Newton point is not twist-fixed")
+    # every class has a straight element of length <nu, 2 rho>
+    pairing = sum(abs(dot(total, beta)) for beta in datum.positive_roots)
+    two_rho, rest = divmod(pairing, period)
+    if rest:
+        raise InternalInvariantError("<nu, 2 rho> is not an integer")
+    g = math.gcd(period, *dom)
+    dom = tuple(c // g for c in dom)
+    return ClassInvariant(
+        datum,
+        dom,
+        period // g,
+        kottwitz,
+        tuple(dot(dom, w) for w in datum.weight_numerators),
+        tuple(dot(dom, a) for a in datum.central_covectors),
+        two_rho,
+        frozenset(
+            i for i, alpha in enumerate(datum.simple_roots, 1) if dot(dom, alpha) == 0
+        ),
+    )
 
 
 def same_class(x: AffineElement, y: AffineElement) -> bool:

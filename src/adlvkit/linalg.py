@@ -44,6 +44,14 @@ def vec_mat(v: Vector, m: Matrix) -> Vector:
     return tuple([sum(map(mul, v, col)) for col in zip(*m)])
 
 
+def reflect_left(m: Matrix, root: Vector, coroot: Vector) -> Matrix:
+    """r m for the reflection r = 1 - coroot (x) root: the rank-one update m - coroot (root m)."""
+    rm = vec_mat(root, m)
+    return tuple(
+        tuple([a - c * b for a, b in zip(row, rm)]) if c else row for row, c in zip(m, coroot)
+    )
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = tuple(zip(*b))
     return tuple([tuple([sum(map(mul, arow, col)) for col in cols]) for arow in a])

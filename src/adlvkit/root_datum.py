@@ -51,8 +51,11 @@ several threads. They are plain dicts named ``*_cache``:
     :func:`adlvkit.affine_weyl.simple_reflection`.
 ``_length_cache``, ``_shift_class_cache``, ``_class_cache``,
 ``_move_cache``, ``_mincox_cache``, ``_defect_cache``,
-``_straight_cache``
+``_straight_cache``, ``_class_set_cache``
     per-element and per-class results of the layers above.
+``_levi_cache``
+    per connected set of simple indices, the fundamental coweights of
+    its minuscule nodes, read by :mod:`adlvkit.levi`.
 
 Each of these grows at most linearly in the elements, classes or
 bounds that calls have met; none holds pairwise products. Entries are
@@ -77,6 +80,7 @@ from .linalg import (
     identity_matrix,
     integer_inverse,
     mat_vec,
+    reflect_left,
     vec_mat,
 )
 
@@ -312,6 +316,8 @@ class RootDatum:
         self._mincox_cache = {}
         self._defect_cache = {}
         self._straight_cache = {}
+        self._levi_cache = {}
+        self._class_set_cache = {}
 
     # -- construction helpers -------------------------------------------
 
@@ -419,14 +425,7 @@ class RootDatum:
         u = self._left_cache[w][i]
         if u is None:
             alpha, coroot = self._reflection_roots[i]
-            z = self._finite_matrix_cache[w]
-            az = vec_mat(alpha, z)
-            u = self.finite_index(
-                tuple(
-                    tuple(a - c * b for a, b in zip(row, az)) if c else row
-                    for row, c in zip(z, coroot)
-                )
-            )
+            u = self.finite_index(reflect_left(self._finite_matrix_cache[w], alpha, coroot))
             self._left_cache[w][i] = u
             self._left_cache[u][i] = w
         return u
@@ -533,12 +532,7 @@ class RootDatum:
             matrices = {(): identity_matrix(self.n)}
             for word in self.weyl_words()[1:]:
                 j = word[0] - 1
-                z = matrices[word[1:]]
-                az = vec_mat(roots[j], z)
-                matrices[word] = tuple(
-                    tuple(a - c * b for a, b in zip(row, az)) if c else row
-                    for row, c in zip(z, coroots[j])
-                )
+                matrices[word] = reflect_left(matrices[word[1:]], roots[j], coroots[j])
             self._weyl_elements = tuple(matrices.values())
         return self._weyl_elements
 

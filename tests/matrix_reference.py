@@ -16,12 +16,15 @@ before it moved to integer orbit sums and a pruned translation search.
 
 The next section holds the three greedy left-descent loops, the orbit
 count and the minimal Coxeter type search as they were before
-``affine_weyl.strip_left_descents``, ``classifier._orbits`` and
+``affine_weyl.strip_left_descents``, ``conjugacy.permutation_orbits`` and
 ``classifier._coset_split`` served them.
 
-The last section is the class invariant as it was before it moved to
+The next section is the class invariant as it was before it moved to
 integers: ``Fraction`` Newton coordinates, the order and gaps read off
 them, and the sort key.
+
+The last section is ``bg_poset.interval`` as it was before it moved to
+the Levi class enumeration: a filter of ``enumerate_straight``.
 """
 
 import functools
@@ -31,9 +34,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from adlvkit import affine_weyl as aw
+from adlvkit import bg_poset as bg
 from adlvkit import classifier as cl
 from adlvkit import conjugacy as cj
-from adlvkit.errors import InternalInvariantError, NotMinLenError, UsageError
+from adlvkit.errors import (
+    InternalInvariantError,
+    NotComparableError,
+    NotMinLenError,
+    UsageError,
+)
 from adlvkit.linalg import (
     Matrix,
     as_int_matrix,
@@ -396,7 +405,7 @@ def is_twisted_coxeter(u, K, x):
     if perm is None:
         return False
     word = reduced_word_in_parabolic(u, K)
-    orbits = cl._orbits(perm)
+    orbits = cj.permutation_orbits(perm)
     if len(word) != len(orbits):
         return False
     support = set(word)
@@ -437,6 +446,27 @@ def is_minimal_coxeter_type(w, cap=cj.DEFAULT_BFS_CAP):
                 continue
             u, x, _letters = dec
             if cj.is_straight(x) and is_twisted_coxeter(u, K, x):
+                return cl.MinCoxWitness(K, x, u, shifts)
+    return None
+
+
+def unpruned_minimal_coxeter_type(w, cap=cj.DEFAULT_BFS_CAP):
+    """The shared-decomposition witness search as it ran before the exact prune.
+
+    Every spherical K is tried, including those with |K| < len(w) -
+    <nu_w, 2 rho>, which cannot carry a witness.
+    """
+    datum = w.datum
+    if not cj.is_min_len(w, cap=cap).is_min_len:
+        raise NotMinLenError(f"{aw.format_element(w)} is not of minimal length")
+    members = list(cj.ShiftClass.of(w, cap).bfs(w, range(datum.rank + 1)))
+    for K in cl.spherical_subsets(datum):
+        for member, shifts in members:
+            dec = cl._coset_split(member, K)
+            if dec is None:
+                continue
+            u, x, letters, perm = dec
+            if cj.is_straight(x) and cl._one_letter_per_orbit(letters, perm):
                 return cl.MinCoxWitness(K, x, u, shifts)
     return None
 
@@ -507,3 +537,20 @@ def fraction_gaps(c1, c2, defect1, defect2):
     rho_gap = sum(b - a for a, b in zip(c1.coords, c2.coords))
     half = Fraction(defect1 - defect2, 2)
     return rho_gap + half, rho_gap - half
+
+
+# -- the class interval by straight enumeration ------------------------------
+
+
+def straight_interval(c_lo, c_hi):
+    """All classes between c_lo and c_hi, via straight enumeration."""
+    if not bg.leq(c_lo, c_hi):
+        raise NotComparableError(f"{c_lo} is not below {c_hi}")
+    datum = c_lo.datum
+    bound = c_hi.pairing_two_rho
+    out = [
+        r.invariant
+        for r in bg.enumerate_straight(datum, bound, kottwitz=c_lo)
+        if bg.leq(c_lo, r.invariant) and bg.leq(r.invariant, c_hi)
+    ]
+    return bg.sort_classes(out)

@@ -65,6 +65,27 @@ def test_cap_exit_code(monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "datum,text",
+    [("E6:sc", "s0 s1 s2 s3 s4 s5 s6"), ("A7:gl", "s0 s1 s2 s3 s4 s5 s6 s7")],
+)
+def test_rank_six_and_seven_coxeter_classify(datum, text, monkeypatch):
+    # these exited 2 while defects came from the straight enumeration
+    monkeypatch.setattr(root_datum, "_REGISTRY", {})
+    code, out = run(["classify", "--datum", datum, text])
+    assert code == 0
+    data = json.loads(out)
+    assert data["geo_cox"] is True and data["purity"]["saturated"] is True
+
+
+def test_classify_on_a_moved_central_line_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr(root_datum, "_REGISTRY", {})
+    code, out = run(["classify", "--datum", "2A3:gl", "s1"])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert "Kottwitz filters cannot pin the central direction" in capsys.readouterr().err
+
+
 def test_tree_formats():
     code, out = run(["tree", "--datum", "A1:adj", "s0 s1 s0", "--format", "dot"])
     assert code == 0

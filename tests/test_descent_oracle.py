@@ -4,7 +4,7 @@
 stripped the smallest left descent: the one behind ``omega_element``,
 the one inside ``classifier.coset_decompose`` and the one inside
 ``classifier.reduced_word_in_parabolic``. ``classifier.count_orbit_classes``
-now counts the orbits of ``classifier._orbits`` instead of walking the
+now counts the orbits of ``conjugacy.permutation_orbits`` instead of walking the
 twist itself. ``matrix_reference`` keeps the replaced code; here the two
 are compared on every fundamental coweight coset of a range of data, on
 every element of the acceptance corpora against every spherical K, and
@@ -12,7 +12,10 @@ on every twist-stable set of finite indices. The minimal Coxeter type
 search now reads u's word and the twist permutation off the one
 decomposition of each (member, K); the old search, which decomposed and
 descended again, is compared with it on every minimal element of the
-rank-2, 2A3:sc and A3:gl corpora.
+rank-2, 2A3:sc and A3:gl corpora. The search skips every K with |K| <
+len(w) - <nu_w, 2 rho> (see ``is_minimal_coxeter_type``); the unpruned
+search is compared with it on every minimal element of the ten
+acceptance corpora.
 """
 
 import itertools
@@ -26,6 +29,8 @@ from adlvkit import classifier as cl
 from adlvkit import conjugacy as cj
 from adlvkit.errors import InternalInvariantError, UsageError
 from adlvkit.root_datum import RootDatum, build_root_datum, parse_spec
+from test_acceptance import CORPORA as ACCEPTANCE
+from test_acceptance_rank4 import CORPORA as ACCEPTANCE_RANK4
 from test_datum_oracle import DATA
 from test_finite_index_oracle import CORPORA, corpus
 
@@ -81,6 +86,18 @@ def test_minimal_coxeter_witnesses_match_the_old_search(spec, max_length):
         assert witness == ref.is_minimal_coxeter_type(w), w
         found += witness is not None
     assert found
+
+
+@pytest.mark.parametrize("spec,max_length", ACCEPTANCE + ACCEPTANCE_RANK4)
+def test_pruned_witness_search_matches_the_unpruned_one(spec, max_length):
+    datum = RootDatum(parse_spec(spec))
+    pruned = 0
+    for w in checks.corpus(datum, max_length):
+        if not cj.is_min_len(w).is_min_len:
+            continue
+        assert cl.is_minimal_coxeter_type(w) == ref.unpruned_minimal_coxeter_type(w), w
+        pruned += aw.length(w) - cj.class_invariant(w).pairing_two_rho > 0
+    assert pruned
 
 
 @pytest.mark.parametrize("spec", DATA)

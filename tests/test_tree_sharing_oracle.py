@@ -454,7 +454,7 @@ def ref_check_witness_additivity(datum, witness, text, fail, bump):
     if total != base + relative:
         fail("reflection_additivity", text, f"{total} != {base} + {relative}")
     perm = cl.twist_permutation(witness.x, witness.K)
-    orbit_count = len(cl._orbits(perm)) if perm is not None else 0
+    orbit_count = len(conjugacy.permutation_orbits(perm)) if perm is not None else 0
     if relative != orbit_count:
         fail(
             "reflection_additivity",
