@@ -23,36 +23,23 @@ twisted reflection length of the classical part of the class's Levi
 witness, and the interval filters the Levi class set below the upper
 class. Neither builds the finite Weyl table.
 
-The exhaustive enumeration of straight elements stays for the audit
-suites (rankedness, defect independence, corpora) and as the oracle of
-the Levi path: every class has a straight element of length exactly
-<nu, 2 rho> (He, Ann. Math. 2014), and the independence of the defect
-from the witness is a tested invariant. Straightness is an integer test
-on the orbit sum of the translation (see :func:`conjugacy.is_straight`).
-
-The enumeration of t^lambda z up to a length bound reads the datum's
-finite Weyl table, least words and inversion bitmasks without matrices,
-rather than the matrix length formula. Candidate translations come from
-a pruned search over the simple-root pairings: a positive root with
-coefficients c pairs to sum c_k p_k with lambda, so each pairing p_k is
-confined to the interval the roots ending at k allow, and the last one
-to the residue class that makes lambda integral. For each lambda the
-pairings p_k = <lambda, beta_k> with the positive roots are taken once;
-then len(t^lambda z) is |p| summed, corrected by -1 or +1 for each root
-in the inversion set of z (a bitmask in the table), so the whole group
-costs one popcount per element. A lambda whose lower bound over all z
-already exceeds the bound is skipped. The elements yielded are interned
-by walking their words through the datum's left table, which interns
-their suffixes on the way, and only they enter the length cache.
+:func:`iter_elements` enumerates the elements up to a length bound, the
+corpora of the audit suites, ``check`` and ``scan``, breadth-first from
+the length-zero elements; it measures no length and builds no finite
+Weyl table. :func:`enumerate_straight` keeps one straight witness per
+class from it and stays as the oracle of the Levi path: every class has
+a straight element of length exactly <nu, 2 rho> (He, Ann. Math. 2014).
+Straightness is an integer test on the orbit sum of the translation
+(see :func:`conjugacy.is_straight`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter, mul
+from operator import attrgetter
 
-from .affine_weyl import AffineElement, format_element, length, translation_pairings
+from .affine_weyl import AffineElement, format_element, left_by_simple, length
 from .conjugacy import (
     ClassInvariant,
     class_invariant,
@@ -67,7 +54,7 @@ from .errors import (
     NoUniqueExtremumError,
     UsageError,
 )
-from .linalg import identity_matrix, mat_vec
+from .linalg import mat_vec
 
 DEFAULT_ENUM_BUDGET = 10**7
 
@@ -177,101 +164,6 @@ def _central_sum(datum, c: ClassInvariant):
     return total
 
 
-def _translation_candidates(datum, bound: int, central_values, budget):
-    """Integer translations lambda with every |<lambda, beta>| <= bound + 1.
-
-    ``central_values``: for a lattice with a central line, the admissible
-    coordinate sums; must be None exactly when the root system spans.
-    The simple-root pairings p_k = <lambda, alpha_k> pin lambda (with the
-    central coordinate) through ``datum.pairing_inverse``, and are fixed
-    one coordinate at a time. A positive root with coefficients c pairs
-    to sum c_j p_j, so once p_0..p_(k-1) are fixed, every root whose
-    support ends at k bounds p_k to an interval; only p_k inside all of
-    them are tried. At the last coordinate, the p_k for which d divides
-    every coordinate of the solved lambda form one residue class modulo
-    some divisor of d, and only that class is tried. The result is a
-    superset of what any element of length <= bound allows; exact
-    length tests happen at the caller. ``budget`` caps the number of
-    tuples of the full product, checked before any search. Results are
-    not cached here: ``enumerate_straight`` caches what it builds on them.
-    """
-    b = bound + 1
-    size = (2 * b + 1) ** datum.rank
-    if datum.central_rank:
-        if central_values is None:
-            raise UsageError(
-                "enumeration over a lattice with central directions needs "
-                "a Kottwitz filter or central normalization"
-            )
-        size *= len(central_values)
-    if size > budget:
-        raise CapExceededError(budget, "translation enumeration")
-    denom, columns = datum.pairing_inverse
-    last = datum.rank - 1
-    # per coordinate k, the non-simple positive roots whose support ends
-    # at k, as (their coefficients on coordinates 0..k-1, c_k)
-    closing = [[] for _ in range(datum.rank)]
-    for c in datum.root_coefficients:
-        k = max(k for k, ck in enumerate(c) if ck)
-        if sum(c) > 1:
-            closing[k].append((c[:k], c[k]))
-    # residues of lambda's numerator modulo d -> the residues r modulo d
-    # of the last pairing that make lambda integral; they are a coset of
-    # a subgroup of Z/d, so they step by their smallest gap
-    classes = {}
-    out = []
-
-    def extend(k, pairings, num):
-        lo, hi = -b, b
-        for head, ck in closing[k]:
-            partial = sum(map(mul, head, pairings))
-            lo = max(lo, -((b + partial) // ck))
-            hi = min(hi, (b - partial) // ck)
-        column = columns[k]
-        if k < last:
-            for p in range(lo, hi + 1):
-                extend(k + 1, pairings + (p,), tuple(a + p * x for a, x in zip(num, column)))
-            return
-        residue = tuple(a % denom for a in num)
-        fits = classes.get(residue)
-        if fits is None:
-            fits = classes[residue] = [
-                r for r in range(denom)
-                if not any((a + r * x) % denom for a, x in zip(residue, column))
-            ]
-        if not fits:
-            return
-        step = fits[1] - fits[0] if len(fits) > 1 else denom
-        for p in range(lo + (fits[0] - lo) % step, hi + 1, step):
-            out.append(tuple((a + p * x) // denom for a, x in zip(num, column)))
-
-    if datum.central_rank:
-        for value in central_values:
-            extend(0, (), tuple(value * x for x in columns[last + 1]))
-    else:
-        extend(0, (), (0,) * datum.n)
-    out.sort()
-    return tuple(out)
-
-
-def _translation_lengths(datum, lam, max_length=None):
-    """The lengths of t^lam z for z in ``datum.weyl_words()``, in order.
-
-    By the length formula of :func:`affine_weyl.translation_pairings`,
-    len(t^lam z) = base + len(z) - 2 |N(z) & up| for the inversion set
-    N(z) of the datum's Weyl table. Returns None, without scanning the
-    group, when the lower bound base - |up| already exceeds
-    ``max_length``.
-    """
-    base, up = translation_pairings(datum, lam)
-    if max_length is not None and base - up.bit_count() > max_length:
-        return None
-    return [
-        base + inv.bit_count() - 2 * (inv & up).bit_count()
-        for inv in datum.weyl_inversions()
-    ]
-
-
 def iter_elements(
     datum,
     max_length: int,
@@ -279,45 +171,76 @@ def iter_elements(
     normalize_central: bool = False,
     budget: int = DEFAULT_ENUM_BUDGET,
 ):
-    """All elements of length <= max_length, in a deterministic order.
+    """All elements of length <= max_length, sorted by (lambda, len(z), word of z).
 
     For lattices with a central line (the gl preset) the set is infinite
     unless either a class invariant pins the central coordinate sum
     (``kottwitz``) or representatives are normalized modulo central
     translations (``normalize_central``), which keeps the coordinate sum
     in 0..n-1.
+
+    Breadth-first from the length-zero elements: len(x tau) = len(x) for
+    tau of length zero, so the elements of length k in the coset of tau
+    are the ball of radius k around tau in the Cayley graph of the affine
+    simple reflections. The start set is t^lambda w_(0,S-ones) w_(0,S)
+    over S = all simple nodes (``levi._levi_element``), one per integral
+    pattern whose Kottwitz point and central sum pass the filter; the
+    Kottwitz point and the central sum are constant on the coset.
+    Level k+1 is every s_i y with y in level k that is not in level k-1:
+    s_i y has length k - 1 or k + 1, and every element of length k + 1
+    has a left descent. ``budget`` caps the number of elements; the cap
+    error names the length reached. Only the yielded elements enter the
+    length cache.
     """
-    central_values = None
-    if datum.central_rank:
-        if kottwitz is not None:
-            central_values = [_central_sum(datum, kottwitz)]
-        elif normalize_central:
-            central_values = list(range(datum.n))
-    translations = _translation_candidates(datum, max_length, central_values, budget)
-    kappa_key = kottwitz.kottwitz if kottwitz is not None else None
-    words = datum.weyl_words()
-    # finite indices of the table's elements, interned when first yielded
-    # by walking the word through the left table from the identity
-    indices = [None] * len(words)
-    indices[0] = datum.finite_index(identity_matrix(datum.n))
+    from .levi import _levi, _levi_element, _levi_translations
+
+    if not datum.central_rank:
+        central_values = [None]
+    elif kottwitz is not None:
+        central_values = [_central_sum(datum, kottwitz)]
+    elif normalize_central:
+        central_values = range(datum.n)
+    else:
+        raise UsageError(
+            "enumeration over a lattice with central directions needs "
+            "a Kottwitz filter or central normalization"
+        )
+    nodes = frozenset(range(1, datum.rank + 1))
+    _orbits, patterns = _levi(datum, nodes)
+    start = [
+        _levi_element(datum, nodes, ones, lam)
+        for ones, _scale, _excess in patterns
+        for central in central_values
+        for lam in _levi_translations(datum, ones, (), (), central)
+        if kottwitz is None or datum.kottwitz_quotient.key(lam) == kottwitz.kottwitz
+    ]
+    if len(start) > budget:
+        raise CapExceededError(budget, "corpus enumeration at length 0")
+    total = len(start)
+    levels = [set(start)]
+    for k in range(max_length):
+        below = levels[k - 1] if k else set()
+        above = set()
+        for y in levels[k]:
+            for i in range(datum.rank + 1):
+                x = left_by_simple(y, i)
+                if x not in below and x not in above:
+                    total += 1
+                    if total > budget:
+                        raise CapExceededError(budget, f"corpus enumeration at length {k + 1}")
+                    above.add(x)
+        levels.append(above)
+
+    def order(entry):
+        word = datum.finite_word(entry[0].finite_index)
+        return entry[0].translation, len(word), word
+
     length_cache = datum._length_cache
-    for lam in translations:
-        if kappa_key is not None and datum.kottwitz_quotient.key(lam) != kappa_key:
-            continue
-        lengths = _translation_lengths(datum, lam, max_length)
-        if lengths is None:
-            continue
-        for k, ell in enumerate(lengths):
-            if ell <= max_length:
-                w = indices[k]
-                if w is None:
-                    w = indices[0]
-                    for i in reversed(words[k]):
-                        w = datum.finite_left(w, i)
-                    indices[k] = w
-                x = AffineElement(datum, lam, w)
-                length_cache[x] = ell
-                yield x
+    for x, k in sorted(
+        ((x, k) for k, level in enumerate(levels[: max_length + 1]) for x in level), key=order
+    ):
+        length_cache[x] = k
+        yield x
 
 
 def enumerate_straight(

@@ -157,8 +157,10 @@ def audit(
     bump("integrality", len(elements))
 
     _audit_length_properties(datum, elements, results, fail, bump)
-    _audit_rankedness(datum, max_length, fail, bump)
-    _audit_defect_independence(datum, max_length, enum_budget, fail, bump)
+    bound = min(max_length, 4)
+    straight = [x for x in elements if length(x) <= bound and is_straight(x)]
+    _audit_rankedness(datum, straight, fail, bump)
+    _audit_defect_independence(datum, straight, fail, bump)
 
     return AuditReport(
         datum_string=datum.spec.datum_string(),
@@ -205,9 +207,11 @@ def _audit_datum(datum, results, fail, bump):
     if not datum.is_dominant(mat_vec(delta, dom)):
         fail(name, tag, "twist does not preserve dominance")
     bump(name)
-    # positive root count equals the length of the longest element
-    # weyl_words() is sorted by length: w0's word comes last
-    if len(datum.weyl_words()[-1]) != len(datum.positive_roots):
+    # positive root count equals the length of the longest element, read
+    # off its greedy ascent word without tabulating the group
+    from .levi import _longest_word
+
+    if len(_longest_word(datum, range(1, datum.rank + 1))) != len(datum.positive_roots):
         fail(name, tag, "positive root count differs from len(w0)")
     bump(name)
     if not datum.is_dominant(datum.theta_coroot):
@@ -248,16 +252,18 @@ def _audit_length_properties(datum, elements, results, fail, bump):
             bump(name)
 
 
-def _audit_rankedness(datum, max_length, fail, bump):
+def _audit_rankedness(datum, straight, fail, bump):
+    """Chain lengths add up over the classes of the corpus's straight elements.
+
+    On a central line only the classes at the identity's Kottwitz point
+    are compared.
+    """
     name = "rankedness"
-    try:
-        records = bg_poset.enumerate_straight(
-            datum, min(max_length, 4), kottwitz=None
-        )
-    except UsageError:
-        trivial = class_invariant(identity(datum))
-        records = bg_poset.enumerate_straight(datum, min(max_length, 4), kottwitz=trivial)
-    classes = [r.invariant for r in records]
+    classes = {class_invariant(x) for x in straight}
+    if datum.central_rank:
+        trivial = class_invariant(identity(datum)).kottwitz
+        classes = {c for c in classes if c.kottwitz == trivial}
+    classes = bg_poset.sort_classes(classes)
     for a in classes:
         for b in classes:
             if not bg_poset.leq(a, b):
@@ -274,19 +280,11 @@ def _audit_rankedness(datum, max_length, fail, bump):
                     bump(name, 2)
 
 
-def _audit_defect_independence(datum, max_length, budget, fail, bump):
+def _audit_defect_independence(datum, straight, fail, bump):
     name = "defect_witness_independence"
-    bound = min(max_length, 4)
     per_class = {}
-    try:
-        elements = bg_poset.iter_elements(
-            datum, bound, normalize_central=bool(datum.central_rank), budget=budget
-        )
-        for x in elements:
-            if is_straight(x):
-                per_class.setdefault(class_invariant(x), []).append(x)
-    except UsageError:
-        return
+    for x in straight:
+        per_class.setdefault(class_invariant(x), []).append(x)
     for cls, witnesses in per_class.items():
         values = {conjugacy.classical_reflection_length(x) for x in witnesses}
         if len(values) != 1:

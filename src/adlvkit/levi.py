@@ -20,9 +20,11 @@ class's Kottwitz point and builds the element; ``bg_poset.defect`` is
 its classical reflection length. :func:`levi_classes` runs the choices
 over every twist-stable J and every orbit total up to a bound and reads
 Newton and Kottwitz points off them without building z;
-``bg_poset.interval`` filters its result. Neither builds the finite Weyl
-table. ``bg_poset`` imports this module on first use, so importing the
-package does not compile it.
+``bg_poset.interval`` filters its result. With J = all simple nodes the
+elements are the length-zero elements of W~, where
+``bg_poset.iter_elements`` starts its breadth-first search. None of
+these builds the finite Weyl table. ``bg_poset`` imports this module on
+first use, so importing the package does not compile it.
 """
 
 from __future__ import annotations

@@ -59,9 +59,9 @@ several threads. They are plain dicts named ``*_cache``:
 
 Each of these grows at most linearly in the elements, classes or
 bounds that calls have met; none holds pairwise products. Entries are
-never removed. ``weyl_words()``, ``weyl_inversions()`` and
-``weyl_elements()`` fill their own tables, not these, and intern
-nothing.
+never removed. ``weyl_words()`` and ``weyl_elements()`` fill their own
+tables, not these, and intern nothing; nothing else in the package
+calls them.
 """
 
 from __future__ import annotations
@@ -307,7 +307,6 @@ class RootDatum:
         self._reflection_length_cache = {}
         self._simple_cache = {}
         self._weyl_words = None
-        self._weyl_inversions = None
         self._weyl_elements = None
         self._length_cache = {}
         self._shift_class_cache = {}
@@ -510,16 +509,6 @@ class RootDatum:
             self._build_weyl_table()
         return self._weyl_words
 
-    def weyl_inversions(self):
-        """Inversion sets aligned with :meth:`weyl_words`, as bitmasks.
-
-        Bit k of the mask of z is set when z^(-1) maps the k-th positive
-        root to a negative root; len(z) bits are set.
-        """
-        if self._weyl_inversions is None:
-            self._build_weyl_table()
-        return self._weyl_inversions
-
     def weyl_elements(self):
         """The lattice matrices aligned with :meth:`weyl_words`.
 
@@ -540,13 +529,10 @@ class RootDatum:
         """Breadth-first search over the Weyl orbit of rho^.
 
         z is tracked by the pairings v_k = <z(rho^), alpha_k>, which
-        determine it because rho^ is regular (the probe is a positive
-        multiple of rho^, so the signs below are the probe's). The left
-        descents of z are the k with v_k < 0, so its least reduced word
-        is (j,) + word(s_j z) for the smallest such j, and its inversion
-        set is the positive roots beta = sum c_k alpha_k with
-        sum c_k v_k < 0. A step s_i changes v by -v_i times row i of the
-        Cartan matrix. No matrix is built.
+        determine it because rho^ is regular. The left descents of z are
+        the k with v_k < 0, so its least reduced word is (j,) + word(s_j z)
+        for the smallest such j. A step s_i changes v by -v_i times row i
+        of the Cartan matrix. No matrix is built.
         """
         cartan_rows = self.cartan_matrix
 
@@ -571,32 +557,7 @@ class RootDatum:
                     table[u] = (j + 1,) + table[v if j == i else reflect(u, j)]
                     nxt.append(u)
             level = nxt
-        entries = sorted(table.items(), key=lambda e: (len(e[1]), e[1]))
-        # every positive root beyond the simple ones is beta' + alpha_i for an
-        # earlier positive root beta', so its pairing is one addition
-        index = {c: k for k, c in enumerate(self.root_coefficients)}
-        steps = []
-        for k, c in enumerate(self.root_coefficients):
-            if sum(c) == 1:
-                steps.append((k, None, c.index(1)))
-                continue
-            for i in range(self.rank):
-                rest = c[:i] + (c[i] - 1,) + c[i + 1:]
-                if c[i] and rest in index:
-                    steps.append((k, index[rest], i))
-                    break
-        inversions = []
-        pairings = [0] * len(steps)
-        for v, _word in entries:
-            mask = 0
-            for k, prev, i in steps:
-                p = v[i] if prev is None else pairings[prev] + v[i]
-                pairings[k] = p
-                if p < 0:
-                    mask |= 1 << k
-            inversions.append(mask)
-        self._weyl_words = tuple(word for _v, word in entries)
-        self._weyl_inversions = tuple(inversions)
+        self._weyl_words = tuple(sorted(table.values(), key=lambda word: (len(word), word)))
 
     # ---------------------------------------------------------------------
 

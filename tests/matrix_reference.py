@@ -14,6 +14,11 @@ compare the package's table-driven operations with them.
 The next section is the straight-element enumeration as it was computed
 before it moved to integer orbit sums and a pruned translation search.
 
+The next section is the table path of the enumeration: the pruned
+translation search and the lengths read off the Weyl table's inversion
+masks, as ``bg_poset.iter_elements`` ran them before it became a
+breadth-first search from the length-zero elements.
+
 The next section holds the three greedy left-descent loops, the orbit
 count and the minimal Coxeter type search as they were before
 ``affine_weyl.strip_left_descents``, ``conjugacy.permutation_orbits`` and
@@ -330,6 +335,154 @@ def iter_elements(datum, max_length, central_values=None, kottwitz_key=None):
         for z, inv in zip(matrices, masks):
             if base + inv.bit_count() - 2 * (inv & up).bit_count() <= max_length:
                 yield aw.AffineElement(datum, lam, datum.finite_index(z))
+
+
+# -- the table path of the enumeration ----------------------------------------
+#
+# ``bg_poset.iter_elements`` as it was before it became a breadth-first
+# search from the length-zero elements: candidate translations from a
+# search over the simple-root pairings, pruned coordinate by coordinate,
+# and the lengths of t^lambda z for the whole finite Weyl group read off
+# the inversion masks of the datum's table, one popcount per element.
+
+
+@functools.lru_cache(maxsize=None)
+def table_words_and_masks(datum):
+    """``datum.weyl_words()`` with the inversion mask of each word.
+
+    Bit k is set when z^(-1) sends the k-th positive root to a negative
+    root: with v = the pairings of z(rho^) with the simple roots, the
+    positive root beta = sum c_k alpha_k is inverted when sum c_k v_k < 0.
+    """
+    cartan_rows = datum.cartan_matrix
+
+    def reflect(v, i):
+        p = v[i]
+        return tuple(a - p * b for a, b in zip(v, cartan_rows[i]))
+
+    start = (1,) * datum.rank
+    table = {start: ()}
+    level = [start]
+    while level:
+        nxt = []
+        for v in level:
+            for i, p in enumerate(v):
+                if p < 0:
+                    continue
+                u = reflect(v, i)
+                if u in table:
+                    continue
+                j = next(k for k, q in enumerate(u) if q < 0)
+                table[u] = (j + 1,) + table[v if j == i else reflect(u, j)]
+                nxt.append(u)
+        level = nxt
+    entries = sorted(table.items(), key=lambda e: (len(e[1]), e[1]))
+    masks = tuple(
+        sum(
+            1 << k
+            for k, c in enumerate(datum.root_coefficients)
+            if sum(a * b for a, b in zip(c, v)) < 0
+        )
+        for v, _word in entries
+    )
+    return tuple(word for _v, word in entries), masks
+
+
+def pruned_translation_candidates(datum, bound, central_values):
+    """Integer translations lambda with every |<lambda, beta>| <= bound + 1.
+
+    The simple-root pairings p_k pin lambda (with the central coordinate
+    on a central line) through ``datum.pairing_inverse`` and are fixed
+    one coordinate at a time: every positive root whose support ends at k
+    bounds p_k to an interval, and the last pairing runs over the residue
+    class that makes lambda integral.
+    """
+    b = bound + 1
+    denom, columns = datum.pairing_inverse
+    last = datum.rank - 1
+    # per coordinate k, the non-simple positive roots whose support ends
+    # at k, as (their coefficients on coordinates 0..k-1, c_k)
+    closing = [[] for _ in range(datum.rank)]
+    for c in datum.root_coefficients:
+        k = max(k for k, ck in enumerate(c) if ck)
+        if sum(c) > 1:
+            closing[k].append((c[:k], c[k]))
+    classes = {}
+    out = []
+
+    def extend(k, pairings, num):
+        lo, hi = -b, b
+        for head, ck in closing[k]:
+            partial = sum(a * p for a, p in zip(head, pairings))
+            lo = max(lo, -((b + partial) // ck))
+            hi = min(hi, (b - partial) // ck)
+        column = columns[k]
+        if k < last:
+            for p in range(lo, hi + 1):
+                extend(k + 1, pairings + (p,), tuple(a + p * x for a, x in zip(num, column)))
+            return
+        residue = tuple(a % denom for a in num)
+        fits = classes.get(residue)
+        if fits is None:
+            fits = classes[residue] = [
+                r for r in range(denom)
+                if not any((a + r * x) % denom for a, x in zip(residue, column))
+            ]
+        if not fits:
+            return
+        step = fits[1] - fits[0] if len(fits) > 1 else denom
+        for p in range(lo + (fits[0] - lo) % step, hi + 1, step):
+            out.append(tuple((a + p * x) // denom for a, x in zip(num, column)))
+
+    if datum.central_rank:
+        for value in central_values:
+            extend(0, (), tuple(value * x for x in columns[last + 1]))
+    else:
+        extend(0, (), (0,) * datum.n)
+    return sorted(out)
+
+
+def table_translation_lengths(datum, lam, max_length=None):
+    """The lengths of t^lam z over the table, or None when all exceed max_length.
+
+    len(t^lam z) = base + len(z) - 2 |N(z) & up| for the inversion mask
+    N(z), with (base, up) from ``affine_weyl.translation_pairings``; the
+    group is skipped when the lower bound base - |up| exceeds the bound.
+    """
+    base, up = aw.translation_pairings(datum, lam)
+    if max_length is not None and base - up.bit_count() > max_length:
+        return None
+    return [
+        base + inv.bit_count() - 2 * (inv & up).bit_count()
+        for inv in table_words_and_masks(datum)[1]
+    ]
+
+
+def table_iter_elements(datum, max_length, kottwitz=None, normalize_central=False):
+    """The old ``bg_poset.iter_elements``: sorted by (lambda, len(z), word of z)."""
+    central_values = None
+    if datum.central_rank:
+        if kottwitz is not None:
+            central_values = [bg._central_sum(datum, kottwitz)]
+        elif normalize_central:
+            central_values = list(range(datum.n))
+        else:
+            raise UsageError("a central line needs a Kottwitz filter or normalization")
+    kappa_key = kottwitz.kottwitz if kottwitz is not None else None
+    words = table_words_and_masks(datum)[0]
+    identity_index = datum.finite_index(identity_matrix(datum.n))
+    for lam in pruned_translation_candidates(datum, max_length, central_values):
+        if kappa_key is not None and datum.kottwitz_quotient.key(lam) != kappa_key:
+            continue
+        lengths = table_translation_lengths(datum, lam, max_length)
+        if lengths is None:
+            continue
+        for word, ell in zip(words, lengths):
+            if ell <= max_length:
+                w = identity_index
+                for i in reversed(word):
+                    w = datum.finite_left(w, i)
+                yield aw.AffineElement(datum, lam, w)
 
 
 # -- greedy descents and twist orbits, one copy per caller ------------------

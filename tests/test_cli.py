@@ -255,7 +255,20 @@ def test_cap_enum_bounds_the_scan_corpus(capsys):
     code, out = run(["scan", "--datum", "A2:adj", "--max-length", "2", "--cap-enum", "5"])
     assert code == 2
     assert out == ""
-    assert "translation enumeration" in capsys.readouterr().err
+    assert "corpus enumeration" in capsys.readouterr().err
+
+
+def test_cap_enum_counts_the_corpus_elements(capsys):
+    # A2:adj has 1 + 3 + 6 = 10 elements of length at most 2
+    argv = ["scan", "--datum", "A2:adj", "--max-length", "2", "--jobs", "1", "--cap-enum"]
+    code, out = run(argv + ["10"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 10
+    capsys.readouterr()
+    code, out = run(argv + ["9"])
+    assert code == 2
+    assert out == ""
+    assert "corpus enumeration at length 2 exceeded the configured cap of 9" in capsys.readouterr().err
 
 
 def test_scan_length_zero_all_geo():

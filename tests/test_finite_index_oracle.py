@@ -76,14 +76,13 @@ def test_finite_words_spell_their_elements():
     # the identity is index 0 although the longest element is met first
     datum = RootDatum(parse_spec("2A3:sc"))
     elements = datum.weyl_elements()
-    masks = datum.weyl_inversions()
-    for z, mask in reversed(list(zip(elements, masks))):
+    for z in reversed(elements):
         word = datum.weyl_word(z)
         product = ref.identity(datum)
         for i in word:
             product = ref.multiply(datum, product, ref.simple_reflection(datum, i))
         assert product[1] == z
-        assert len(word) == mask.bit_count()
+        assert len(word) == datum._inversion_cache[datum.finite_index(z)].bit_count()
     assert datum._finite_matrix_cache[0] == ref.identity(datum)[1]
     assert sorted(datum._finite_index_cache.values()) == list(range(len(elements)))
 

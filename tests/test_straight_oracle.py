@@ -22,6 +22,7 @@ from adlvkit import affine_weyl as aw
 from adlvkit import bg_poset as bg
 from adlvkit import checks
 from adlvkit.conjugacy import class_invariant, is_straight, newton_point
+from adlvkit.errors import UsageError
 from adlvkit.linalg import dot
 from adlvkit.root_datum import RootDatum, parse_spec
 
@@ -91,8 +92,8 @@ def test_enumerations_match_the_full_product(spec, max_length):
         for bound, c in _filters(datum, elements)
     ]
     for bound, c, central in calls:
-        got = bg._translation_candidates(datum, bound, central, bg.DEFAULT_ENUM_BUDGET)
-        assert list(got) == ref.translation_candidates(oracle, bound, central), bound
+        got = ref.pruned_translation_candidates(datum, bound, central)
+        assert got == ref.translation_candidates(oracle, bound, central), bound
         got = [
             aw.format_element(x)
             for x in bg.iter_elements(
@@ -113,7 +114,7 @@ def test_weyl_table_matches_the_matrix_search(spec):
     datum, oracle = fresh(spec), fresh(spec)
     matrices, words, masks = ref.weyl_table(oracle)
     assert datum.weyl_words() == words
-    assert datum.weyl_inversions() == masks
+    assert ref.table_words_and_masks(datum) == (words, masks)
     assert datum.weyl_elements() == matrices
 
 
@@ -125,3 +126,64 @@ def test_weyl_elements_leave_the_caches_empty(spec):
     caches = {k: v for k, v in vars(datum).items() if k.endswith("_cache")}
     assert caches
     assert [k for k, v in caches.items() if v and k != "_word_cache"] == []
+
+
+# the acceptance and rank-3/4 corpora, and two larger data at small bounds
+BFS_DATA = CORPORA[:-1] + (("D4:sc", 3), ("E6:sc", 2))
+
+
+def _every_filter(datum):
+    """No filter, and the class of each length-zero element tau_k that exists.
+
+    On a central line tau_0, ..., tau_(n-1) pin every central sum 0..n-1;
+    on the other lattices they give every Kottwitz point.
+    """
+    limit = datum.n if datum.central_rank else datum.rank + 1
+    out = [None]
+    for k in range(limit):
+        try:
+            out.append(class_invariant(aw.omega_element(datum, k)))
+        except UsageError:
+            pass  # the k-th fundamental coweight is not in the lattice
+    return out
+
+
+@pytest.mark.parametrize("spec,max_length", BFS_DATA)
+def test_breadth_first_search_matches_the_table_path(spec, max_length):
+    datum, oracle = fresh(spec), fresh(spec)
+    normalize = bool(datum.central_rank)
+    for c, c_ref in zip(_every_filter(datum), _every_filter(oracle)):
+        got = [
+            (aw.format_element(x), aw.length(x))
+            for x in bg.iter_elements(datum, max_length, kottwitz=c, normalize_central=normalize)
+        ]
+        want = [
+            (aw.format_element(x), aw.length(x))
+            for x in ref.table_iter_elements(
+                oracle, max_length, kottwitz=c_ref, normalize_central=normalize
+            )
+        ]
+        assert got == want, c
+
+
+@pytest.mark.parametrize("spec,max_length", [("A3:gl", 6), ("2A3:sc", 6), ("C3:sc", 6), ("3D4:sc", 4)])
+def test_rankedness_compares_the_classes_of_enumerate_straight(spec, max_length, monkeypatch):
+    """The audit's straight corpus elements of length <= 4 give the classes
+    the rankedness suite used to enumerate: every class on a spanning
+    lattice, the identity's Kottwitz point on a central line."""
+    datum, elements = corpus(spec, max_length)
+    bound = min(max_length, 4)
+    straight = [x for x in elements if aw.length(x) <= bound and is_straight(x)]
+    compared = []
+    sort_classes = bg.sort_classes
+
+    def spy(items, key=None):
+        compared.append(set(items))
+        return sort_classes(items, key)
+
+    monkeypatch.setattr(bg, "sort_classes", spy)
+    checks._audit_rankedness(datum, straight, pytest.fail, lambda *_args: None)
+    monkeypatch.undo()
+    trivial = class_invariant(aw.identity(datum)) if datum.central_rank else None
+    records = bg.enumerate_straight(datum, bound, kottwitz=trivial)
+    assert compared == [{r.invariant for r in records}]

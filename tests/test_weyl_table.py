@@ -1,12 +1,13 @@
 """Differential tests for the per-datum finite Weyl table.
 
-The table (``RootDatum.weyl_elements`` / ``weyl_inversions``) replaced a
-matrix breadth-first search sorted by words stripped one matrix descent
-at a time; ``bg_poset.iter_elements`` now takes lengths from inversion
-sets instead of the matrix ``length``, and ``_translation_candidates``
-solves the pairing system in integers instead of over ``Fraction``. The
-old code paths are kept here as references and compared on fresh data,
-so that no cache is shared between the two sides.
+The table (``RootDatum.weyl_elements``) replaced a matrix breadth-first
+search sorted by words stripped one matrix descent at a time. The table
+path of the enumeration in ``matrix_reference`` (lengths from inversion
+masks, a pruned translation search solved in integers) replaced the
+matrix ``length`` and the ``Fraction`` pairing system kept here, and
+``bg_poset.iter_elements`` is now a breadth-first search from the
+length-zero elements. The old code paths are compared on fresh data, so
+that no cache is shared between the two sides.
 """
 
 import itertools
@@ -198,7 +199,9 @@ def test_weyl_table_matches_matrix_search(spec):
     assert [new.weyl_word(z) for z in elements] == [
         old_weyl_word(old, z) for z in reference
     ]
-    for z, mask in zip(elements, new.weyl_inversions()):
+    words, masks = matrix_reference.table_words_and_masks(new)
+    assert words == new.weyl_words()
+    for z, mask in zip(elements, masks):
         expected = sum(
             1 << k
             for k, beta in enumerate(new.positive_roots)
@@ -233,16 +236,16 @@ def test_table_lengths_match_length_on_every_candidate(spec):
     datum, oracle = fresh(spec), fresh(spec)
     bound = 3
     central = _central_values(datum)
-    candidates = bg._translation_candidates(datum, bound, central, bg.DEFAULT_ENUM_BUDGET)
-    assert list(candidates) == old_translation_candidates(oracle, bound, central)
+    candidates = matrix_reference.pruned_translation_candidates(datum, bound, central)
+    assert candidates == old_translation_candidates(oracle, bound, central)
     skipped = 0
     for lam in candidates:
-        lengths = bg._translation_lengths(datum, lam)
+        lengths = matrix_reference.table_translation_lengths(datum, lam)
         expected = [
             matrix_reference.length(oracle, (lam, z)) for z in oracle.weyl_elements()
         ]
         assert lengths == expected, lam
-        if bg._translation_lengths(datum, lam, bound) is None:
+        if matrix_reference.table_translation_lengths(datum, lam, bound) is None:
             skipped += 1
             assert min(expected) > bound, lam
     assert skipped  # the lower bound does prune at this bound
