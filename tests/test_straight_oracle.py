@@ -128,8 +128,8 @@ def test_weyl_elements_leave_the_caches_empty(spec):
     assert [k for k, v in caches.items() if v and k != "_word_cache"] == []
 
 
-# the acceptance and rank-3/4 corpora, and two larger data at small bounds
-BFS_DATA = CORPORA[:-1] + (("D4:sc", 3), ("E6:sc", 2))
+# the corpora above, and two larger data at small bounds
+BFS_DATA = CORPORA + (("D4:sc", 3), ("E6:sc", 2))
 
 
 def _every_filter(datum):
