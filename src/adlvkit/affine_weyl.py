@@ -397,7 +397,7 @@ def format_element(x: AffineElement) -> str:
 
 # ASCII digits only: str.isdigit() also accepts '²', and int() reads '١'
 # as 1 and '1_0' as 10
-_DIGITS = re.compile("[0-9]+")
+ASCII_DIGITS = re.compile("[0-9]+")
 _INTEGER = re.compile("[-+]?[0-9]+")
 
 
@@ -408,14 +408,14 @@ def parse_element(datum: RootDatum, text: str) -> AffineElement:
     """
     result = identity(datum)
     for pos, token in enumerate(text.split()):
-        if token.startswith("s") and _DIGITS.fullmatch(token[1:]):
+        if token.startswith("s") and ASCII_DIGITS.fullmatch(token[1:]):
             i = int(token[1:])
             if i > datum.rank:
                 raise ElementParseError(
                     text, pos, f"generator index {i} exceeds rank {datum.rank}"
                 )
             factor = simple_reflection(datum, i)
-        elif token.startswith("tau") and _DIGITS.fullmatch(token[3:]):
+        elif token.startswith("tau") and ASCII_DIGITS.fullmatch(token[3:]):
             try:
                 factor = omega_element(datum, int(token[3:]))
             except UsageError as exc:

@@ -54,7 +54,6 @@ from .errors import (
     NoUniqueExtremumError,
     UsageError,
 )
-from .linalg import mat_vec
 
 DEFAULT_ENUM_BUDGET = 10**7
 
@@ -151,68 +150,43 @@ def defect(c: ClassInvariant) -> int:
 # -- element enumeration -----------------------------------------------------
 
 
-def _central_sum(datum, c: ClassInvariant):
-    """The forced coordinate sum of translations in the class c (gl only)."""
-    if mat_vec(datum.delta, datum.central_vector) != datum.central_vector:
-        raise UsageError(
-            "Kottwitz filters cannot pin the central direction when the "
-            "twist moves it; pass normalize_central instead"
-        )
-    total, rest = divmod(sum(c.dom), c.period)
-    if rest:
-        raise InternalInvariantError("central part of a Newton point is fractional")
-    return total
-
-
 def iter_elements(
     datum,
     max_length: int,
     kottwitz=None,
-    normalize_central: bool = False,
     budget: int = DEFAULT_ENUM_BUDGET,
 ):
     """All elements of length <= max_length, sorted by (lambda, len(z), word of z).
 
-    For lattices with a central line (the gl preset) the set is infinite
-    unless either a class invariant pins the central coordinate sum
-    (``kottwitz``) or representatives are normalized modulo central
-    translations (``normalize_central``), which keeps the coordinate sum
-    in 0..n-1.
+    For lattices with a central line (the gl preset) the set is infinite,
+    so the central coordinate sum is pinned: to that of the class
+    ``kottwitz`` when it is given, and otherwise to 0..n-1, one
+    representative modulo central translations.
 
     Breadth-first from the length-zero elements: len(x tau) = len(x) for
     tau of length zero, so the elements of length k in the coset of tau
     are the ball of radius k around tau in the Cayley graph of the affine
-    simple reflections. The start set is t^lambda w_(0,S-ones) w_(0,S)
-    over S = all simple nodes (``levi._levi_element``), one per integral
-    pattern whose Kottwitz point and central sum pass the filter; the
-    Kottwitz point and the central sum are constant on the coset.
+    simple reflections. The start set is the elements of
+    ``levi.length_zero_elements`` whose Kottwitz point and central sum
+    pass the filter; both are constant on the coset.
     Level k+1 is every s_i y with y in level k that is not in level k-1:
     s_i y has length k - 1 or k + 1, and every element of length k + 1
     has a left descent. ``budget`` caps the number of elements; the cap
     error names the length reached. Only the yielded elements enter the
     length cache.
     """
-    from .levi import _levi, _levi_element, _levi_translations
+    from .levi import length_zero_elements
 
     if not datum.central_rank:
         central_values = [None]
     elif kottwitz is not None:
-        central_values = [_central_sum(datum, kottwitz)]
-    elif normalize_central:
-        central_values = range(datum.n)
+        central_values = [kottwitz.central_sum]
     else:
-        raise UsageError(
-            "enumeration over a lattice with central directions needs "
-            "a Kottwitz filter or central normalization"
-        )
-    nodes = frozenset(range(1, datum.rank + 1))
-    _orbits, patterns = _levi(datum, nodes)
+        central_values = range(datum.n)
     start = [
-        _levi_element(datum, nodes, ones, lam)
-        for ones, _scale, _excess in patterns
-        for central in central_values
-        for lam in _levi_translations(datum, ones, (), (), central)
-        if kottwitz is None or datum.kottwitz_quotient.key(lam) == kottwitz.kottwitz
+        x
+        for x in length_zero_elements(datum, central_values)
+        if kottwitz is None or datum.kottwitz_quotient.key(x.translation) == kottwitz.kottwitz
     ]
     if len(start) > budget:
         raise CapExceededError(budget, "corpus enumeration at length 0")
@@ -265,7 +239,7 @@ def enumerate_straight(
     if kottwitz is None:
         key = (bound, None, None)
     else:
-        central = _central_sum(datum, kottwitz) if datum.central_rank else None
+        central = kottwitz.central_sum if datum.central_rank else None
         key = (bound, kottwitz.kottwitz, central)
     cached = datum._straight_cache.get(key)
     if cached is not None:

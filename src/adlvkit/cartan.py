@@ -1,16 +1,16 @@
 """Finite root systems in fixed Euclidean realizations.
 
 Simple roots follow the Bourbaki numbering for every family, realized as
-rational vectors in an ambient space with the standard inner product.
-The coroot of a root a is 2a/(a,a) under the same identification. These
-realizations are what make element syntax and test values reproducible
-bit for bit.
+integer vectors in an ambient space with the standard inner product:
+the Bourbaki vectors, doubled for E and F4, whose roots have half-integer
+coordinates. One positive factor on every simple root changes no Cartan
+integer and no order of ambient coordinates. The coroot of a root a is
+2a/(a,a) under the same identification. These realizations are what make
+element syntax and test values reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from operator import mul
 
 from .errors import UnsupportedDatumError
@@ -49,13 +49,13 @@ def ambient_dim(family: str, rank: int) -> int:
 
 
 def _e(n, i, c=1):
-    v = [Fraction(0)] * n
-    v[i] = Fraction(c)
+    v = [0] * n
+    v[i] = c
     return tuple(v)
 
 
 def simple_roots_ambient(family: str, rank: int):
-    """Simple roots alpha_1..alpha_rank as ambient vectors (Bourbaki)."""
+    """Simple roots alpha_1..alpha_rank as integer ambient vectors (Bourbaki, E and F4 doubled)."""
     validate_family_rank(family, rank)
     n = ambient_dim(family, rank)
     if family == "A":
@@ -73,52 +73,33 @@ def simple_roots_ambient(family: str, rank: int):
         roots.append(tuple(a + b for a, b in zip(_e(n, rank - 2), _e(n, rank - 1))))
         return roots
     if family == "G":
-        return [
-            vec_sub(_e(n, 0), _e(n, 1)),
-            (Fraction(-2), Fraction(1), Fraction(1)),
-        ]
+        return [vec_sub(_e(n, 0), _e(n, 1)), (-2, 1, 1)]
     if family == "F":
         return [
-            vec_sub(_e(n, 1), _e(n, 2)),
-            vec_sub(_e(n, 2), _e(n, 3)),
-            _e(n, 3),
-            (Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)),
+            vec_sub(_e(n, 1, 2), _e(n, 2, 2)),
+            vec_sub(_e(n, 2, 2), _e(n, 3, 2)),
+            _e(n, 3, 2),
+            (1, -1, -1, -1),
         ]
     if family == "E":
-        half = Fraction(1, 2)
-        a1 = (half, -half, -half, -half, -half, -half, -half, half)
-        a2 = tuple(a + b for a, b in zip(_e(8, 0), _e(8, 1)))
-        rest = [vec_sub(_e(8, i), _e(8, i - 1)) for i in range(1, 7)]
+        a1 = (1, -1, -1, -1, -1, -1, -1, 1)
+        a2 = tuple(a + b for a, b in zip(_e(8, 0, 2), _e(8, 1, 2)))
+        rest = [vec_sub(_e(8, i, 2), _e(8, i - 1, 2)) for i in range(1, 7)]
         roots = [a1, a2] + rest
         return roots[:rank]
 
 
-def integer_scaled(simple):
-    """The simple roots times the least common denominator d of their coordinates.
-
-    Inner products of the scaled roots are those of the ambient roots
-    times d^2, so ratios and signs, and with them the Cartan integers,
-    are read in integers.
-    """
-    denom = math.lcm(*(Fraction(c).denominator for a in simple for c in a))
-    return [tuple(int(c * denom) for c in a) for a in simple]
-
-
 def positive_roots(simple):
-    """Coefficient vectors of the positive roots over ``simple``, sorted by
-    (height, ambient coordinates).
+    """Coefficient vectors of the positive roots over the integer ``simple``,
+    sorted by (height, ambient coordinates).
 
     The closure runs on the integer coefficient vectors c over the simple
     roots: s_i lowers c_i by <beta, alpha_i^> = sum_j c_j <alpha_j, alpha_i^>.
     Every positive root other than alpha_i stays positive under s_i, so
     the images with a negative coefficient (only -alpha_i) are dropped.
-    The sort reads the ambient coordinates with the simple roots scaled
-    to integers by their common denominator; a positive scale keeps the
-    order.
     """
-    scaled = integer_scaled(simple)
-    r = len(scaled)
-    pairing = [[2 * dot(a, b) // dot(b, b) for b in scaled] for a in scaled]
+    r = len(simple)
+    pairing = [[2 * dot(a, b) // dot(b, b) for b in simple] for a in simple]
     start = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
     seen = set(start)
     frontier = start
@@ -134,7 +115,7 @@ def positive_roots(simple):
         frontier = new
     return sorted(
         seen,
-        key=lambda c: (sum(c), tuple(sum(map(mul, c, col)) for col in zip(*scaled))),
+        key=lambda c: (sum(c), tuple(sum(map(mul, c, col)) for col in zip(*simple))),
     )
 
 

@@ -29,7 +29,7 @@ from .affine_weyl import (
     sigma_act,
 )
 from .conjugacy import class_invariant, is_min_len, is_straight
-from .errors import AdlvkitError, InternalInvariantError, UsageError
+from .errors import AdlvkitError, InternalInvariantError, NoUniqueExtremumError, UsageError
 from .linalg import dot, mat_mul, mat_vec, vec_mat
 from .reduction_tree import (
     build_tree,
@@ -104,16 +104,10 @@ def corpus(datum, max_length, budget=bg_poset.DEFAULT_ENUM_BUDGET):
     """Every element of length <= max_length, deterministically ordered.
 
     Lattices with a central line are enumerated modulo central
-    translations, which is the only way the corpus is finite there.
+    translations (see :func:`bg_poset.iter_elements`), which is the only
+    way the corpus is finite there.
     """
-    elements = list(
-        bg_poset.iter_elements(
-            datum,
-            max_length,
-            normalize_central=bool(datum.central_rank),
-            budget=budget,
-        )
-    )
+    elements = list(bg_poset.iter_elements(datum, max_length, budget=budget))
     elements.sort(key=lambda x: (length(x), format_element(x)))
     return elements
 
@@ -209,9 +203,9 @@ def _audit_datum(datum, results, fail, bump):
     bump(name)
     # positive root count equals the length of the longest element, read
     # off its greedy ascent word without tabulating the group
-    from .levi import _longest_word
+    from .levi import longest_word
 
-    if len(_longest_word(datum, range(1, datum.rank + 1))) != len(datum.positive_roots):
+    if len(longest_word(datum, range(1, datum.rank + 1))) != len(datum.positive_roots):
         fail(name, tag, "positive root count differs from len(w0)")
     bump(name)
     if not datum.is_dominant(datum.theta_coroot):
@@ -306,7 +300,9 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> i
     summary, and each seed replays their counts and failures in seed
     order, so the suites read as if every seed had been checked on its
     own. ``additivity`` memoizes the witness additivity checks across the
-    elements of one audit (see :func:`_check_witness_additivity`).
+    elements of one audit (see :func:`_check_witness_additivity`). The
+    extrema and the saturation verdict of the endpoint classes come from
+    the first tree's :func:`classifier.purity_report`.
 
     Returns 1 when the element has geometric Coxeter type.
     """
@@ -404,9 +400,13 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> i
     if not geo.is_geo_cox:
         return 0
 
+    purity = classifier.purity_report(trees[0])
+    if purity["extrema"] is None:
+        raise NoUniqueExtremumError(purity["note"])
+    c_min, c_max = purity["extrema"]
+
     # closed formulas against every path of every seed's tree
     classes = bg_poset.sort_classes(key_set)
-    c_min, c_max = bg_poset.extrema(classes)
     if c_min != inv:
         fail("min_class_is_own", text, f"minimum {c_min} is not the element's class")
     bump("min_class_is_own")
@@ -435,16 +435,17 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> i
             fail("purity_equalities", text, f"class {cls}: dimension jump is not the gap")
         bump("purity_equalities")
 
-    between = bg_poset.interval(c_min, c_max)
-    if set(between) != set(classes):
+    if not purity["saturated"]:
+        # the interval's size, read off its symmetric difference with key_set
+        diff = purity["interval_diff"]
+        between = len(key_set) + sum(-1 if c in key_set else 1 for c in diff)
         fail(
             "saturation",
             text,
-            f"interval has {len(between)} classes, endpoints give {len(classes)}",
+            f"interval has {between} classes, endpoints give {len(classes)}",
         )
     bump("saturation")
 
-    purity = classifier.purity_report(trees[0])
     for check in purity["helper_checks"]:
         for key in ("min_follows_type_II", "max_follows_type_I", "i_set_difference_is_one_orbit"):
             if not check.get(key, False):

@@ -360,24 +360,33 @@ def mct_inequality(w: AffineElement, cap=DEFAULT_BFS_CAP):
 
 
 def purity_report(tree):
-    """Saturation of the endpoint class set plus branching replay checks.
+    """Extrema and saturation of the endpoint class set plus branching replay checks.
 
-    Saturation compares the endpoint classes of ``tree`` with the full
+    ``extrema`` is (c_min, c_max) of the endpoint classes of ``tree``, or
+    None beside a ``note``. Saturation compares the classes with the full
     order interval between their extrema. The helper checks walk the tree
     and verify at every branching: the minimum travels along the type II
     edge, the maximum along the type I edge, and the I(nu) sets of the two
-    branch minima differ by exactly one twist orbit of simple roots.
+    branch minima differ by exactly one twist orbit of simple roots. Each
+    node's extrema are computed once per call.
     """
     datum = tree.root.datum
-    classes = sort_classes(summary_classes(path_summary(tree)))
-    try:
-        c_min, c_max = extrema(classes)
-        between = interval(c_min, c_max)
-    except (NoUniqueExtremumError, NotComparableError) as exc:
+    memo = {}  # node -> extrema of its endpoint classes, or the error
+
+    def node_extrema(node):
+        if node not in memo:
+            try:
+                memo[node] = extrema(summary_classes(path_summary(tree, start=node)))
+            except NoUniqueExtremumError as exc:
+                memo[node] = exc
+        return memo[node]
+
+    classes = summary_classes(path_summary(tree))
+    root = node_extrema(tree.root)
+    if isinstance(root, NoUniqueExtremumError):
         return {"saturated": None, "interval_diff": [], "helper_checks": [],
-                "note": str(exc)}
-    saturated = set(between) == set(classes)
-    diff = sort_classes(set(between).symmetric_difference(classes))
+                "extrema": None, "note": str(root)}
+    between = set(interval(*root))
 
     helper = []
     for node, exp in tree.expansions.items():
@@ -385,34 +394,29 @@ def purity_report(tree):
             continue
         edge_one, edge_two = exp
         pivot = replay_moves(node, edge_one.witness_shifts)
-        try:
-            sub_min = {}
-            for label, child in (("I", edge_one.target), ("II", edge_two.target)):
-                sub_classes = summary_classes(path_summary(tree, start=child))
-                sub_min[label] = extrema(sort_classes(sub_classes))
-            node_classes = summary_classes(path_summary(tree, start=node))
-            node_min, node_max = extrema(sort_classes(node_classes))
-        except NoUniqueExtremumError as exc:
+        found = [node_extrema(x) for x in (edge_one.target, edge_two.target, node)]
+        error = next((e for e in found if isinstance(e, NoUniqueExtremumError)), None)
+        if error is not None:
             helper.append({"node": format_element(node), "pivot": format_element(pivot),
-                           "note": str(exc)})
+                           "note": str(error)})
             continue
-        i_min = node_min.zero_set
-        i_one = sub_min["I"][0].zero_set
+        (one_min, one_max), (two_min, _two_max), (node_min, node_max) = found
         helper.append(
             {
                 "node": format_element(node),
                 "pivot": format_element(pivot),
-                "min_follows_type_II": node_min == sub_min["II"][0],
-                "max_follows_type_I": node_max == sub_min["I"][1],
+                "min_follows_type_II": node_min == two_min,
+                "max_follows_type_I": node_max == one_max,
                 "i_set_difference_is_one_orbit": (
-                    count_orbit_classes(datum, i_min - i_one) == 1
+                    count_orbit_classes(datum, node_min.zero_set - one_min.zero_set) == 1
                 ),
             }
         )
     return {
-        "saturated": saturated,
-        "interval_diff": diff,
+        "saturated": between == classes,
+        "interval_diff": sort_classes(between ^ classes),
         "helper_checks": helper,
+        "extrema": root,
     }
 
 
@@ -457,6 +461,8 @@ def classify(
 
     Builds one tree per seed; seeds whose trees are equal share the first
     one (:func:`share_equal_trees`), so the tree readers do its work once.
+    The extrema of the first tree's endpoint classes, which the formulas
+    read, come from its :func:`purity_report`.
     """
     datum = w.datum
     minimal = is_min_len(w, cap=cap).is_min_len
@@ -470,13 +476,14 @@ def classify(
     for (cls, c1, c2, _lend), mult in summary.items():
         per_class.setdefault(cls, []).extend([(c1, c2)] * mult)
     classes = sort_classes(per_class)
-    try:
-        c_min, c_max = extrema(classes)
-    except NoUniqueExtremumError:
-        # cannot happen for endpoint-class sets unless conventions broke;
+    purity = purity_report(first_tree)
+    if purity["extrema"] is not None:
+        c_min, c_max = purity["extrema"]
+    elif geo.is_geo_cox:
+        # cannot happen for endpoint-class sets unless conventions broke
+        raise NoUniqueExtremumError(purity["note"])
+    else:
         # outside the guarantee we still want the report, minus formulas
-        if geo.is_geo_cox:
-            raise
         c_min = c_max = None
 
     endpoint_by_class = {}
@@ -536,7 +543,7 @@ def classify(
         geo_cox=geo.is_geo_cox,
         mct=mct_inequality(w, cap=cap),
         bgw_table=rows,
-        purity=purity_report(first_tree),
+        purity=purity,
         outside_guarantee=not geo.is_geo_cox,
     )
     if report.geo_cox:

@@ -25,7 +25,14 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from . import __version__, bg_poset, checks, classifier, conjugacy
-from .affine_weyl import _DIGITS, format_element, length, parse_element
+from .affine_weyl import (
+    ASCII_DIGITS,
+    format_element,
+    left_by_simple,
+    length,
+    omega_element,
+    parse_element,
+)
 from .classifier import REPORT_SCHEMA, classify, report_to_dict
 from .errors import (
     AdlvkitError,
@@ -182,7 +189,7 @@ def _integer_list(text, what):
     and read '٣' as 3 and '1_0' as 10.
     """
     parts = text.split(",")
-    if not all(_DIGITS.fullmatch(p) for p in parts):
+    if not all(ASCII_DIGITS.fullmatch(p) for p in parts):
         raise UsageError(f"bad {what} {text!r}: expected nonnegative integers in ASCII digits")
     return tuple(int(p) for p in parts)
 
@@ -293,7 +300,7 @@ def _check_nonnegative(args):
         name = flag[2:].replace("-", "_")
         value = getattr(args, name, None)
         if isinstance(value, str):
-            if not _DIGITS.fullmatch(value):
+            if not ASCII_DIGITS.fullmatch(value):
                 raise UsageError(f"{flag} expects a nonnegative integer in ASCII digits, got {value!r}")
             setattr(args, name, int(value))
 
@@ -317,18 +324,14 @@ def _cmd_scan(args, out):
 
     elements = checks.corpus(datum, args.max_length, budget=args.cap_enum)
     if args.coset:
-        from .affine_weyl import omega_element
-
         k = args.coset[3:]
-        if not (args.coset.startswith("tau") and _DIGITS.fullmatch(k)):
+        if not (args.coset.startswith("tau") and ASCII_DIGITS.fullmatch(k)):
             raise UsageError(f"--coset expects tauK, got {args.coset!r}")
         target = datum.omega_quotient.key(omega_element(datum, int(k)).translation)
         elements = [
             x for x in elements if datum.omega_quotient.key(x.translation) == target
         ]
     if args.left_minimal:
-        from .affine_weyl import left_by_simple
-
         indices = _integer_list(args.left_minimal, "index list")
         if any(not 1 <= i <= datum.rank for i in indices):
             raise UsageError("--left-minimal expects finite simple indices")
@@ -374,31 +377,25 @@ def _cmd_scan(args, out):
     emitted = 0
     truncated = None
     code = EXIT_OK
-    stream = row_stream()
-    while True:
-        try:
-            data = next(stream)
-        except StopIteration:
-            break
-        except CapExceededError as exc:
-            truncated, code = str(exc), EXIT_CAP
-            break
-        except _PoolFailure as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            truncated, code = str(exc), EXIT_POOL
-            break
-        if any(not f(data) for f in filters):
-            continue
-        emitted += 1
-        if args.format == "jsonl":
-            out.write(_stable_json(data) + "\n")
-        else:
-            out.write(
-                f"{data['element']:40s} len={data['length']:2d} "
-                f"minlen={int(data['min_len'])} straight={int(data['straight'])} "
-                f"smo={int(data['smo'])} geocox={int(data['geo_cox'])} "
-                f"classes={len(data['bgw'])}\n"
-            )
+    try:
+        for data in row_stream():
+            if any(not f(data) for f in filters):
+                continue
+            emitted += 1
+            if args.format == "jsonl":
+                out.write(_stable_json(data) + "\n")
+            else:
+                out.write(
+                    f"{data['element']:40s} len={data['length']:2d} "
+                    f"minlen={int(data['min_len'])} straight={int(data['straight'])} "
+                    f"smo={int(data['smo'])} geocox={int(data['geo_cox'])} "
+                    f"classes={len(data['bgw'])}\n"
+                )
+    except CapExceededError as exc:
+        truncated, code = str(exc), EXIT_CAP
+    except _PoolFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        truncated, code = str(exc), EXIT_POOL
     if truncated is not None:
         # partial results stay flushed; the marker records the cut
         if args.format == "jsonl":

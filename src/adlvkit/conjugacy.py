@@ -37,6 +37,7 @@ from .errors import (
     DatumMismatchError,
     InternalInvariantError,
     NotAShiftError,
+    UsageError,
 )
 from .linalg import dot, identity_matrix, mat_mul, mat_rank, mat_vec
 
@@ -335,7 +336,8 @@ class ClassInvariant:
     covectors; two classes compare by cross multiplying their periods.
     ``pairing_two_rho`` is <nu, 2 rho>; ``zero_set`` is I(nu), the i with
     <nu, alpha_i> = 0. ``newton`` is nu in ``Fraction`` coordinates, built
-    on demand; ``as_dict`` is the report form.
+    on demand; ``central_sum`` is the coordinate sum of the class's
+    translations on a central line; ``as_dict`` is the report form.
     """
 
     datum: object
@@ -362,6 +364,20 @@ class ClassInvariant:
     @property
     def newton(self):
         return tuple(Fraction(c, self.period) for c in self.dom)
+
+    @property
+    def central_sum(self):
+        """<nu, (1,...,1)>, the coordinate sum of every translation in the class (gl only)."""
+        datum = self.datum
+        if mat_vec(datum.delta, datum.central_vector) != datum.central_vector:
+            raise UsageError(
+                "Kottwitz filters cannot pin the central direction when the "
+                "twist moves it; enumerate without a filter instead"
+            )
+        total, rest = divmod(self.central[0], self.period)
+        if rest:
+            raise InternalInvariantError("central part of a Newton point is fractional")
+        return total
 
     def as_dict(self):
         """Newton coordinates as reduced fraction strings, Kottwitz point as ints."""

@@ -21,8 +21,8 @@ its classical reflection length. :func:`levi_classes` runs the choices
 over every twist-stable J and every orbit total up to a bound and reads
 Newton and Kottwitz points off them without building z;
 ``bg_poset.interval`` filters its result. With J = all simple nodes the
-elements are the length-zero elements of W~, where
-``bg_poset.iter_elements`` starts its breadth-first search. None of
+elements are the length-zero elements of W~ (:func:`length_zero_elements`),
+where ``bg_poset.iter_elements`` starts its breadth-first search. None of
 these builds the finite Weyl table. ``bg_poset`` imports this module on
 first use, so importing the package does not compile it.
 """
@@ -33,7 +33,7 @@ import itertools
 import math
 
 from .affine_weyl import AffineElement, format_element
-from .bg_poset import DEFAULT_ENUM_BUDGET, _central_sum, sort_classes
+from .bg_poset import DEFAULT_ENUM_BUDGET, sort_classes
 from .conjugacy import (
     ClassInvariant,
     class_invariant,
@@ -165,7 +165,7 @@ def _levi_translations(datum, ones, orbits, totals, central):
             yield tuple(a // denom for a in num)
 
 
-def _longest_word(datum, J):
+def longest_word(datum, J):
     """Letters j_1, j_2, ... with w_(0,J) = s_(j_k) ... s_(j_1).
 
     Greedy left ascents from the identity, read off u = w(probe) for the
@@ -204,7 +204,7 @@ def levi_witness(c: ClassInvariant) -> AffineElement:
     datum = c.datum
     J = c.zero_set
     orbits, patterns = _levi(datum, J)
-    central = _central_sum(datum, c) if datum.central_rank else None
+    central = c.central_sum if datum.central_rank else None
     pairings = [dot(c.dom, datum.simple_roots[orbit[0] - 1]) for orbit in orbits]
     for ones, scale, excess in patterns:
         totals = []
@@ -232,9 +232,26 @@ def _levi_element(datum, J, ones, lam):
     (alpha_j z), and only z itself is interned.
     """
     z = identity_matrix(datum.n)
-    for j in _longest_word(datum, J) + _longest_word(datum, J - ones):
+    for j in longest_word(datum, J) + longest_word(datum, J - ones):
         z = reflect_left(z, datum.simple_roots[j - 1], datum.simple_coroots[j - 1])
     return AffineElement(datum, lam, datum.finite_index(z))
+
+
+def length_zero_elements(datum, central_values):
+    """The length-zero elements t^lambda w_(0,S-ones) w_(0,S) of W~, S = all simple nodes.
+
+    One per pattern of :func:`_levi` with J = S and integral lambda of
+    coordinate sum in ``central_values``, which is ``[None]`` on a
+    lattice without a central line.
+    """
+    nodes = frozenset(range(1, datum.rank + 1))
+    _orbits, patterns = _levi(datum, nodes)
+    return [
+        _levi_element(datum, nodes, ones, lam)
+        for ones, _scale, _excess in patterns
+        for central in central_values
+        for lam in _levi_translations(datum, ones, (), (), central)
+    ]
 
 
 def _stable_subsets(datum):
@@ -278,7 +295,7 @@ def levi_classes(
     if max_pairing < 0:
         raise UsageError("max_pairing must be nonnegative")
     bound = math.floor(max_pairing)
-    central = _central_sum(datum, kottwitz) if datum.central_rank else None
+    central = kottwitz.central_sum if datum.central_rank else None
     key = (kottwitz.kottwitz, central)
     cached = datum._class_set_cache.get(key)
     if cached is not None and cached[0] >= bound:

@@ -19,8 +19,8 @@ presets are supported:
     central direction.
 
 Construction runs in integers. The Cartan matrix and the positive
-roots' coefficient vectors come from the ambient realization scaled to
-integers; every root and coroot is an integer vector mapped from them;
+roots' coefficient vectors come from the integer ambient realization;
+every root and coroot is an integer vector mapped from them;
 the dual bases come from two inverses read off the Smith normal form
 (:func:`adlvkit.linalg.integer_inverse`), of the pairing matrix and of
 the Cartan matrix. No system is solved over Q. ``Fraction`` appears
@@ -75,7 +75,6 @@ from . import cartan
 from .errors import UnsupportedDatumError, UsageError
 from .linalg import (
     LatticeQuotient,
-    as_int_matrix,
     dot,
     identity_matrix,
     integer_inverse,
@@ -168,11 +167,11 @@ class RootDatum:
         family = spec.family
 
         simple_amb = cartan.simple_roots_ambient(family, spec.rank)
-        scaled = cartan.integer_scaled(simple_amb)
-        norms = [dot(a, a) for a in scaled]
+        norms = [dot(a, a) for a in simple_amb]
         # cartan_matrix[i][j] = <alpha_i^, alpha_j>
         self.cartan_matrix = tuple(
-            tuple(2 * dot(a, b) // norm for b in scaled) for a, norm in zip(scaled, norms)
+            tuple(2 * dot(a, b) // norm for b in simple_amb)
+            for a, norm in zip(simple_amb, norms)
         )
         coefficients = cartan.positive_roots(simple_amb)
         cartan.highest_root(self.cartan_matrix, coefficients)  # theta is the last one
@@ -332,7 +331,7 @@ class RootDatum:
         """
         preset = self.spec.lattice_preset
         if preset == "gl":
-            roots = as_int_matrix(simple_amb)
+            roots = tuple(simple_amb)
             return roots, roots
         unit = identity_matrix(self.rank)
         if preset == "adjoint":

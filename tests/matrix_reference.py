@@ -463,7 +463,7 @@ def table_iter_elements(datum, max_length, kottwitz=None, normalize_central=Fals
     central_values = None
     if datum.central_rank:
         if kottwitz is not None:
-            central_values = [bg._central_sum(datum, kottwitz)]
+            central_values = [kottwitz.central_sum]
         elif normalize_central:
             central_values = list(range(datum.n))
         else:

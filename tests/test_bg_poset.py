@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import matrix_reference as ref
 from adlvkit import affine_weyl as aw
 from adlvkit import bg_poset as bg
 from adlvkit import conjugacy as cj
@@ -117,9 +118,13 @@ def test_enumerate_straight_idempotent(c2sc):
     assert [r.invariant for r in first] == [r.invariant for r in second]
 
 
-def test_enumerate_straight_needs_pinning_for_central(gl2):
-    with pytest.raises(UsageError):
-        list(bg.iter_elements(gl2, 2))
+def test_unfiltered_central_enumeration_is_the_normalized_one(gl2):
+    # without a Kottwitz filter the central sums 0..n-1 are enumerated, as
+    # the table path did when asked to normalize
+    oracle = RootDatum(parse_spec("A1:gl"))
+    want = ref.table_iter_elements(oracle, 3, normalize_central=True)
+    got = bg.iter_elements(gl2, 3)
+    assert [aw.format_element(x) for x in got] == [aw.format_element(x) for x in want]
 
 
 @pytest.mark.parametrize(
@@ -186,7 +191,7 @@ def test_iter_elements_deterministic(c2sc):
 
 
 def test_iter_elements_gl_normalized(gl2):
-    elements = list(bg.iter_elements(gl2, 2, normalize_central=True))
+    elements = list(bg.iter_elements(gl2, 2))
     assert all(0 <= sum(x.translation) <= 1 for x in elements)
     assert aw.omega_element(gl2, 1) in elements
 

@@ -88,18 +88,13 @@ def test_enumerations_match_the_full_product(spec, max_length):
     datum, oracle = fresh(spec), fresh(spec)
     normalized = tuple(range(datum.n)) if datum.central_rank else None
     calls = [(max_length, None, normalized)] + [
-        (bound, c, (bg._central_sum(datum, c),) if datum.central_rank else None)
+        (bound, c, (c.central_sum,) if datum.central_rank else None)
         for bound, c in _filters(datum, elements)
     ]
     for bound, c, central in calls:
         got = ref.pruned_translation_candidates(datum, bound, central)
         assert got == ref.translation_candidates(oracle, bound, central), bound
-        got = [
-            aw.format_element(x)
-            for x in bg.iter_elements(
-                datum, bound, kottwitz=c, normalize_central=c is None and bool(normalized)
-            )
-        ]
+        got = [aw.format_element(x) for x in bg.iter_elements(datum, bound, kottwitz=c)]
         want = [
             aw.format_element(x)
             for x in ref.iter_elements(
@@ -155,7 +150,7 @@ def test_breadth_first_search_matches_the_table_path(spec, max_length):
     for c, c_ref in zip(_every_filter(datum), _every_filter(oracle)):
         got = [
             (aw.format_element(x), aw.length(x))
-            for x in bg.iter_elements(datum, max_length, kottwitz=c, normalize_central=normalize)
+            for x in bg.iter_elements(datum, max_length, kottwitz=c)
         ]
         want = [
             (aw.format_element(x), aw.length(x))

@@ -122,7 +122,7 @@ def ref_purity_report(w, seed, cap=DEFAULT_BFS_CAP):
         between = interval(c_min, c_max)
     except (NoUniqueExtremumError, NotComparableError) as exc:
         return {"saturated": None, "interval_diff": [], "helper_checks": [],
-                "note": str(exc)}
+                "extrema": None, "note": str(exc)}
     diff = sorted(
         set(between).symmetric_difference(classes), key=ref.class_sort_key
     )
@@ -159,6 +159,7 @@ def ref_purity_report(w, seed, cap=DEFAULT_BFS_CAP):
         "saturated": set(between) == set(classes),
         "interval_diff": diff,
         "helper_checks": helper,
+        "extrema": (c_min, c_max),
     }
 
 
@@ -249,6 +250,47 @@ def test_audit_element_builds_one_tree_per_seed(build_count, text, geo):
     assert checks._audit_element(w, SEEDS, DEFAULT_BFS_CAP, results, fail, bump) == geo
     assert failures == []
     assert sorted(build_count) == list(SEEDS)
+
+
+# -- the purity report reads the endpoint extrema and interval once ------------
+
+
+@pytest.fixture
+def poset_calls(monkeypatch):
+    """The class sets given to ``extrema`` and the pairs given to ``interval``, per call."""
+    calls = {"extrema": [], "interval": []}
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls[name].append(set(args[0]) if name == "extrema" else args)
+            return original(*args)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name, getattr(bg_poset, name))
+        monkeypatch.setattr(bg_poset, name, wrapper)
+        monkeypatch.setattr(cl, name, wrapper)
+    return calls
+
+
+# of geometric Coxeter type, with two endpoint classes
+GEO_COX_A1 = ("A1:adj", "s0 s1 s0")
+
+
+def test_audit_element_reads_the_interval_once(poset_calls):
+    w = parse_element(build_root_datum(GEO_COX_A1[0]), GEO_COX_A1[1])
+    geo, suites = element_suites(checks._audit_element, w, SEEDS)
+    assert geo == 1 and all(not violations for _c, violations, _f in suites.values())
+    assert len(poset_calls["interval"]) == 1
+
+
+def test_classify_reads_the_root_extrema_once(poset_calls):
+    w = parse_element(build_root_datum(GEO_COX_A1[0]), GEO_COX_A1[1])
+    report = cl.classify(w, seeds=SEEDS)
+    root = rt.summary_classes(rt.path_summary(rt.build_tree(w)))
+    assert report.geo_cox and len(root) == 2
+    assert [classes for classes in poset_calls["extrema"] if classes == root] == [root]
 
 
 # -- sharing equal trees --------------------------------------------------------

@@ -110,7 +110,7 @@ def old_translation_candidates(datum, bound, central_values):
 
 def old_iter_elements(datum, max_length, kottwitz=None, central_values=None):
     if datum.central_rank and kottwitz is not None:
-        central_values = [bg._central_sum(datum, kottwitz)]
+        central_values = [kottwitz.central_sum]
     kappa_key = kottwitz.kottwitz if kottwitz is not None else None
     elements = old_weyl_elements(datum)
     for lam in old_translation_candidates(datum, max_length, central_values):
