@@ -21,7 +21,8 @@ length-zero elements of Levi subgroups (:mod:`adlvkit.levi`, imported by
 :func:`defect` and :func:`interval` on first use): the defect is the
 twisted reflection length of the classical part of the class's Levi
 witness, and the interval filters the Levi class set below the upper
-class. Neither builds the finite Weyl table.
+class (a point interval needs no Levi class set). Neither builds the
+finite Weyl table.
 
 :func:`iter_elements` enumerates the elements up to a length bound, the
 corpora of the audit suites, ``check`` and ``scan``, breadth-first from
@@ -268,9 +269,15 @@ def enumerate_straight(
 
 
 def interval(c_lo: ClassInvariant, c_hi: ClassInvariant):
-    """All classes between c_lo and c_hi, read off ``levi.levi_classes``."""
+    """All classes between c_lo and c_hi, read off ``levi.levi_classes``.
+
+    The point case c_lo == c_hi returns [c_lo] without the Levi class
+    walk: the order is antisymmetric, so nothing else lies between.
+    """
     if not leq(c_lo, c_hi):
         raise NotComparableError(f"{c_lo} is not below {c_hi}")
+    if c_lo == c_hi:
+        return [c_lo]
     from .levi import levi_classes
 
     return [

@@ -97,13 +97,19 @@ def coset_decompose(w: AffineElement, K):
     return None if dec is None else dec[:3]
 
 
-def _coset_split(w: AffineElement, K):
-    """:func:`coset_decompose` and the twist permutation of x on K; ``letters`` spell u reduced."""
+def _coset_split(w: AffineElement, K, u_length=None):
+    """:func:`coset_decompose` and the twist permutation of x on K; ``letters`` spell u reduced.
+
+    With ``u_length`` given, a split whose u has another length is None
+    at once, before u is built and the recomposition is checked.
+    """
     datum = w.datum
     K = tuple(sorted(K))
     if len(set(K)) != len(K) or not set(K) < set(range(datum.rank + 1)):
         raise UsageError(f"index set {K} is not spherical")
     x, letters = strip_left_descents(w, K)
+    if u_length is not None and len(letters) != u_length:
+        return None
     # index 0 is the identity of the finite Weyl group
     u = reduce(right_by_simple, letters, AffineElement(datum, (0,) * datum.n, 0))
     if multiply(u, x) != w:
@@ -188,14 +194,17 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
 
     Search order is fixed for reproducibility: spherical K by size then
     lexicographically, then conjugates in breadth-first order. Raises
-    NotMinLenError when w is not of minimal length.
+    NotMinLenError when w is not of minimal length, and CapExceededError
+    when its shift class has more than ``cap`` members, also when the
+    result is memoized.
     """
     datum = w.datum
+    graph = ShiftClass.of(w, cap)
     if w in datum._mincox_cache:
         return datum._mincox_cache[w]
-    if not is_min_len(w, cap=cap).is_min_len:
+    if graph.drops:
         raise NotMinLenError(f"{format_element(w)} is not of minimal length")
-    members = list(ShiftClass.of(w, cap).bfs(w, range(datum.rank + 1)))
+    members = list(graph.bfs(w, range(datum.rank + 1)))
     # Exact prune. A witness w' = u x is a shift-class member of w, so
     # len(w') = len(w); the descents are stripped greedily, so len(w') =
     # len(u) + len(x); x is straight, so len(x) = <nu_x, 2 rho>; x sigma
@@ -203,14 +212,18 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
     # (x sigma)^m and nu_x = nu_w; and a twisted Coxeter u has len(u) =
     # #orbits <= |K|. Hence |K| >= len(w) - <nu_w, 2 rho>. The search
     # order is by |K| first, so skipping the smaller K keeps the first
-    # witness.
+    # witness. For the same reasons a witness has len(u) = #orbits =
+    # len(letters) and len(x) = <nu_w, 2 rho>, so len(letters) is exactly
+    # len(w) - <nu_w, 2 rho>: a (member, K) pair whose stripped letters
+    # number otherwise is skipped before u is recomposed and x is tested
+    # for right-minimality, twist stability and straightness.
     smallest = length(w) - class_invariant(w).pairing_two_rho
     witness = None
     for K in spherical_subsets(datum):
         if len(K) < smallest:
             continue
         for member, shifts in members:
-            dec = _coset_split(member, K)
+            dec = _coset_split(member, K, u_length=smallest)
             if dec is None:
                 continue
             u, x, letters, perm = dec

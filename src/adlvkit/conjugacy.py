@@ -123,13 +123,20 @@ class ShiftClass:
 
     @classmethod
     def of(cls, x: AffineElement, cap: int = DEFAULT_BFS_CAP) -> "ShiftClass":
-        """The cached graph of the class of x, built on first use."""
+        """The cached graph of the class of x, built on first use.
+
+        Raises CapExceededError when the class has more than ``cap``
+        members, whether the graph is built here or was cached by an
+        earlier call with a larger cap.
+        """
         cache = x.datum._shift_class_cache
         graph = cache.get(x)
         if graph is None:
             graph = cls(x, cap)
             for member in graph.members:
                 cache[member] = graph
+        if len(graph.members) > cap:
+            raise CapExceededError(cap, "shift class BFS")
         return graph
 
     def bfs(self, root: AffineElement, order):

@@ -43,6 +43,7 @@ from .affine_weyl import (
 from .conjugacy import (
     DEFAULT_BFS_CAP,
     ClassInvariant,
+    ShiftClass,
     class_invariant,
     first_drop,
     replay_moves,
@@ -104,7 +105,8 @@ def find_reduction_move(
     move is the first length drop met walking the shift class graph of w
     breadth-first, with indices tried in seed-permuted order, so the
     choice is deterministic for a given seed. Results are memoized per
-    (w, seed) on the datum.
+    (w, seed) on the datum; a memo hit still raises CapExceededError when
+    the class of w has more than ``cap`` members.
     """
     memo = w.datum._move_cache
     key = (w, seed)
@@ -112,6 +114,8 @@ def find_reduction_move(
         order = list(range(w.datum.rank + 1))
         random.Random(seed).shuffle(order)
         memo[key] = first_drop(w, order, cap)
+    else:
+        ShiftClass.of(w, cap)
     return memo[key]
 
 

@@ -24,9 +24,12 @@ every root and coroot is an integer vector mapped from them;
 the dual bases come from two inverses read off the Smith normal form
 (:func:`adlvkit.linalg.integer_inverse`), of the pairing matrix and of
 the Cartan matrix. No system is solved over Q. ``Fraction`` appears
-only in the stored rational views ``rho``, ``fundamental_weights`` and
-``fundamental_coweights``; class invariants read Newton points with the
-integer numerators ``weight_numerators`` instead.
+only in the rational views ``rho``, ``two_rho``, ``fundamental_weights``
+and ``fundamental_coweights``; class invariants read Newton points with
+the integer numerators ``weight_numerators`` instead. These views, the
+matrices ``weyl_generators`` and the quotient ``omega_quotient`` are
+computed on first read (``functools.cached_property``), so building a
+datum constructs no ``Fraction``.
 
 The lattice data are fixed at construction. The per-datum caches are
 not: construction leaves every one of them empty, any call may fill them
@@ -70,6 +73,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import cartan
 from .errors import UnsupportedDatumError, UsageError
@@ -205,13 +209,6 @@ class RootDatum:
         self.root_coefficients = tuple(coefficients)
         self.theta = self.positive_roots[-1]
         self.theta_coroot = self.root_coroot[self.theta]
-        self.rho = tuple(Fraction(sum(col), 2) for col in zip(*self.positive_roots))
-        self.two_rho = tuple(2 * c for c in self.rho)
-
-        self.weyl_generators = tuple(
-            self._reflection_matrix(self.simple_roots[i], self.simple_coroots[i])
-            for i in range(self.rank)
-        )
 
         self.delta_diagram = cartan.diagram_automorphism(family, spec.rank, spec.twist_order)
         self.delta = self._delta_matrix()
@@ -237,25 +234,12 @@ class RootDatum:
         denom, adj = integer_inverse(pairing)
         columns = tuple(zip(*adj))
         self.pairing_inverse = (denom, columns)
-        if spec.lattice_preset == "gl":
-            # e_1 + ... + e_k for k = 1..n
-            self.fundamental_coweights = tuple(
-                tuple(Fraction(1 if i < k else 0) for i in range(self.n))
-                for k in range(1, self.n + 1)
-            )
-        else:
-            self.fundamental_coweights = tuple(
-                tuple(Fraction(c, denom) for c in v) for v in columns[: self.rank]
-            )
 
         # the covectors dual to the simple coroots: column j of A^(-1) for
         # the Cartan matrix A holds the root coefficients of omega_j; class
         # invariants pair with the integer numerators d omega_j
-        cartan_denom, cartan_adj = integer_inverse(self.cartan_matrix)
+        self._weight_denominator, cartan_adj = integer_inverse(self.cartan_matrix)
         self.weight_numerators = tuple(vec_mat(col, roots) for col in zip(*cartan_adj))
-        self.fundamental_weights = tuple(
-            tuple(Fraction(c, cartan_denom) for c in num) for num in self.weight_numerators
-        )
 
         # integer vector with strictly positive pairing against every
         # positive root (the sum of the fundamental coweights in the
@@ -269,7 +253,6 @@ class RootDatum:
                 raise AssertionError("positivity probe failed")
 
         gens = [list(c) for c in self.simple_coroots]
-        self.omega_quotient = LatticeQuotient(self.n, gens)
         delta_minus_1 = [
             tuple(self.delta[i][j] - (1 if i == j else 0) for i in range(self.n))
             for j in range(self.n)
@@ -316,6 +299,49 @@ class RootDatum:
         self._straight_cache = {}
         self._levi_cache = {}
         self._class_set_cache = {}
+
+    # -- views computed on first read -------------------------------------
+
+    @cached_property
+    def rho(self):
+        """Half the sum of the positive roots, as a ``Fraction`` covector."""
+        return tuple(Fraction(sum(col), 2) for col in zip(*self.positive_roots))
+
+    @cached_property
+    def two_rho(self):
+        return tuple(2 * c for c in self.rho)
+
+    @cached_property
+    def weyl_generators(self):
+        """The lattice matrices of the finite simple reflections s_1, ..., s_rank."""
+        return tuple(
+            self._reflection_matrix(alpha, coroot)
+            for alpha, coroot in zip(self.simple_roots, self.simple_coroots)
+        )
+
+    @cached_property
+    def fundamental_coweights(self):
+        """In ``Fraction``s: e_1 + ... + e_k on gl, else those in the coroot span."""
+        if self.spec.lattice_preset == "gl":
+            return tuple(
+                tuple(Fraction(1 if i < k else 0) for i in range(self.n))
+                for k in range(1, self.n + 1)
+            )
+        denom, columns = self.pairing_inverse
+        return tuple(tuple(Fraction(c, denom) for c in v) for v in columns[: self.rank])
+
+    @cached_property
+    def fundamental_weights(self):
+        """The covectors dual to the simple coroots, in ``Fraction``s."""
+        return tuple(
+            tuple(Fraction(c, self._weight_denominator) for c in num)
+            for num in self.weight_numerators
+        )
+
+    @cached_property
+    def omega_quotient(self):
+        """X modulo the coroot lattice."""
+        return LatticeQuotient(self.n, [list(c) for c in self.simple_coroots])
 
     # -- construction helpers -------------------------------------------
 

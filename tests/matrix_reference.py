@@ -28,8 +28,14 @@ The next section is the class invariant as it was before it moved to
 integers: ``Fraction`` Newton coordinates, the order and gaps read off
 them, and the sort key.
 
-The last section is ``bg_poset.interval`` as it was before it moved to
+The next section is ``bg_poset.interval`` as it was before it moved to
 the Levi class enumeration: a filter of ``enumerate_straight``.
+
+The last section is what a cold ``classify`` ran before it skipped the
+work its report does not read: ``bg_poset.interval`` as a filter of
+``levi.levi_classes`` also for a point interval, the witness search
+without the skip of (member, K) pairs by the length of u, and the
+rational views that ``RootDatum`` built eagerly.
 """
 
 import functools
@@ -49,10 +55,12 @@ from adlvkit.errors import (
     UsageError,
 )
 from adlvkit.linalg import (
+    LatticeQuotient,
     Matrix,
     as_int_matrix,
     dot,
     identity_matrix,
+    integer_inverse,
     mat_mul,
     mat_vec,
     vec_add,
@@ -707,3 +715,82 @@ def straight_interval(c_lo, c_hi):
         if bg.leq(c_lo, r.invariant) and bg.leq(r.invariant, c_hi)
     ]
     return bg.sort_classes(out)
+
+
+# -- a cold classify before it skipped unread work -----------------------------
+
+
+def levi_interval(c_lo, c_hi):
+    """All classes between c_lo and c_hi, a filter of ``levi.levi_classes`` in every case."""
+    from adlvkit.levi import levi_classes
+
+    if not bg.leq(c_lo, c_hi):
+        raise NotComparableError(f"{c_lo} is not below {c_hi}")
+    return [
+        c
+        for c in levi_classes(c_lo.datum, c_hi.pairing_two_rho, c_lo)
+        if bg.leq(c_lo, c) and bg.leq(c, c_hi)
+    ]
+
+
+def letter_unpruned_minimal_coxeter_type(w, cap=cj.DEFAULT_BFS_CAP):
+    """The witness search with the |K| prune but without the skip by len(u).
+
+    Every (member, K) pair with |K| >= len(w) - <nu_w, 2 rho> is fully
+    decomposed and tested. Memoizes nothing.
+    """
+    datum = w.datum
+    if not cj.is_min_len(w, cap=cap).is_min_len:
+        raise NotMinLenError(f"{aw.format_element(w)} is not of minimal length")
+    members = list(cj.ShiftClass.of(w, cap).bfs(w, range(datum.rank + 1)))
+    smallest = aw.length(w) - cj.class_invariant(w).pairing_two_rho
+    for K in cl.spherical_subsets(datum):
+        if len(K) < smallest:
+            continue
+        for member, shifts in members:
+            dec = cl._coset_split(member, K)
+            if dec is None:
+                continue
+            u, x, letters, perm = dec
+            if cj.is_straight(x) and cl._one_letter_per_orbit(letters, perm):
+                return cl.MinCoxWitness(K, x, u, shifts)
+    return None
+
+
+def eager_rational_views(datum):
+    """The six views that ``RootDatum.__init__`` built before they became lazy."""
+    rho = tuple(Fraction(sum(col), 2) for col in zip(*datum.positive_roots))
+    weyl_generators = tuple(
+        tuple(
+            tuple((1 if i == j else 0) - datum.simple_coroots[k][i] * datum.simple_roots[k][j]
+                  for j in range(datum.n))
+            for i in range(datum.n)
+        )
+        for k in range(datum.rank)
+    )
+    denom, columns = integer_inverse(
+        datum.simple_roots + ((datum.central_vector,) if datum.central_rank else ())
+    )
+    columns = tuple(zip(*columns))
+    if datum.spec.lattice_preset == "gl":
+        fundamental_coweights = tuple(
+            tuple(Fraction(1 if i < k else 0) for i in range(datum.n))
+            for k in range(1, datum.n + 1)
+        )
+    else:
+        fundamental_coweights = tuple(
+            tuple(Fraction(c, denom) for c in v) for v in columns[: datum.rank]
+        )
+    cartan_denom, cartan_adj = integer_inverse(datum.cartan_matrix)
+    fundamental_weights = tuple(
+        tuple(Fraction(c, cartan_denom) for c in vec_mat(col, datum.simple_roots))
+        for col in zip(*cartan_adj)
+    )
+    return {
+        "rho": rho,
+        "two_rho": tuple(2 * c for c in rho),
+        "weyl_generators": weyl_generators,
+        "fundamental_coweights": fundamental_coweights,
+        "fundamental_weights": fundamental_weights,
+        "omega_quotient": LatticeQuotient(datum.n, [list(c) for c in datum.simple_coroots]),
+    }

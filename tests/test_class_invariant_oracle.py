@@ -9,7 +9,7 @@ class order. ``matrix_reference`` keeps the ``Fraction`` invariant, its
 order, gaps and sort key; here the two are compared on every class that
 the poset-oracle data and the six acceptance corpora reach. A guard runs
 ``classify`` and ``checks._audit_element`` with ``Fraction``
-construction made to raise.
+construction made to raise, and another also builds the datum under it.
 """
 
 import fractions
@@ -89,9 +89,8 @@ def test_integer_invariants_match_the_fraction_invariants(spec):
     assert comparable > len(classes)
 
 
-@pytest.fixture
-def no_fractions(monkeypatch):
-    """Make every construction of a Fraction raise."""
+def forbid_fractions(monkeypatch):
+    """Make every construction of a Fraction raise until ``monkeypatch`` undoes it."""
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("Fraction constructed")
@@ -99,6 +98,12 @@ def no_fractions(monkeypatch):
     monkeypatch.setattr(fractions.Fraction, "__new__", forbidden)
     if hasattr(fractions.Fraction, "_from_coprime_ints"):
         monkeypatch.setattr(fractions.Fraction, "_from_coprime_ints", forbidden)
+
+
+@pytest.fixture
+def no_fractions(monkeypatch):
+    """Make every construction of a Fraction raise."""
+    forbid_fractions(monkeypatch)
 
 
 @pytest.mark.parametrize("spec,max_length", (("A2:adj", 3), ("C2:sc", 3), ("A3:gl", 2), ("2A3:sc", 2)))
@@ -122,3 +127,18 @@ def test_no_fraction_on_the_class_path(spec, max_length, request):
         geo += checks._audit_element(w, (0, 1), 10**6, results, fail, bump)
     assert geo
     assert all(r.passed for r in results.values())
+
+
+@pytest.mark.parametrize(
+    "datum_string,text", (("A5:gl", "s4 tau3"), ("C2:sc", "s1 tau2"), ("2A4:sc", "s1 tau1"))
+)
+def test_no_fraction_in_datum_construction_and_classify(datum_string, text, monkeypatch):
+    # the rational views are built on first read, not by the constructor
+    with monkeypatch.context() as guard:
+        forbid_fractions(guard)
+        datum = RootDatum(parse_spec(datum_string))
+    # tauK is read off a fundamental coweight, one of those views
+    w = aw.parse_element(datum, text)
+    forbid_fractions(monkeypatch)
+    report = cl.classify(w)
+    assert report.geo_cox

@@ -65,6 +65,18 @@ def test_cap_exit_code(monkeypatch):
     assert code == 2
 
 
+def test_cap_bfs_zero_exceeds_the_cap_cold_and_warm(monkeypatch):
+    # every shift class has at least one member, more than a cap of 0;
+    # s1 on A1:adj meets only one-member classes, so a cap of 1 passes
+    monkeypatch.setattr(root_datum, "_REGISTRY", {})
+    argv = ["classify", "--datum", "A1:adj", "s1", "--seeds", "0"]
+    assert run(argv + ["--cap-bfs", "0"])[0] == cli.EXIT_CAP
+    assert run(argv + ["--cap-bfs", "1"])[0] == 0
+    assert run(argv)[0] == 0
+    # the datum is now warm: its graphs and memos are cached
+    assert run(argv + ["--cap-bfs", "0"])[0] == cli.EXIT_CAP
+
+
 @pytest.mark.parametrize(
     "datum,text",
     [("E6:sc", "s0 s1 s2 s3 s4 s5 s6"), ("A7:gl", "s0 s1 s2 s3 s4 s5 s6 s7")],

@@ -4,10 +4,12 @@ import pytest
 
 from adlvkit import affine_weyl as aw
 from adlvkit import bg_poset as bg
+from adlvkit import classifier as cl
 from adlvkit import conjugacy as cj
+from adlvkit import reduction_tree as rt
 from adlvkit.errors import CapExceededError, NotAShiftError
 from adlvkit.linalg import identity_matrix
-from adlvkit.root_datum import build_root_datum
+from adlvkit.root_datum import RootDatum, build_root_datum, parse_spec
 from conftest import length_ball
 
 
@@ -50,6 +52,50 @@ def test_shift_class_spellings(a5gl):
 def test_shift_class_cap(a5gl):
     with pytest.raises(CapExceededError):
         cj.shift_class(aw.parse_element(a5gl, "t(3,1,0,-1,0,0) s1 s3"), cap=2)
+
+
+# every search that reads the shift class graph, directly or through a memo
+CAPPED_SEARCHES = {
+    "shift_class": lambda w, cap: cj.shift_class(w, cap=cap),
+    "is_min_len": lambda w, cap: cj.is_min_len(w, cap=cap),
+    "find_reduction_move": lambda w, cap: rt.find_reduction_move(w, seed=0, cap=cap),
+    "is_minimal_coxeter_type": lambda w, cap: cl.is_minimal_coxeter_type(w, cap=cap),
+}
+
+
+def _two_member_class():
+    """s1 s2 on a fresh A2:sc, whose shift class has two members."""
+    w = aw.parse_element(RootDatum(parse_spec("A2:sc")), "s1 s2")
+    assert len(cj.ShiftClass(w, cj.DEFAULT_BFS_CAP).members) == 2
+    return w
+
+
+@pytest.mark.parametrize("name", CAPPED_SEARCHES)
+def test_bfs_cap_holds_in_a_fresh_datum(name):
+    search = CAPPED_SEARCHES[name]
+    w = _two_member_class()
+    with pytest.raises(CapExceededError, match="shift class BFS"):
+        search(w, 1)
+    assert search(w, 2) == search(w, cj.DEFAULT_BFS_CAP)
+
+
+@pytest.mark.parametrize("name", CAPPED_SEARCHES)
+def test_bfs_cap_holds_after_a_cached_search(name):
+    # the first call caches the graph and, for the last two, the memo
+    search = CAPPED_SEARCHES[name]
+    w = _two_member_class()
+    expected = search(w, cj.DEFAULT_BFS_CAP)
+    with pytest.raises(CapExceededError, match="shift class BFS"):
+        search(w, 1)
+    assert search(w, 2) == expected
+
+
+def test_bfs_cap_counts_the_starting_member(a1):
+    # one rule: a class with more than cap members exceeds the cap
+    w = aw.identity(a1)
+    assert cj.shift_class(w, cap=1) == {w}
+    with pytest.raises(CapExceededError):
+        cj.shift_class(w, cap=0)
 
 
 def test_min_len_basic(a1):
