@@ -606,3 +606,36 @@ def test_failed_witness_additivity_is_reported_per_element(monkeypatch):
     assert shared == reference
     _checked, violations, _findings = shared["reflection_additivity"]
     assert len({v["element"] for v in violations}) > 1
+
+
+# -- saturation under a faulty interval -----------------------------------------
+
+
+def drops_the_top_class(original):
+    return lambda c_lo, c_hi: [c for c in original(c_lo, c_hi) if c != c_hi]
+
+
+def adds_a_class(original):
+    # the class of a far translation, above every interval of a short corpus
+    def faulty(c_lo, c_hi):
+        return original(c_lo, c_hi) + [class_invariant(parse_element(c_lo.datum, "t(9,9)"))]
+
+    return faulty
+
+
+INTERVAL_FAULTS = {"drops_the_top_class": drops_the_top_class, "adds_a_class": adds_a_class}
+
+
+@pytest.mark.parametrize("fault", INTERVAL_FAULTS)
+@pytest.mark.parametrize("spec", ("A2:adj", "C2:sc"))
+def test_interval_fault_gives_the_reference_violations(monkeypatch, spec, fault):
+    # the audit reads the interval through purity_report, the reference
+    # through bg_poset; both must see the fault and report it alike
+    faulty = INTERVAL_FAULTS[fault](bg_poset.interval)
+    monkeypatch.setattr(bg_poset, "interval", faulty)
+    monkeypatch.setattr(cl, "interval", faulty)
+    shared, reference = audit_both(monkeypatch, spec, 5, SEEDS)
+    assert shared == reference
+    _checked, violations, _findings = shared["saturation"]
+    assert violations
+    assert all(v["detail"].startswith("interval has ") for v in violations)
