@@ -136,14 +136,12 @@ def audit(
 
     elements = corpus(datum, max_length, budget=enum_budget)
     geo_count = 0
-    additivity = {}  # MinCoxWitness -> its additivity failures, for this audit only
+    memo = _AuditMemo()
     for pos, w in enumerate(elements):
         if progress is not None:
             progress(pos, len(elements), w)
         try:
-            geo_count += _audit_element(
-                w, seeds, bfs_cap, results, fail, bump, additivity
-            )
+            geo_count += _audit_element(w, seeds, bfs_cap, results, fail, bump, memo)
         except InternalInvariantError as exc:
             fail("integrality", format_element(w), str(exc))
         except AdlvkitError as exc:
@@ -291,7 +289,19 @@ def _audit_defect_independence(datum, straight, fail, bump):
 # -- per-element checks ----------------------------------------------------------
 
 
-def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> int:
+@dataclass
+class _AuditMemo:
+    """Checks that one audit runs once and replays for every element.
+
+    Made afresh by each :func:`audit` call and never kept beyond it, so a
+    check that starts failing after an audit is seen by the next one.
+    """
+
+    additivity: dict = field(default_factory=dict)  # MinCoxWitness -> its additivity failures
+    verdicts: dict = field(default_factory=dict)  # Edge -> verify_edge(edge)
+
+
+def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
     """Run the tree, class and formula suites on one element.
 
     Seeds whose trees are equal share one tree (:func:`share_equal_trees`).
@@ -299,8 +309,10 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> i
     multiplicity count and the formula scan once per distinct path
     summary, and each seed replays their counts and failures in seed
     order, so the suites read as if every seed had been checked on its
-    own. ``additivity`` memoizes the witness additivity checks across the
-    elements of one audit (see :func:`_check_witness_additivity`). The
+    own. ``memo`` (an :class:`_AuditMemo`) holds the edge replay verdicts
+    and the witness additivity checks (see
+    :func:`_check_witness_additivity`) across the elements of one audit,
+    whose trees share their edges through the datum's memo. The
     extrema and the saturation verdict of the endpoint classes come from
     the first tree's :func:`classifier.purity_report`.
 
@@ -309,8 +321,8 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> i
     datum = w.datum
     text = format_element(w)
     base_len = length(w)
-    if additivity is None:
-        additivity = {}
+    if memo is None:
+        memo = _AuditMemo()
 
     members = conjugacy.shift_class(w, cap=bfs_cap)
     inv = class_invariant(w)
@@ -334,11 +346,14 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> i
             if base_len != lend + c1 + 2 * c2:
                 fail("conservation", text, f"seed {seed}: {base_len} != {lend}+{c1}+2*{c2}")
             bump("conservation", mult)
-        for detail in _replayed(certified, tree, lambda: _certificate_failures(tree, bfs_cap)):
+        failures = _replayed(
+            certified, tree, lambda: _certificate_failures(tree, bfs_cap, memo.verdicts)
+        )
+        for detail in failures:
             if detail is not None:
                 fail("endpoint_certificates", text, detail)
             bump("endpoint_certificates")
-    # shared trees share their memoized summary, so identity finds the repeats
+    # the datum interns path summaries, so identity finds the repeats
     distinct = list({id(summary): summary for summary in summaries.values()}.values())
 
     first = summaries[seeds[0]]
@@ -392,10 +407,10 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, additivity=None) -> i
     bump("mct_slack")
 
     if witness is not None:
-        _check_witness_additivity(datum, witness, text, fail, bump, additivity)
+        _check_witness_additivity(datum, witness, text, fail, bump, memo.additivity)
     for endpoint_witness in geo.endpoint_witnesses.values():
         if endpoint_witness is not None:
-            _check_witness_additivity(datum, endpoint_witness, text, fail, bump, additivity)
+            _check_witness_additivity(datum, endpoint_witness, text, fail, bump, memo.additivity)
 
     if not geo.is_geo_cox:
         return 0
@@ -471,15 +486,21 @@ def _replayed(records, key, events):
     records[key] = record
 
 
-def _certificate_failures(tree, bfs_cap):
-    """Per endpoint, then per edge: None if its certificate holds, else why not."""
+def _certificate_failures(tree, bfs_cap, verdicts):
+    """Per endpoint, then per edge: None if its certificate holds, else why not.
+
+    Each edge is replayed once per ``verdicts``, the memo of one audit.
+    """
     for endpoint in tree.endpoints():
         if is_min_len(endpoint, cap=bfs_cap).is_min_len:
             yield None
         else:
             yield f"endpoint {format_element(endpoint)} not minimal"
     for edge in tree.edges:
-        yield None if verify_edge(edge) else "edge witness replay failed"
+        verdict = verdicts.get(edge)
+        if verdict is None:
+            verdict = verdicts[edge] = verify_edge(edge)
+        yield None if verdict else "edge witness replay failed"
 
 
 def _formula_scan(summary, cls, formulas):

@@ -53,9 +53,18 @@ several threads. They are plain dicts named ``*_cache``:
     the rank+1 affine simple reflections, filled by
     :func:`adlvkit.affine_weyl.simple_reflection`.
 ``_length_cache``, ``_shift_class_cache``, ``_class_cache``,
-``_move_cache``, ``_mincox_cache``, ``_defect_cache``,
-``_straight_cache``, ``_class_set_cache``
+``_mincox_cache``, ``_defect_cache``, ``_straight_cache``,
+``_class_set_cache``
     per-element and per-class results of the layers above.
+``_move_cache``, ``_summary_cache``, ``_edge_cache``, ``_node_cache``,
+``_summary_value_cache``
+    the reduction tree memos of :mod:`adlvkit.reduction_tree`: per
+    (element, index order), the element's expansion (its two edges, or
+    None at an endpoint) and its path summary; per move (element, index,
+    shifts), its pair of edges, which every order that picks the move
+    shares; and the interned objects: one per element that a tree has
+    reached, which every edge points at, and one per distinct path
+    summary.
 ``_levi_cache``
     per connected set of simple indices, the fundamental coweights of
     its minuscule nodes, read by :mod:`adlvkit.levi`.
@@ -294,6 +303,10 @@ class RootDatum:
         self._shift_class_cache = {}
         self._class_cache = {}
         self._move_cache = {}
+        self._summary_cache = {}
+        self._edge_cache = {}
+        self._node_cache = {}
+        self._summary_value_cache = {}
         self._mincox_cache = {}
         self._defect_cache = {}
         self._straight_cache = {}

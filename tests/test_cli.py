@@ -348,9 +348,12 @@ def test_check_exit_code_on_invariant_breakage(monkeypatch):
 
 
 def test_scan_parallel_matches_sequential():
-    argv = ["scan", "--datum", "A1:adj", "--max-length", "4", "--format", "jsonl"]
-    code1, seq = run(argv + ["--jobs", "1"])
+    # branching trees, whose per-datum memos each worker warms with its
+    # own share of the corpus; the pool runs first, on a datum that no
+    # classify has warmed yet
+    argv = ["scan", "--datum", "A2:adj", "--max-length", "5", "--format", "jsonl"]
     code2, par = run(argv + ["--jobs", "2"])
+    code1, seq = run(argv + ["--jobs", "1"])
     assert code1 == code2 == 0
     assert seq == par
 

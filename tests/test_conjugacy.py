@@ -60,6 +60,8 @@ CAPPED_SEARCHES = {
     "is_min_len": lambda w, cap: cj.is_min_len(w, cap=cap),
     "find_reduction_move": lambda w, cap: rt.find_reduction_move(w, seed=0, cap=cap),
     "is_minimal_coxeter_type": lambda w, cap: cl.is_minimal_coxeter_type(w, cap=cap),
+    "build_tree": lambda w, cap: rt.tree_to_dict(rt.build_tree(w, seed=0, cap=cap)),
+    "classify": lambda w, cap: cl.report_to_dict(cl.classify(w, cap=cap)),
 }
 
 
@@ -81,7 +83,7 @@ def test_bfs_cap_holds_in_a_fresh_datum(name):
 
 @pytest.mark.parametrize("name", CAPPED_SEARCHES)
 def test_bfs_cap_holds_after_a_cached_search(name):
-    # the first call caches the graph and, for the last two, the memo
+    # the first call caches the graph and, for all but the first two, a memo
     search = CAPPED_SEARCHES[name]
     w = _two_member_class()
     expected = search(w, cj.DEFAULT_BFS_CAP)

@@ -2,10 +2,10 @@
 
 ``strong_multiplicity_one``, ``is_geometric_coxeter_type`` and
 ``purity_report`` read trees that their caller built once per seed, and
-``path_summary`` memoizes on the tree. The functions prefixed ``ref_``
-are the forms they replaced: each builds its own trees from
-``(w, seeds, cap)``, path summaries share one memo keyed by
-``(node, seed)`` across every tree of every datum, and the zero sets
+``path_summary`` memoizes per (node, index order) on the datum. The
+functions prefixed ``ref_`` are the forms they replaced: each builds its
+own trees from ``(w, seeds, cap)``, path summaries share one memo keyed
+by ``(node, seed)`` across every tree of every datum, and the zero sets
 I(nu) come from ``Fraction`` dots instead of the class invariant.
 
 Seeds whose trees are equal now share one tree object
@@ -35,7 +35,7 @@ from adlvkit.conjugacy import (
 )
 from adlvkit.errors import NoUniqueExtremumError, NotComparableError
 from adlvkit.linalg import dot, mat_mul
-from adlvkit.root_datum import build_root_datum
+from adlvkit.root_datum import RootDatum, build_root_datum, parse_spec
 
 CORPORA = (("A2:adj", 6), ("C2:sc", 6), ("2A3:sc", 4))
 SEEDS = tuple(range(10))
@@ -186,14 +186,35 @@ def test_tree_readers_match_rebuilding_references(spec, max_length):
 
 @pytest.mark.parametrize("spec,max_length", CORPORA)
 def test_tree_memo_matches_datum_memo_and_brute_force(spec, max_length):
+    # the root's summary leaves one (node, order) entry in the datum's
+    # memo for every node the tree reaches, and path_summary reads it
     for w in corpus(spec, max_length):
+        datum = w.datum
         for seed in SEEDS:
             tree = rt.build_tree(w, seed=seed)
-            for node in tree.expansions:
-                summary = rt.path_summary(tree, start=node)
+            rt.path_summary(tree)
+            for node, exp in tree.expansions.items():
+                key = (node, tree.order)
+                assert datum._move_cache[key] is exp
+                summary = datum._summary_cache[key]
+                assert rt.path_summary(tree, start=node) is summary
                 assert summary == ref_path_summary(tree, start=node)
                 assert summary == brute_force_summary(tree, node), (format_element(w), seed)
-            assert set(tree.summaries) == set(tree.expansions)
+
+
+@pytest.mark.parametrize("spec,max_length", CORPORA)
+def test_classify_does_not_depend_on_what_warmed_the_datum(spec, max_length):
+    # the tree memos are shared by every element of a datum: a report on
+    # a datum warmed by the corpus in reverse order, its seeds reversed
+    # too, equals the report on a fresh datum
+    texts = [format_element(w) for w in corpus(spec, max_length)]
+    warm = RootDatum(parse_spec(spec))
+    for text in reversed(texts):
+        cl.classify(parse_element(warm, text), seeds=SEEDS[::-1])
+    for text in texts:
+        fresh = parse_element(RootDatum(parse_spec(spec)), text)
+        expected = cl.report_to_dict(cl.classify(fresh, seeds=SEEDS))
+        assert cl.report_to_dict(cl.classify(parse_element(warm, text), seeds=SEEDS)) == expected, text
 
 
 def test_strong_multiplicity_one_reads_every_tree():
@@ -571,6 +592,18 @@ def test_failed_edge_is_reported_per_seed(monkeypatch):
     checked, violations, _findings = shared["endpoint_certificates"]
     assert checked == sum(len(t.endpoints()) + len(t.edges) for t in trees)
     assert [v["detail"] for v in violations] == ["edge witness replay failed"] * seeds_with_edge
+
+
+def test_edge_fault_after_a_warm_audit_is_seen(monkeypatch):
+    # edge verdicts are shared by the elements of one audit only: an edge
+    # that starts failing after a clean audit fails in the next one
+    assert checks.audit(build_root_datum("C2:sc"), 4, seeds=SEEDS).passed
+    bad = next(edge for w in corpus("C2:sc", 4) for edge in rt.build_tree(w).edges)
+    monkeypatch.setattr(checks, "verify_edge", lambda edge: edge != bad and rt.verify_edge(edge))
+    shared, reference = audit_both(monkeypatch, "C2:sc", 4, SEEDS)
+    assert shared == reference
+    _checked, violations, _findings = shared["endpoint_certificates"]
+    assert violations and {v["detail"] for v in violations} == {"edge witness replay failed"}
 
 
 def test_failed_endpoint_is_reported_per_seed(monkeypatch):
