@@ -190,7 +190,6 @@ def build_tree(
     """
     datum = w.datum
     order = _index_order(datum.rank + 1, seed)
-    w = datum._node_cache.setdefault(w, w)
     expansions = {}
     stack = [w]
     while stack:
@@ -209,9 +208,11 @@ def share_equal_trees(trees):
 
     A tree whose root and ``expansions`` equal an earlier tree's is
     replaced by that earlier object, ``seed`` included, so a reader that
-    skips objects it has met does each distinct tree's work once. For trees from :func:`build_tree` equal expansions also mean
-    equal node order: the build inserts nodes by a walk that reads only
-    the root and the expansions.
+    skips objects it has met does each distinct tree's work once. For
+    trees from :func:`build_tree` equal expansions also mean equal node
+    order: the build inserts nodes by a walk that reads only the root and
+    the expansions. Their equal expansions are mostly the same edge
+    objects, from the datum's memo, so the comparison is quick.
     """
     distinct = []
     shared = []
