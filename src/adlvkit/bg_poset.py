@@ -157,7 +157,7 @@ def iter_elements(
     kottwitz=None,
     budget: int = DEFAULT_ENUM_BUDGET,
 ):
-    """All elements of length <= max_length, sorted by (lambda, len(z), word of z).
+    """All elements of length <= max_length, shortest first, in no set order.
 
     For lattices with a central line (the gl preset) the set is infinite,
     so the central coordinate sum is pinned: to that of the class
@@ -174,7 +174,7 @@ def iter_elements(
     s_i y has length k - 1 or k + 1, and every element of length k + 1
     has a left descent. ``budget`` caps the number of elements; the cap
     error names the length reached. Only the yielded elements enter the
-    length cache.
+    length cache. Within one length the order is a set's: callers sort.
     """
     from .levi import length_zero_elements
 
@@ -206,16 +206,11 @@ def iter_elements(
                     above.add(x)
         levels.append(above)
 
-    def order(entry):
-        word = datum.finite_word(entry[0].finite_index)
-        return entry[0].translation, len(word), word
-
     length_cache = datum._length_cache
-    for x, k in sorted(
-        ((x, k) for k, level in enumerate(levels[: max_length + 1]) for x in level), key=order
-    ):
-        length_cache[x] = k
-        yield x
+    for k, level in enumerate(levels[: max_length + 1]):
+        for x in level:
+            length_cache[x] = k
+            yield x
 
 
 def enumerate_straight(

@@ -101,15 +101,16 @@ class AuditReport:
 
 
 def corpus(datum, max_length, budget=bg_poset.DEFAULT_ENUM_BUDGET):
-    """Every element of length <= max_length, deterministically ordered.
+    """Every element of length <= max_length, sorted by (length, text).
 
-    Lattices with a central line are enumerated modulo central
-    translations (see :func:`bg_poset.iter_elements`), which is the only
-    way the corpus is finite there.
+    The one owner of the order audits and scans report in. Lattices with
+    a central line are enumerated modulo central translations (see
+    :func:`bg_poset.iter_elements`), the only way the corpus is finite.
     """
-    elements = list(bg_poset.iter_elements(datum, max_length, budget=budget))
-    elements.sort(key=lambda x: (length(x), format_element(x)))
-    return elements
+    return sorted(
+        bg_poset.iter_elements(datum, max_length, budget=budget),
+        key=lambda x: (length(x), format_element(x)),
+    )
 
 
 def audit(
@@ -307,14 +308,14 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
     Seeds whose trees are equal share one tree (:func:`share_equal_trees`).
     Endpoint certificates and edge replays run once per distinct tree, the
     multiplicity count and the formula scan once per distinct path
-    summary, and each seed replays their counts and failures in seed
-    order, so the suites read as if every seed had been checked on its
-    own. ``memo`` (an :class:`_AuditMemo`) holds the edge replay verdicts
-    and the witness additivity checks (see
-    :func:`_check_witness_additivity`) across the elements of one audit,
-    whose trees share their edges through the datum's memo. The
-    extrema and the saturation verdict of the endpoint classes come from
-    the first tree's :func:`classifier.purity_report`.
+    summary, and each seed reports their stored outcomes in seed order,
+    so the suites read as if every seed had been checked on its own.
+    ``memo`` (an :class:`_AuditMemo`) holds the edge replay verdicts and
+    the witness additivity failures (:func:`_check_witness_additivity`)
+    across the elements of one audit, whose trees share their edges
+    through the datum's memo. The extrema and the saturation verdict of
+    the endpoint classes come from the first tree's
+    :func:`classifier.purity_report`.
 
     Returns 1 when the element has geometric Coxeter type.
     """
@@ -338,7 +339,7 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
 
     trees = share_equal_trees([build_tree(w, seed=seed, cap=bfs_cap) for seed in seeds])
     summaries = {}
-    certified = {}  # tree -> its certificate events
+    certified = {}  # tree -> _certificate_failures(tree, ...)
     for seed, tree in zip(seeds, trees):
         summary = path_summary(tree)
         summaries[seed] = summary
@@ -346,9 +347,9 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
             if base_len != lend + c1 + 2 * c2:
                 fail("conservation", text, f"seed {seed}: {base_len} != {lend}+{c1}+2*{c2}")
             bump("conservation", mult)
-        failures = _replayed(
-            certified, tree, lambda: _certificate_failures(tree, bfs_cap, memo.verdicts)
-        )
+        failures = certified.get(tree)
+        if failures is None:
+            failures = certified[tree] = _certificate_failures(tree, bfs_cap, memo.verdicts)
         for detail in failures:
             if detail is not None:
                 fail("endpoint_certificates", text, detail)
@@ -469,38 +470,22 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
     return 1
 
 
-def _replayed(records, key, events):
-    """Yield what ``events()`` yields, or what it yielded when ``key`` was met.
-
-    A record is kept only once the events have run to their end, so a
-    check that raised raises again the next time.
-    """
-    record = records.get(key)
-    if record is not None:
-        yield from record
-        return
-    record = []
-    for event in events():
-        record.append(event)
-        yield event
-    records[key] = record
-
-
-def _certificate_failures(tree, bfs_cap, verdicts):
+def _certificate_failures(tree, bfs_cap, verdicts) -> list:
     """Per endpoint, then per edge: None if its certificate holds, else why not.
 
     Each edge is replayed once per ``verdicts``, the memo of one audit.
     """
-    for endpoint in tree.endpoints():
-        if is_min_len(endpoint, cap=bfs_cap).is_min_len:
-            yield None
-        else:
-            yield f"endpoint {format_element(endpoint)} not minimal"
+    failures = [
+        None if is_min_len(endpoint, cap=bfs_cap).is_min_len
+        else f"endpoint {format_element(endpoint)} not minimal"
+        for endpoint in tree.endpoints()
+    ]
     for edge in tree.edges:
         verdict = verdicts.get(edge)
         if verdict is None:
             verdict = verdicts[edge] = verify_edge(edge)
-        yield None if verdict else "edge witness replay failed"
+        failures.append(None if verdict else "edge witness replay failed")
+    return failures
 
 
 def _formula_scan(summary, cls, formulas):
@@ -527,25 +512,30 @@ def _check_witness_additivity(datum, witness, text, fail, bump, memo):
 
     Also pins the relative term to the orbit count of the transported
     twist, which is what makes the Coxeter condition quantitative. The
-    check runs once per witness in ``memo``; later elements with the same
-    witness replay its failures under their own name.
+    check runs once per witness; ``memo`` keeps its failures, which later
+    elements with the same witness report under their own name.
     """
-    for detail in _replayed(memo, witness, lambda: _additivity_failures(datum, witness)):
+    failures = memo.get(witness)
+    if failures is None:
+        failures = memo[witness] = _additivity_failures(datum, witness)
+    for detail in failures:
         fail("reflection_additivity", text, detail)
     bump("reflection_additivity", 2)
 
 
-def _additivity_failures(datum, witness):
+def _additivity_failures(datum, witness) -> list:
+    failures = []
     total = conjugacy.classical_reflection_length(multiply(witness.c, witness.x))
     base = conjugacy.classical_reflection_length(witness.x)
     twist = mat_mul(witness.x.finite, datum.delta)
     relative = conjugacy.relative_reflection_length(datum, witness.c.finite, twist)
     if total != base + relative:
-        yield f"{total} != {base} + {relative}"
+        failures.append(f"{total} != {base} + {relative}")
     perm = classifier.twist_permutation(witness.x, witness.K)
     orbit_count = len(conjugacy.permutation_orbits(perm)) if perm is not None else 0
     if relative != orbit_count:
-        yield f"relative length {relative} != orbit count {orbit_count}"
+        failures.append(f"relative length {relative} != orbit count {orbit_count}")
+    return failures
 
 
 # -- convenience entry point -------------------------------------------------------

@@ -76,7 +76,10 @@ class ResultCache:
 
     def __init__(self, root):
         self.root = root
-        os.makedirs(root, exist_ok=True)
+        try:
+            os.makedirs(root, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cache directory {root!r} cannot be made: {exc.strerror or exc}") from exc
 
     @staticmethod
     def key(payload: dict) -> str:
@@ -135,7 +138,6 @@ def _build_parser():
             # the commands that enumerate a corpus up to --max-length
             p.add_argument("--max-length", required=True)
             p.add_argument("--cap-enum", default=bg_poset.DEFAULT_ENUM_BUDGET)
-        p.add_argument("--cache", default=None, help="cache directory (or ADLVKIT_CACHE)")
 
     p = sub.add_parser("classify", help="full report for one element")
     common(p)
@@ -178,6 +180,9 @@ def _build_parser():
 
     p = sub.add_parser("check", help="run the invariant suites over a scan corpus")
     common(p, corpus=True)
+
+    for name in ("classify", "bgw", "scan"):  # the verbs that call _cache_from
+        sub.choices[name].add_argument("--cache", help="cache directory (or ADLVKIT_CACHE)")
 
     return parser
 

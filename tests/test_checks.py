@@ -5,7 +5,13 @@ runner itself is stable, reports sizes sensibly, and classifies soft
 observations as findings rather than failures.
 """
 
+import pytest
+from test_acceptance import CORPORA as ACCEPTANCE
+from test_acceptance_rank4 import CORPORA as ACCEPTANCE_RANK4
+
 from adlvkit import checks
+from adlvkit.affine_weyl import format_element, length
+from adlvkit.root_datum import RootDatum, parse_spec
 
 
 def test_audit_a1_small():
@@ -39,3 +45,23 @@ def test_lines_format():
     lines = report.lines()
     assert len(lines) == len(checks.CHECK_NAMES)
     assert all(line.startswith(("PASS", "FAIL")) for line in lines)
+
+
+@pytest.mark.parametrize("spec,max_length", ACCEPTANCE + ACCEPTANCE_RANK4)
+def test_corpus_is_strictly_increasing_in_length_then_text(spec, max_length):
+    # checks.corpus owns the order: bg_poset.iter_elements promises none
+    elements = checks.corpus(RootDatum(parse_spec(spec)), max_length)
+    keys = [(length(x), format_element(x)) for x in elements]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+def test_audit_violations_follow_the_corpus_order(monkeypatch):
+    # every edge replay fails, so every element with an edge is reported
+    monkeypatch.setattr(checks, "verify_edge", lambda edge: False)
+    datum = RootDatum(parse_spec("C2:sc"))
+    order = {format_element(x): pos for pos, x in enumerate(checks.corpus(datum, 4))}
+    report = checks.audit(datum, 4, seeds=(0, 1))
+    named = [v["element"] for v in report.results["endpoint_certificates"].violations]
+    assert named
+    positions = [order[text] for text in named]
+    assert positions == sorted(positions)

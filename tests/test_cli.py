@@ -515,3 +515,59 @@ def test_scan_pool_failure_before_first_row_falls_back(monkeypatch, capsys, fail
     assert out == serial
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: worker pool failed before its first row")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tree", "--datum", "A1:adj", "s1"],
+        ["check", "--datum", "A1:adj", "--max-length", "1", "--seeds", "0"],
+    ],
+    ids=["tree", "check"],
+)
+def test_verbs_without_a_result_cache_reject_the_flag(tmp_path, capsys, argv):
+    # only classify, bgw and scan read a result cache; elsewhere the flag
+    # would be accepted and ignored
+    code, out = run(argv + ["--cache", str(tmp_path / "cache")])
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--datum", "A1:adj", "s1"],
+        ["bgw", "--datum", "A1:adj", "s1"],
+        ["scan", "--datum", "A1:adj", "--max-length", "1", "--jobs", "1"],
+    ],
+    ids=["classify", "bgw", "scan"],
+)
+def test_a_cache_path_that_is_a_file_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, how):
+    path = tmp_path / "taken"
+    path.write_text("not a directory")
+    monkeypatch.delenv("ADLVKIT_CACHE", raising=False)
+    if how == "flag":
+        argv = argv + ["--cache", str(path)]
+    else:
+        monkeypatch.setenv("ADLVKIT_CACHE", str(path))
+    code, out = run(argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+    assert path.read_text() == "not a directory"
+
+
+def test_scan_rows_follow_the_corpus_order():
+    from adlvkit import checks
+    from adlvkit.affine_weyl import format_element
+
+    code, out = run(["scan", "--datum", "C2:sc", "--max-length", "4", "--jobs", "1"])
+    assert code == 0
+    rows = [json.loads(line)["element"] for line in out.splitlines()]
+    datum = root_datum.build_root_datum("C2:sc")
+    assert rows == [format_element(x) for x in checks.corpus(datum, 4)]

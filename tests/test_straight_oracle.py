@@ -94,13 +94,14 @@ def test_enumerations_match_the_full_product(spec, max_length):
     for bound, c, central in calls:
         got = ref.pruned_translation_candidates(datum, bound, central)
         assert got == ref.translation_candidates(oracle, bound, central), bound
-        got = [aw.format_element(x) for x in bg.iter_elements(datum, bound, kottwitz=c)]
-        want = [
+        # iter_elements promises no order; the multiset must match exactly
+        got = sorted(aw.format_element(x) for x in bg.iter_elements(datum, bound, kottwitz=c))
+        want = sorted(
             aw.format_element(x)
             for x in ref.iter_elements(
                 oracle, bound, central, None if c is None else c.kottwitz
             )
-        ]
+        )
         assert got == want, (bound, c)
 
 
@@ -148,16 +149,17 @@ def test_breadth_first_search_matches_the_table_path(spec, max_length):
     datum, oracle = fresh(spec), fresh(spec)
     normalize = bool(datum.central_rank)
     for c, c_ref in zip(_every_filter(datum), _every_filter(oracle)):
-        got = [
+        # iter_elements promises no order; the multiset must match exactly
+        got = sorted(
             (aw.format_element(x), aw.length(x))
             for x in bg.iter_elements(datum, max_length, kottwitz=c)
-        ]
-        want = [
+        )
+        want = sorted(
             (aw.format_element(x), aw.length(x))
             for x in ref.table_iter_elements(
                 oracle, max_length, kottwitz=c_ref, normalize_central=normalize
             )
-        ]
+        )
         assert got == want, c
 
 
