@@ -37,8 +37,8 @@ Straightness is an integer test on the orbit sum of the translation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
+from typing import NamedTuple
 
 from .affine_weyl import AffineElement, format_element, left_by_simple, length
 from .conjugacy import (
@@ -116,8 +116,7 @@ def sort_classes(items, key=None) -> list:
     return sorted(items, key=rank)
 
 
-@dataclass(frozen=True)
-class ClassRecord:
+class ClassRecord(NamedTuple):
     invariant: ClassInvariant
     straight_witness: AffineElement
     defect: int

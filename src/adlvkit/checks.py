@@ -16,7 +16,7 @@ findings, never as failures.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import bg_poset, classifier, conjugacy
 from .affine_weyl import (
@@ -63,20 +63,21 @@ CHECK_NAMES = (
 )
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    violations: list = field(default_factory=list)
-    findings: list = field(default_factory=list)
-    checked: int = 0
+    """One suite's tally: checks run, violations and findings, filled in by the audit."""
+
+    def __init__(self, name):
+        self.name = name
+        self.violations = []
+        self.findings = []
+        self.checked = 0
 
     @property
     def passed(self):
         return not self.violations
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     datum_string: str
     max_length: int
     seeds: tuple
@@ -290,7 +291,6 @@ def _audit_defect_independence(datum, straight, fail, bump):
 # -- per-element checks ----------------------------------------------------------
 
 
-@dataclass
 class _AuditMemo:
     """Checks that one audit runs once and replays for every element.
 
@@ -298,8 +298,9 @@ class _AuditMemo:
     check that starts failing after an audit is seen by the next one.
     """
 
-    additivity: dict = field(default_factory=dict)  # MinCoxWitness -> its additivity failures
-    verdicts: dict = field(default_factory=dict)  # Edge -> verify_edge(edge)
+    def __init__(self):
+        self.additivity = {}  # MinCoxWitness -> its additivity failures
+        self.verdicts = {}  # Edge -> verify_edge(edge)
 
 
 def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:

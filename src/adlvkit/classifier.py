@@ -20,8 +20,8 @@ test suite replays against brute-force tree enumeration.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from .affine_weyl import (
     AffineElement,
@@ -173,8 +173,7 @@ def is_twisted_coxeter(u: AffineElement, K, x: AffineElement) -> bool:
 # -- minimal Coxeter type ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinCoxWitness:
+class MinCoxWitness(NamedTuple):
     K: tuple
     x: AffineElement
     c: AffineElement
@@ -256,8 +255,7 @@ def strong_multiplicity_one(trees):
     return True, None
 
 
-@dataclass
-class GeoCoxResult:
+class GeoCoxResult(NamedTuple):
     is_geo_cox: bool
     smo: bool
     offending_class: object
@@ -436,8 +434,7 @@ def purity_report(tree):
 # -- the full report --------------------------------------------------------------
 
 
-@dataclass
-class BgwRow:
+class BgwRow(NamedTuple):
     invariant: ClassInvariant
     defect: int
     num_paths: int
@@ -452,8 +449,7 @@ class BgwRow:
     shape: str
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     element: AffineElement
     seeds: tuple
     min_len: bool

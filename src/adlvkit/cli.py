@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
-from . import __version__, bg_poset, checks, classifier, conjugacy
+from . import __version__, bg_poset, classifier, conjugacy
 from .affine_weyl import (
     ASCII_DIGITS,
     format_element,
@@ -50,6 +47,7 @@ EXIT_INVARIANT = 3
 EXIT_POOL = 4
 
 _VERIFY_FRACTION = 100  # re-verify roughly 1 in this many cache hits
+_SCAN_CHUNK = 8  # rows per task a pool worker takes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,6 +62,8 @@ def _stable_json(data) -> str:
 @functools.lru_cache(maxsize=None)
 def _source_digest() -> str:
     """sha256 over the names and bytes of the package's ``*.py`` files."""
+    import hashlib
+
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).resolve().parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0")
@@ -72,10 +72,16 @@ def _source_digest() -> str:
 
 
 class ResultCache:
-    """Content-addressed JSON files; atomic writes, last writer wins."""
+    """Content-addressed JSON files; atomic writes, last writer wins.
+
+    ``unreadable`` counts the entries that existed but could not be read
+    back; :meth:`read` treats them as misses, so they are recomputed and
+    overwritten.
+    """
 
     def __init__(self, root):
         self.root = root
+        self.unreadable = 0
         try:
             os.makedirs(root, exist_ok=True)
         except OSError as exc:
@@ -88,6 +94,8 @@ class ResultCache:
         An entry written by other code (another version, schema or source
         file) gets another key, so it is never served as fresh.
         """
+        import hashlib
+
         blob = _stable_json(
             {
                 "version": __version__,
@@ -105,7 +113,10 @@ class ResultCache:
         try:
             with open(self.path(key)) as fh:
                 return json.load(fh)
+        except FileNotFoundError:
+            return None
         except (OSError, ValueError):
+            self.unreadable += 1
             return None
 
     def write(self, key, data):
@@ -211,6 +222,13 @@ def _cache_from(args):
     return ResultCache(root) if root else None
 
 
+def _warn_unreadable(cache):
+    n = 0 if cache is None else cache.unreadable
+    if n:
+        what = "entry was" if n == 1 else "entries were"
+        print(f"warning: {n} unreadable result-cache {what} recomputed and overwritten", file=sys.stderr)
+
+
 def _classify_payload(datum, text, seeds, cap):
     w = parse_element(datum, text)
     return report_to_dict(classify(w, seeds=seeds, cap=cap))
@@ -290,6 +308,25 @@ def _scan_worker(text):
     return _classify_payload(datum, text, _WORKER_STATE["seeds"], _WORKER_STATE["cap"])
 
 
+def _process_pool(max_workers, initargs):
+    """The scan's worker pool, each worker set up by :func:`_scan_worker_init`.
+
+    ``concurrent.futures`` is imported here, so only a pool scan loads it.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(
+        max_workers=max_workers, initializer=_scan_worker_init, initargs=initargs
+    )
+
+
+def _available_cpus():
+    """The CPUs this process may run on, which ``--jobs 0`` asks for."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 _FILTERS = {
     "straight": lambda d: d["straight"],
     "minlen": lambda d: d["min_len"],
@@ -311,6 +348,8 @@ def _check_nonnegative(args):
 
 
 def _cmd_scan(args, out):
+    from . import checks
+
     datum = build_root_datum(args.datum)
     seeds = _parse_seeds(args.seeds)
     cache = _cache_from(args)
@@ -350,18 +389,19 @@ def _cmd_scan(args, out):
         ]
     texts = [format_element(x) for x in elements]
 
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = args.jobs or _available_cpus()
 
     def row_stream():
         if jobs > 1 and cache is None and len(texts) > 1:
+            from concurrent.futures.process import BrokenProcessPool
+
+            # with the fork start method every worker starts at the first
+            # submit, so start no more than there are chunks
+            workers = min(jobs, -(-len(texts) // _SCAN_CHUNK))
             rows = 0
             try:
-                with ProcessPoolExecutor(
-                    max_workers=jobs,
-                    initializer=_scan_worker_init,
-                    initargs=(args.datum, seeds, args.cap_bfs),
-                ) as pool:
-                    for data in pool.map(_scan_worker, texts, chunksize=8):
+                with _process_pool(workers, (args.datum, seeds, args.cap_bfs)) as pool:
+                    for data in pool.map(_scan_worker, texts, chunksize=_SCAN_CHUNK):
                         rows += 1
                         yield data
                     return
@@ -401,6 +441,7 @@ def _cmd_scan(args, out):
     except _PoolFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         truncated, code = str(exc), EXIT_POOL
+    _warn_unreadable(cache)
     if truncated is not None:
         # partial results stay flushed; the marker records the cut
         if args.format == "jsonl":
@@ -414,6 +455,8 @@ def _cmd_scan(args, out):
 
 
 def _cmd_check(args, out):
+    from . import checks
+
     datum = build_root_datum(args.datum)
     seeds = _parse_seeds(args.seeds)
     report = checks.audit(
@@ -446,9 +489,9 @@ def main(argv=None, out=None) -> int:
         if args.command in ("classify", "bgw"):
             datum = build_root_datum(args.datum)
             seeds = _parse_seeds(args.seeds)
-            data = _classified(
-                datum, args.element, seeds, args.cap_bfs, _cache_from(args)
-            )
+            cache = _cache_from(args)
+            data = _classified(datum, args.element, seeds, args.cap_bfs, cache)
+            _warn_unreadable(cache)
         if args.command == "classify":
             if args.format == "json":
                 out.write(_stable_json(data) + "\n")

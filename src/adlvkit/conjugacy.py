@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .affine_weyl import (
     AffineElement,
@@ -49,8 +49,7 @@ DEFAULT_BFS_CAP = 10**6
 _MAX_ORDER = 10**4
 
 
-@dataclass(frozen=True)
-class ShiftMove:
+class ShiftMove(NamedTuple):
     """One conjugation step: after = s_index . before . sigma(s_index)."""
 
     index: int
@@ -175,8 +174,7 @@ def first_drop(x: AffineElement, order, cap: int = DEFAULT_BFS_CAP):
     raise InternalInvariantError("class flagged non-minimal but no drop found")
 
 
-@dataclass(frozen=True)
-class MinLenResult:
+class MinLenResult(NamedTuple):
     is_min_len: bool
     # when not minimal: indices i1..ik with the replayed conjugations
     # reaching a strictly shorter element at the last step
@@ -331,8 +329,7 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-@dataclass(frozen=True, eq=False)
-class ClassInvariant:
+class ClassInvariant(NamedTuple):
     """Key of a twisted conjugacy class: dominant Newton point + Kottwitz point.
 
     Built only by :func:`class_invariant`, in integers. The Newton point
@@ -364,6 +361,10 @@ class ClassInvariant:
             and self.period == other.period
             and self.kottwitz == other.kottwitz
         )
+
+    def __ne__(self, other):
+        # tuple's own __ne__ would compare the fields, datum included
+        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.dom, self.period, self.kottwitz))

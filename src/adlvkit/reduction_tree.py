@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .affine_weyl import (
     AffineElement,
@@ -58,8 +58,7 @@ from .conjugacy import (
 from .errors import InternalInvariantError
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(NamedTuple):
     source: AffineElement
     target: AffineElement
     kind: str  # "I" or "II"
@@ -67,8 +66,7 @@ class Edge:
     witness_index: int  # the affine simple index a
 
 
-@dataclass(frozen=True)
-class ReductionPath:
+class ReductionPath(NamedTuple):
     edges: tuple
     end: AffineElement
     count_I: int

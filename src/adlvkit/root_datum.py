@@ -80,9 +80,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import cartan
 from .errors import UnsupportedDatumError, UsageError
@@ -107,32 +107,40 @@ _PRESETS = {
 _DATUM_RE = re.compile(r"^([123]?)([A-G])(\d+):([a-z_]+)$")
 
 
-@dataclass(frozen=True)
-class CartanSpec:
-    """What to build: family, rank, lattice preset, twist order."""
-
+class _CartanFields(NamedTuple):
     family: str
     rank: int
     lattice_preset: str
     twist_order: int = 1
 
-    def __post_init__(self):
-        if self.family not in cartan.FAMILIES:
-            raise UnsupportedDatumError(f"unknown family {self.family!r}")
-        cartan.validate_family_rank(self.family, self.rank)
-        if self.lattice_preset not in ("adjoint", "simply_connected", "gl"):
-            raise UnsupportedDatumError(
-                f"unknown lattice_preset {self.lattice_preset!r}"
-            )
-        if self.lattice_preset == "gl" and self.family != "A":
+
+class CartanSpec(_CartanFields):
+    """What to build: family, rank, lattice preset, twist order.
+
+    Validated on construction, also through ``_make`` and ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family, rank, lattice_preset, twist_order=1):
+        if family not in cartan.FAMILIES:
+            raise UnsupportedDatumError(f"unknown family {family!r}")
+        cartan.validate_family_rank(family, rank)
+        if lattice_preset not in ("adjoint", "simply_connected", "gl"):
+            raise UnsupportedDatumError(f"unknown lattice_preset {lattice_preset!r}")
+        if lattice_preset == "gl" and family != "A":
             raise UnsupportedDatumError("the gl preset requires family A")
-        if self.twist_order not in (1, 2, 3):
+        if twist_order not in (1, 2, 3):
             raise UnsupportedDatumError("twist_order must be 1, 2 or 3")
-        if self.twist_order not in cartan.automorphism_orders(self.family, self.rank):
+        if twist_order not in cartan.automorphism_orders(family, rank):
             raise UnsupportedDatumError(
-                f"twist_order {self.twist_order} is not admissible for "
-                f"{self.family}{self.rank}"
+                f"twist_order {twist_order} is not admissible for {family}{rank}"
             )
+        return super().__new__(cls, family, rank, lattice_preset, twist_order)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def datum_string(self) -> str:
         twist = "" if self.twist_order == 1 else str(self.twist_order)

@@ -456,14 +456,14 @@ def test_scan_left_minimal_restriction():
 
 
 def _failing_executor(fail_at, exc):
-    """An in-process stand-in for ProcessPoolExecutor whose map raises ``exc``
-    in place of row ``fail_at`` (None: the constructor raises)."""
+    """An in-process stand-in for ``cli._process_pool`` whose map raises ``exc``
+    in place of row ``fail_at`` (None: opening the pool raises)."""
 
     class FakeExecutor:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers, initargs):
             if fail_at is None:
                 raise exc
-            initializer(*initargs)
+            cli._scan_worker_init(*initargs)
 
         def __enter__(self):
             return self
@@ -489,7 +489,7 @@ _SCAN_ARGV = ["scan", "--datum", "A1:adj", "--max-length", "3", "--format", "jso
 def test_scan_pool_failure_after_rows_is_an_error(monkeypatch, capsys, exc):
     _code, serial = run(_SCAN_ARGV + ["--jobs", "1"])
     monkeypatch.setattr(cli, "_WORKER_STATE", {})
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _failing_executor(3, exc))
+    monkeypatch.setattr(cli, "_process_pool", _failing_executor(3, exc))
     code, out = run(_SCAN_ARGV + ["--jobs", "2"])
     assert code == cli.EXIT_POOL
     lines = out.strip().splitlines()
@@ -508,13 +508,113 @@ def test_scan_pool_failure_before_first_row_falls_back(monkeypatch, capsys, fail
     capsys.readouterr()
     monkeypatch.setattr(cli, "_WORKER_STATE", {})
     monkeypatch.setattr(
-        cli, "ProcessPoolExecutor", _failing_executor(fail_at, OSError("no semaphores"))
+        cli, "_process_pool", _failing_executor(fail_at, OSError("no semaphores"))
     )
     code, out = run(_SCAN_ARGV + ["--jobs", "2"])
     assert code == 0
     assert out == serial
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("warning: worker pool failed before its first row")
+
+
+def _in_process_pool(opened):
+    """A stand-in for ``cli._process_pool`` that records each ``max_workers``
+    and runs the rows in this process, starting nothing."""
+
+    class InProcessPool:
+        def __init__(self, max_workers, initargs):
+            opened.append(max_workers)
+            cli._scan_worker_init(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    return InProcessPool
+
+
+@pytest.mark.parametrize(
+    "datum,max_length,jobs,workers",
+    [
+        # 7 rows make one chunk of 8
+        ("A1:adj", "3", "8", 1),
+        ("A1:adj", "3", "2", 1),
+        # 31 rows make four chunks
+        ("A2:adj", "4", "8", 4),
+        ("A2:adj", "4", "3", 3),
+    ],
+)
+def test_the_scan_pool_starts_no_worker_without_a_chunk(monkeypatch, datum, max_length, jobs, workers):
+    monkeypatch.delenv("ADLVKIT_CACHE", raising=False)
+    argv = ["scan", "--datum", datum, "--max-length", max_length]
+    _code, serial = run(argv + ["--jobs", "1"])
+    opened = []
+    monkeypatch.setattr(cli, "_WORKER_STATE", {})
+    monkeypatch.setattr(cli, "_process_pool", _in_process_pool(opened))
+    code, out = run(argv + ["--jobs", jobs])
+    assert (code, out) == (0, serial)
+    assert opened == [workers]
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["sched_getaffinity", "cpu_count"])
+def test_jobs_zero_counts_the_cpus_this_process_may_use(monkeypatch, affinity):
+    monkeypatch.delenv("ADLVKIT_CACHE", raising=False)
+    _code, serial = run(_SCAN_ARGV + ["--jobs", "1"])
+
+    def no_pool(max_workers, initargs):
+        raise AssertionError(f"a one-CPU scan opened a pool of {max_workers}")
+
+    monkeypatch.setattr(cli, "_process_pool", no_pool)
+    if affinity:
+        # pinned to one CPU of eight
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, out = run(_SCAN_ARGV)
+    assert (code, out) == (0, serial)
+
+
+def test_unreadable_cache_entries_are_counted_and_rewritten(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ADLVKIT_CACHE", raising=False)
+    cache_dir = tmp_path / "cache"
+    cached = _SCAN_ARGV + ["--jobs", "1", "--cache", str(cache_dir)]
+    _code, plain = run(_SCAN_ARGV + ["--jobs", "1"])
+    assert run(cached) == (0, plain)
+    names = sorted(os.listdir(cache_dir))
+    assert len(names) == 7
+    assert capsys.readouterr().err == ""  # misses are not unreadable entries
+    for name in names[:2]:
+        (cache_dir / name).write_bytes(b"\xff garbage")
+    assert run(cached) == (0, plain)
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: 2 unreadable result-cache entries were recomputed and overwritten"]
+    # the entries were rewritten, so every one reads back
+    assert run(cached) == (0, plain)
+    assert capsys.readouterr().err == ""
+    (cache_dir / names[0]).write_text("{")
+    cache = cli.ResultCache(str(cache_dir))
+    key = names[0][: -len(".json")]
+    assert cache.read(key) is None and cache.read("0" * 64) is None
+    assert cache.unreadable == 1
+
+
+def test_an_unreadable_classify_entry_is_reported(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ADLVKIT_CACHE", raising=False)
+    argv = ["classify", "--datum", "A1:adj", "s1", "--cache", str(tmp_path)]
+    _code, fresh = run(argv)
+    (name,) = os.listdir(tmp_path)
+    (tmp_path / name).write_text("not json")
+    capsys.readouterr()
+    assert run(argv) == (0, fresh)
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: 1 unreadable result-cache entry was recomputed and overwritten"]
 
 
 @pytest.mark.parametrize(
