@@ -36,7 +36,8 @@ z alpha).
 from __future__ import annotations
 
 import re
-from operator import mul
+from itertools import compress, repeat
+from operator import gt, mul
 
 from .errors import (
     DatumMismatchError,
@@ -166,16 +167,9 @@ def translation_pairings(datum: RootDatum, lam):
 
     for the inversion bitmask N(z) of z.
     """
-    base = 0
-    up = 0
-    for k, beta in enumerate(datum.positive_roots):
-        p = dot(lam, beta)
-        if p >= 1:
-            base += p
-            up |= 1 << k
-        else:
-            base -= p
-    return base, up
+    pairings = datum.root_pairings(lam)
+    up = sum(compress(datum.root_bits, map(gt, pairings, repeat(0))))
+    return sum(map(abs, pairings)), up
 
 
 def length(x: AffineElement) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import mul
 
 from .errors import UnsupportedDatumError
-from .linalg import dot, vec_sub
+from .linalg import vec_sub
 
 FAMILIES = frozenset("ABCDEFG")
 
@@ -93,29 +93,37 @@ def positive_roots(simple):
     """Coefficient vectors of the positive roots over the integer ``simple``,
     sorted by (height, ambient coordinates).
 
-    The closure runs on the integer coefficient vectors c over the simple
-    roots: s_i lowers c_i by <beta, alpha_i^> = sum_j c_j <alpha_j, alpha_i^>.
-    Every positive root other than alpha_i stays positive under s_i, so
-    the images with a negative coefficient (only -alpha_i) are dropped.
+    The closure runs upward on the integer coefficient vectors c over
+    the simple roots: s_i raises c_i by -<beta, alpha_i^> = -sum_j c_j
+    <alpha_j, alpha_i^> when that pairing is negative. Every positive
+    root is reached so from a simple root, since a non-simple positive
+    root beta pairs positively with some alpha_i^ and s_i beta is a
+    positive root of smaller height.
     """
     r = len(simple)
-    pairing = [[2 * dot(a, b) // dot(b, b) for b in simple] for a in simple]
+    # column i: the pairings <alpha_j, alpha_i^> over j
+    cartan_columns = [
+        tuple([2 * sum(map(mul, a, b)) // norm for a in simple])
+        for b, norm in zip(simple, [sum(map(mul, b, b)) for b in simple])
+    ]
     start = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
     seen = set(start)
     frontier = start
     while frontier:
         new = []
         for c in frontier:
-            for i in range(r):
-                p = sum(c[j] * pairing[j][i] for j in range(r))
-                img = c[:i] + (c[i] - p,) + c[i + 1:]
-                if img[i] >= 0 and img not in seen:
-                    seen.add(img)
-                    new.append(img)
+            for i, column in enumerate(cartan_columns):
+                p = sum(map(mul, c, column))
+                if p < 0:
+                    img = c[:i] + (c[i] - p,) + c[i + 1:]
+                    if img not in seen:
+                        seen.add(img)
+                        new.append(img)
         frontier = new
+    ambient_columns = tuple(zip(*simple))
     return sorted(
         seen,
-        key=lambda c: (sum(c), tuple(sum(map(mul, c, col)) for col in zip(*simple))),
+        key=lambda c: (sum(c), tuple([sum(map(mul, c, col)) for col in ambient_columns])),
     )
 
 

@@ -37,6 +37,7 @@ from .errors import (
     InternalInvariantError,
     UsageError,
 )
+from .linalg import LatticeQuotient
 from .reduction_tree import build_tree, export_tree
 from .root_datum import build_root_datum
 
@@ -75,8 +76,8 @@ class ResultCache:
     """Content-addressed JSON files; atomic writes, last writer wins.
 
     ``unreadable`` counts the entries that existed but could not be read
-    back; :meth:`read` treats them as misses, so they are recomputed and
-    overwritten.
+    back as a report of the requested datum; :meth:`read` treats them as
+    misses, so they are recomputed and overwritten.
     """
 
     def __init__(self, root):
@@ -109,15 +110,23 @@ class ResultCache:
     def path(self, key):
         return os.path.join(self.root, key + ".json")
 
-    def read(self, key):
+    def read(self, key, datum):
+        """The report stored under ``key``, or None on a miss.
+
+        An entry that is not valid JSON, or not a dict with the report
+        schema and the datum string ``datum``, is unreadable.
+        """
         try:
             with open(self.path(key)) as fh:
-                return json.load(fh)
+                data = json.load(fh)
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
-            self.unreadable += 1
-            return None
+            data = None
+        if isinstance(data, dict) and data.get("schema") == REPORT_SCHEMA and data.get("datum") == datum:
+            return data
+        self.unreadable += 1
+        return None
 
     def write(self, key, data):
         tmp = self.path(key) + f".tmp.{os.getpid()}"
@@ -173,7 +182,12 @@ def _build_parser():
         default=None,
         help="comma separated subset of straight,minlen,mincox,geocox,smo",
     )
-    p.add_argument("--coset", default=None, help="restrict to the coset of tauK, e.g. tau1")
+    p.add_argument(
+        "--coset",
+        default=None,
+        help="restrict to the coset of tauK, e.g. tau1; on a gl datum the coset "
+        "is taken modulo central translations, as the corpus is",
+    )
     p.add_argument(
         "--left-minimal",
         default=None,
@@ -237,16 +251,17 @@ def _classify_payload(datum, text, seeds, cap):
 def _classified(datum, text, seeds, cap, cache):
     if cache is None:
         return _classify_payload(datum, text, seeds, cap)
+    datum_string = datum.spec.datum_string()
     key = cache.key(
         {
             "command": "classify",
-            "datum": datum.spec.datum_string(),
+            "datum": datum_string,
             "element": text,
             "seeds": list(seeds),
             "cap": cap,
         }
     )
-    hit = cache.read(key)
+    hit = cache.read(key, datum_string)
     if hit is not None:
         if cache.should_reverify(key):
             fresh = _classify_payload(datum, text, seeds, cap)
@@ -371,10 +386,13 @@ def _cmd_scan(args, out):
         k = args.coset[3:]
         if not (args.coset.startswith("tau") and ASCII_DIGITS.fullmatch(k)):
             raise UsageError(f"--coset expects tauK, got {args.coset!r}")
-        target = datum.omega_quotient.key(omega_element(datum, int(k)).translation)
-        elements = [
-            x for x in elements if datum.omega_quotient.key(x.translation) == target
-        ]
+        # the corpus holds one element per class modulo central
+        # translations, so the cosets are compared modulo them too
+        quotient = datum.omega_quotient
+        if datum.central_rank:
+            quotient = LatticeQuotient(datum.n, quotient.generators + (datum.central_vector,))
+        target = quotient.key(omega_element(datum, int(k)).translation)
+        elements = [x for x in elements if quotient.key(x.translation) == target]
     if args.left_minimal:
         indices = _integer_list(args.left_minimal, "index list")
         if any(not 1 <= i <= datum.rank for i in indices):

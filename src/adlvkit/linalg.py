@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers.
 
 All matrices here are small and dense (bounded by the rank of a root
-system), so everything is tuples of tuples of Python ints. Ranks,
-inverses and lattice quotients are computed in integers (Bareiss
-elimination and the Smith normal form); nothing here solves a system
+system), so everything is tuples of tuples of Python ints. Ranks and
+inverses are computed by fraction-free (Bareiss) elimination, lattice
+quotients by the Smith normal form; nothing here solves a system
 over Q. ``Fraction`` only enters through ``mat_vec`` and ``dot`` with
 rational vectors (the datum's rational views and the test oracles; class
 invariants are integer), and ``as_int_vector`` casts rationals with
@@ -18,8 +18,9 @@ package.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Sequence
 
 Vector = tuple
@@ -45,10 +46,20 @@ def vec_mat(v: Vector, m: Matrix) -> Vector:
 
 
 def reflect_left(m: Matrix, root: Vector, coroot: Vector) -> Matrix:
-    """r m for the reflection r = 1 - coroot (x) root: the rank-one update m - coroot (root m)."""
-    rm = vec_mat(root, m)
+    """r m for the reflection r = 1 - coroot (x) root: the rank-one update m - coroot (root m).
+
+    root m sums the rows of m over the nonzero entries of root, which
+    are few for a simple root.
+    """
+    rm = None
+    for a, row in zip(root, m):
+        if a:
+            scaled = row if a == 1 else [a * x for x in row]
+            rm = scaled if rm is None else list(map(add, rm, scaled))
+    if rm is None:
+        return m
     return tuple(
-        tuple([a - c * b for a, b in zip(row, rm)]) if c else row for row, c in zip(m, coroot)
+        [tuple([a - c * b for a, b in zip(row, rm)]) if c else row for row, c in zip(m, coroot)]
     )
 
 
@@ -213,20 +224,38 @@ def integer_inverse(m: Matrix):
     """(d, adj) with d the least positive integer that makes d * m^(-1)
     integral, and adj = d * m^(-1).
 
-    Read off the Smith normal form u m v = diag(d_1 | ... | d_n): then
-    m^(-1) = v diag(1/d_i) u, which d makes integral exactly when every
-    d_i divides d, so d = d_n and adj = v diag(d_n/d_i) u. A zero
-    invariant factor means m is singular and raises ValueError.
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [m | 1]: each
+    step replaces every row other than the pivot row r by
+    (p * row_i - a * row_r) / p_prev, with p the pivot, a the entry of
+    row i in the pivot column and p_prev the previous pivot. Every entry
+    stays a minor, so the division is exact, and the elimination ends at
+    [D 1 | D m^(-1)] with D = +-det m. Dividing |D| and the signed right
+    block by their gcd gives the least d. A zero pivot column means m is
+    singular and raises ValueError.
     """
-    if any(len(row) != len(m) for row in m):
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    u, s, v = smith_normal_form(m)
-    factors = [s[i][i] for i in range(len(s))]
-    if not factors or 0 in factors:
+    if not n:
         raise ValueError("matrix is singular")
-    d = factors[-1]
-    scaled_u = tuple(tuple(d // f * x for x in row) for row, f in zip(u, factors))
-    return d, tuple(vec_mat(row, scaled_u) for row in v)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        top = rows[c]
+        p = top[c]
+        for i in range(n):
+            if i != c:
+                a = rows[i][c]
+                rows[i] = [(p * x - a * y) // prev for x, y in zip(rows[i], top)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    adj = [[sign * x for x in row[n:]] for row in rows]
+    g = math.gcd(prev, *(x for row in adj for x in row))
+    return abs(prev) // g, tuple(tuple(x // g for x in row) for row in adj)
 
 
 class LatticeQuotient:

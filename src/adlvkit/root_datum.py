@@ -21,9 +21,11 @@ presets are supported:
 Construction runs in integers. The Cartan matrix and the positive
 roots' coefficient vectors come from the integer ambient realization;
 every root and coroot is an integer vector mapped from them;
-the dual bases come from two inverses read off the Smith normal form
-(:func:`adlvkit.linalg.integer_inverse`), of the pairing matrix and of
-the Cartan matrix. No system is solved over Q. ``Fraction`` appears
+the dual bases come from two integer inverses by fraction-free
+elimination (:func:`adlvkit.linalg.integer_inverse`), of the pairing
+matrix and of the Cartan matrix. The Smith normal form runs only for
+the lattice quotients: the Kottwitz quotient, and ``omega_quotient`` on
+first read. No system is solved over Q. ``Fraction`` appears
 only in the rational views ``rho``, ``two_rho``, ``fundamental_weights``
 and ``fundamental_coweights``; class invariants read Newton points with
 the integer numerators ``weight_numerators`` instead. These views, the
@@ -45,6 +47,10 @@ several threads. They are plain dicts named ``*_cache``:
     per index, a row of rank+1 slots for the products r_i z and z r_i
     with the finite part r_i of each affine simple reflection
     (r_0 = s_theta); a slot is None until first asked for.
+``_root_permutation_cache``
+    per affine index i, the signed permutation of the positive roots by
+    r_i, built the first time a left product r_i z is new.
+
 ``_word_cache``, ``_finite_inverse_cache``, ``_finite_sigma_cache``,
 ``_reflection_length_cache``
     per index, its least reduced word, inverse, twist image and the
@@ -74,6 +80,16 @@ bounds that calls have met; none holds pairwise products. Entries are
 never removed. ``weyl_words()`` and ``weyl_elements()`` fill their own
 tables, not these, and intern nothing; nothing else in the package
 calls them.
+
+A new element's inversion mask (bit k set when <z(probe), beta_k> < 0,
+for the regular dominant probe) is derived from a neighbour's where the
+tables allow: a left product r_i z takes z's mask through the signed
+permutation of the positive roots by r_i, from
+``_root_permutation_cache``; a right product z r_i, i >= 1, flips the
+one bit of the positive root whose coroot is +-z(alpha_i^). Only z r_0
+and matrices that come from outside the tables (``finite_index``) pair
+z(probe) with every positive root, column by column
+(:meth:`RootDatum.root_pairings`).
 """
 
 from __future__ import annotations
@@ -82,6 +98,8 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, repeat
+from operator import add, itemgetter, lt, mul
 from typing import NamedTuple
 
 from . import cartan
@@ -208,20 +226,34 @@ class RootDatum:
         # the coroot is 2u / <u, beta>. Integers throughout. root_coroot
         # holds every root with its coroot, for reflections by any root.
         shortest = min(norms)
-        scale = tuple(norm // shortest for norm in norms)
+        # the transposes of the simple roots and of the scaled coroots l_k
+        # coroot_k, so that each change of basis is one mat_vec
+        root_rows = tuple(zip(*roots))
+        coroot_rows = tuple(
+            zip(*[[norm // shortest * x for x in v] for norm, v in zip(norms, coroots)])
+        )
         self.root_coroot = {}
+        # each coroot and its negative -> the bit of its positive root in
+        # the inversion masks
+        self._coroot_bit = {}
         positive = []
         for c in coefficients:
-            beta = vec_mat(c, roots)
-            u = vec_mat(tuple(a * b for a, b in zip(c, scale)), coroots)
+            beta = mat_vec(root_rows, c)
+            u = mat_vec(coroot_rows, c)
             q = dot(u, beta)
             if any(2 * x % q for x in u):
                 raise AssertionError("coroot outside the lattice")
-            coroot = tuple(2 * x // q for x in u)
-            positive.append(beta)
+            coroot = tuple([2 * x // q for x in u])
+            negative = tuple([-x for x in coroot])
             self.root_coroot[beta] = coroot
-            self.root_coroot[tuple(-x for x in beta)] = tuple(-x for x in coroot)
+            self.root_coroot[tuple([-x for x in beta])] = negative
+            self._coroot_bit[coroot] = self._coroot_bit[negative] = 1 << len(positive)
+            positive.append(beta)
         self.positive_roots = tuple(positive)
+        # coordinate j of every positive root, for root_pairings
+        self._root_columns = tuple(zip(*positive))
+        # bit k of the inversion masks stands for the k-th positive root
+        self.root_bits = tuple(1 << k for k in range(len(positive)))
         # the coefficients of each positive root over the simple roots
         self.root_coefficients = tuple(coefficients)
         self.theta = self.positive_roots[-1]
@@ -265,16 +297,19 @@ class RootDatum:
         total = tuple(map(sum, zip(*columns[: self.rank])))
         g = math.gcd(denom, *total)
         self._probe = tuple(c // g for c in total)
-        for beta in self.positive_roots:
-            if dot(self._probe, beta) <= 0:
-                raise AssertionError("positivity probe failed")
+        if min(self.root_pairings(self._probe)) <= 0:
+            raise AssertionError("positivity probe failed")
 
         gens = [list(c) for c in self.simple_coroots]
         delta_minus_1 = [
             tuple(self.delta[i][j] - (1 if i == j else 0) for i in range(self.n))
             for j in range(self.n)
         ]
-        self.kottwitz_quotient = LatticeQuotient(self.n, gens + delta_minus_1)
+        # zero columns (all of them when untwisted) span nothing and never
+        # become Smith pivots, so leaving them out keeps the quotient's keys
+        self.kottwitz_quotient = LatticeQuotient(
+            self.n, gens + [col for col in delta_minus_1 if any(col)]
+        )
 
         # affine index i -> (root, coroot) of the reflection r_i behind
         # s_i, with r_0 = s_theta; the twist fixes theta^, so sigma(s_0) = s_0
@@ -298,6 +333,7 @@ class RootDatum:
         self._finite_index_cache = {}
         self._finite_matrix_cache = {}
         self._inversion_cache = {}
+        self._root_permutation_cache = {}
         self._left_cache = {}
         self._right_cache = {}
         self._word_cache = {}
@@ -416,6 +452,19 @@ class RootDatum:
         """Canonical pairing of a lattice vector with a covector."""
         return dot(v, a)
 
+    def root_pairings(self, v):
+        """The list of <v, beta_k> over the positive roots beta_k.
+
+        Summed column by column over the nonzero coordinates of v, so a
+        sparse vector, such as most translations, costs little.
+        """
+        out = None
+        for c, column in zip(v, self._root_columns):
+            if c:
+                scaled = map(mul, column, repeat(c))
+                out = list(scaled) if out is None else list(map(add, out, scaled))
+        return [0] * len(self.positive_roots) if out is None else out
+
     def is_dominant(self, v) -> bool:
         return all(dot(v, alpha) >= 0 for alpha in self.simple_roots)
 
@@ -450,44 +499,89 @@ class RootDatum:
             return index
         if not self._finite_index_cache and z != identity_matrix(self.n):
             self.finite_index(identity_matrix(self.n))
+        pairings = self.root_pairings(mat_vec(z, self._probe))
+        return self._intern(z, sum(compress(self.root_bits, map(lt, pairings, repeat(0)))))
+
+    def _intern(self, z, mask) -> int:
+        """Give the new matrix z the next index, with its inversion bitmask."""
         index = len(self._finite_index_cache)
         self._finite_index_cache[z] = index
         self._finite_matrix_cache[index] = z
-        v = mat_vec(z, self._probe)
-        self._inversion_cache[index] = sum(
-            1 << k for k, beta in enumerate(self.positive_roots) if dot(v, beta) < 0
-        )
+        self._inversion_cache[index] = mask
         self._left_cache[index] = [None] * (self.rank + 1)
         self._right_cache[index] = [None] * (self.rank + 1)
         return index
+
+    def _root_permutation(self, i):
+        """(permute, flips) of the reflection r_i acting on the positive roots.
+
+        beta_k - <alpha^, beta_k> alpha = +-beta_(pi(k)) for the root pair
+        of affine index i; flips has bit k set when the sign is minus.
+        ``permute`` maps the binary string of a mask, most significant bit
+        first, to the string whose bit k is bit pi(k) of the mask.
+        """
+        table = self._root_permutation_cache.get(i)
+        if table is None:
+            alpha, coroot = self._reflection_roots[i]
+            roots = self.positive_roots
+            position = {beta: k for k, beta in enumerate(roots)}
+            last = len(roots) - 1
+            image = list(range(last + 1))
+            flips = 0
+            for k, p in enumerate(self.root_pairings(coroot)):
+                if p:  # r_i fixes the roots orthogonal to alpha^
+                    gamma = tuple([b - p * a for a, b in zip(alpha, roots[k])])
+                    j = position.get(gamma)
+                    if j is None:
+                        j = position[tuple([-x for x in gamma])]
+                        flips |= 1 << k
+                    image[k] = j
+            # string position t holds bit last - t
+            permute = itemgetter(*[last - image[last - t] for t in range(last + 1)])
+            table = self._root_permutation_cache[i] = (permute, flips)
+        return table
 
     def finite_left(self, w: int, i: int) -> int:
         """The index of r_i z for z = w and r_i the finite part of s_i.
 
         r_i = 1 - alpha^ (x) alpha for the root pair of affine index i, so
         the product is the rank-one update r_i z = z - alpha^ (alpha z).
+        A new product's mask is z's mask under the signed permutation of
+        the roots by r_i: <r_i z(probe), beta> = <z(probe), r_i beta>.
         """
         u = self._left_cache[w][i]
         if u is None:
             alpha, coroot = self._reflection_roots[i]
-            u = self.finite_index(reflect_left(self._finite_matrix_cache[w], alpha, coroot))
+            z = reflect_left(self._finite_matrix_cache[w], alpha, coroot)
+            u = self._finite_index_cache.get(z)
+            if u is None:
+                permute, flips = self._root_permutation(i)
+                bits = format(self._inversion_cache[w], f"0{len(self.positive_roots)}b")
+                u = self._intern(z, int("".join(permute(bits)), 2) ^ flips)
             self._left_cache[w][i] = u
             self._left_cache[u][i] = w
         return u
 
     def finite_right(self, w: int, i: int) -> int:
-        """The index of z r_i, by the rank-one update z - (z alpha^) alpha."""
+        """The index of z r_i, by the rank-one update z - (z alpha^) alpha.
+
+        For a simple reflection (i >= 1) the inversion set changes by the
+        one root z(alpha_i), whose coroot is +-z(alpha_i^).
+        """
         u = self._right_cache[w][i]
         if u is None:
             alpha, coroot = self._reflection_roots[i]
             z = self._finite_matrix_cache[w]
             zc = mat_vec(z, coroot)
-            u = self.finite_index(
-                tuple(
-                    tuple(a - c * b for a, b in zip(row, alpha)) if c else row
-                    for row, c in zip(z, zc)
-                )
+            product = tuple(
+                [tuple([a - c * b for a, b in zip(row, alpha)]) if c else row for row, c in zip(z, zc)]
             )
+            if not i:
+                u = self.finite_index(product)
+            else:
+                u = self._finite_index_cache.get(product)
+                if u is None:
+                    u = self._intern(product, self._inversion_cache[w] ^ self._coroot_bit[zc])
             self._right_cache[w][i] = u
             self._right_cache[u][i] = w
         return u

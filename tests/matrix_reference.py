@@ -31,11 +31,16 @@ them, and the sort key.
 The next section is ``bg_poset.interval`` as it was before it moved to
 the Levi class enumeration: a filter of ``enumerate_straight``.
 
-The last section is what a cold ``classify`` ran before it skipped the
+The next section is what a cold ``classify`` ran before it skipped the
 work its report does not read: ``bg_poset.interval`` as a filter of
 ``levi.levi_classes`` also for a point interval, the witness search
 without the skip of (member, K) pairs by the length of u, and the
 rational views that ``RootDatum`` built eagerly.
+
+The last section is how a datum was built and filled before masks were
+derived per generator: the inversion mask by one pairing per positive
+root, the integer inverse read off the Smith normal form, and the
+positive root closure that applies every simple reflection.
 """
 
 import functools
@@ -63,6 +68,7 @@ from adlvkit.linalg import (
     integer_inverse,
     mat_mul,
     mat_vec,
+    smith_normal_form,
     vec_add,
     vec_mat,
     vec_neg,
@@ -794,3 +800,57 @@ def eager_rational_views(datum):
         "fundamental_weights": fundamental_weights,
         "omega_quotient": LatticeQuotient(datum.n, [list(c) for c in datum.simple_coroots]),
     }
+
+
+# -- the datum's construction before masks were derived per generator ----------
+
+
+def inversion_mask(datum, z):
+    """Bit k set when <z(probe), beta_k> < 0, one ``dot`` per positive root."""
+    v = mat_vec(z, datum._probe)
+    return sum(1 << k for k, beta in enumerate(datum.positive_roots) if dot(v, beta) < 0)
+
+
+def smith_integer_inverse(m):
+    """(d, d m^(-1)) for the least such d, read off the Smith normal form.
+
+    u m v = diag(d_1 | ... | d_n) gives m^(-1) = v diag(1/d_i) u, which d
+    makes integral exactly when every d_i divides d, so d = d_n and
+    adj = v diag(d_n/d_i) u.
+    """
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix is not square")
+    u, s, v = smith_normal_form(m)
+    factors = [s[i][i] for i in range(len(s))]
+    if not factors or 0 in factors:
+        raise ValueError("matrix is singular")
+    d = factors[-1]
+    scaled_u = tuple(tuple(d // f * x for x in row) for row, f in zip(u, factors))
+    return d, tuple(vec_mat(row, scaled_u) for row in v)
+
+
+def closure_positive_roots(simple):
+    """Coefficient vectors of the positive roots, sorted by (height, ambient coordinates).
+
+    Applies every s_i to every root found and drops the images with a
+    negative coefficient (only -alpha_i).
+    """
+    r = len(simple)
+    pairing = [[2 * dot(a, b) // dot(b, b) for b in simple] for a in simple]
+    start = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    seen = set(start)
+    frontier = start
+    while frontier:
+        new = []
+        for c in frontier:
+            for i in range(r):
+                p = sum(c[j] * pairing[j][i] for j in range(r))
+                img = c[:i] + (c[i] - p,) + c[i + 1:]
+                if img[i] >= 0 and img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return sorted(
+        seen,
+        key=lambda c: (sum(c), tuple(sum(c[k] * a[j] for k, a in enumerate(simple)) for j in range(len(simple[0])))),
+    )

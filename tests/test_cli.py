@@ -184,6 +184,24 @@ def test_scan_coset_restriction():
     assert all(sum(int(c) for c in row["kottwitz"]) % 2 == 1 for row in rows)
 
 
+def test_scan_coset_is_compared_modulo_central_translations():
+    # the gl corpus holds one element per central translation class, of
+    # coordinate sum 0..n-1, so tau4 = t(1,1,1,1) on A3:gl is tau0's coset
+    def scan(coset):
+        return run(
+            ["scan", "--datum", "A3:gl", "--max-length", "1", "--coset", coset,
+             "--format", "table", "--jobs", "1"]
+        )
+
+    code, out = scan("tau4")
+    assert code == 0
+    assert out == scan("tau0")[1]
+    assert not out.endswith("# 0 of 0 elements shown\n")
+    sums = [sum(map(int, row[2 : row.index(")")].split(","))) for row in out.splitlines()[:-1]]
+    assert sums and all(total % 4 == 0 for total in sums)
+    assert scan("tau1")[1] != out
+
+
 @pytest.mark.parametrize("coset", ["tauX", "tau", "tau-1", "tau\u00b2", "tau\u0661"])
 def test_scan_bad_coset_is_a_usage_error(coset, capsys):
     code, out = run(
@@ -601,7 +619,50 @@ def test_unreadable_cache_entries_are_counted_and_rewritten(tmp_path, monkeypatc
     (cache_dir / names[0]).write_text("{")
     cache = cli.ResultCache(str(cache_dir))
     key = names[0][: -len(".json")]
-    assert cache.read(key) is None and cache.read("0" * 64) is None
+    assert cache.read(key, "A1:adj") is None and cache.read("0" * 64, "A1:adj") is None
+    assert cache.unreadable == 1
+
+
+_MALFORMED = {"{}": "{}", "[1,2]": "[1,2]", '"x"': '"x"', "null": "null"}
+
+
+@pytest.mark.parametrize("entry", list(_MALFORMED.values()), ids=list(_MALFORMED))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--datum", "A1:adj", "s1"],
+        ["classify", "--datum", "A1:adj", "s1", "--format", "table"],
+        ["bgw", "--datum", "A1:adj", "s1"],
+        ["scan", "--datum", "A1:adj", "--max-length", "0", "--jobs", "1"],
+    ],
+    ids=["classify-json", "classify-table", "bgw", "scan"],
+)
+def test_a_malformed_cache_entry_is_recomputed(tmp_path, monkeypatch, capsys, argv, entry):
+    # valid JSON of the wrong shape is no report: never served as a hit
+    monkeypatch.delenv("ADLVKIT_CACHE", raising=False)
+    fresh = run(argv)
+    cached = argv + ["--cache", str(tmp_path)]
+    assert run(cached) == fresh
+    (name,) = os.listdir(tmp_path)
+    (tmp_path / name).write_text(entry)
+    capsys.readouterr()
+    assert run(cached) == fresh
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: 1 unreadable result-cache entry was recomputed and overwritten"]
+    assert run(cached) == fresh
+    assert capsys.readouterr().err == ""
+
+
+def test_a_report_of_another_datum_is_not_a_hit(tmp_path, monkeypatch):
+    monkeypatch.delenv("ADLVKIT_CACHE", raising=False)
+    argv = ["classify", "--datum", "A1:adj", "s1", "--cache", str(tmp_path)]
+    _code, fresh = run(argv)
+    (name,) = os.listdir(tmp_path)
+    other = json.loads(fresh)
+    other["datum"] = "A1:gl"
+    (tmp_path / name).write_text(json.dumps(other))
+    cache = cli.ResultCache(str(tmp_path))
+    assert cache.read(name[: -len(".json")], "A1:adj") is None
     assert cache.unreadable == 1
 
 

@@ -19,7 +19,7 @@ The dual bases (``pairing_inverse``, the fundamental weights and
 coweights, the central covectors and the positivity probe) used to come
 from ``Fraction`` Gauss-Jordan elimination: ``mat_inv`` of the Cartan
 matrix, ``nullspace`` of the coroots and a least common denominator.
-They now come from two integer inverses read off the Smith normal form
+They now come from two integer inverses by fraction-free elimination
 (``linalg.integer_inverse``). The rational construction is kept here and
 compared on ``DATA`` and five larger data.
 """

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adlvkit import linalg as la
@@ -161,6 +161,28 @@ def test_integer_inverse_matches_the_fraction_inverse(m):
     assert adj == tuple(tuple(int(d * c) for c in row) for row in inv)
     assert all(type(c) is int for row in adj for c in row)
     assert math.gcd(d, *(c for row in adj for c in row)) == 1
+
+
+large_square_matrices = st.integers(1, 8).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n).map(tuple),
+        min_size=n,
+        max_size=n,
+    ).map(tuple)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_square_matrices)
+def test_integer_inverse_of_random_matrices(m):
+    # the Smith normal form cannot take random input (its entries grow
+    # without bound on some 6x5 matrices), so no oracle: m adj = d 1
+    n = len(m)
+    assume(la.mat_rank(m) == n)
+    d, adj = la.integer_inverse(m)
+    assert d > 0
+    assert la.mat_mul(m, adj) == tuple(tuple(d * x for x in row) for row in la.identity_matrix(n))
+    assert math.gcd(d, *(x for row in adj for x in row)) == 1
 
 
 def test_integer_inverse_rejects_singular_and_non_square():
