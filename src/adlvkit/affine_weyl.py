@@ -1,12 +1,13 @@
 """The extended affine Weyl group: X semidirect the finite Weyl group.
 
 Elements are kept in the canonical form t^lambda * z with lambda an
-integer lattice vector and z a finite Weyl element, so equality is
-componentwise. z is stored as an int: its index among the datum's
-interned finite Weyl elements (:meth:`RootDatum.finite_index`), with the
-identity at 0. The datum memoizes, per index, the products with the
-finite parts r_0..r_rank of the affine simple reflections (r_0 = s_theta),
-the inverse, the twist image and the least reduced word, so the group law
+integer lattice vector and z a finite Weyl element, and each datum
+interns them, one object per (lambda, z), so equality is identity. z is
+stored as an int: its index among the datum's interned finite Weyl
+elements (:meth:`RootDatum.finite_index`), with the identity at 0. The
+datum memoizes, per index, the products with the finite parts
+r_0..r_rank of the affine simple reflections (r_0 = s_theta), the
+inverse, the twist image and the least reduced word, so the group law
 runs on table lookups:
 
 * ``conjugacy.conjugate_by_simple`` is two lookups and a rank-one update
@@ -61,32 +62,30 @@ class AffineElement:
     """t^translation * z over a fixed root datum.
 
     ``finite_index`` is z's index in the datum's interned finite Weyl
-    elements and ``finite`` its lattice matrix. Hashing and equality
-    read the index, never the matrix.
+    elements and ``finite`` its lattice matrix. The datum's
+    ``_element_cache`` holds one object per (translation, finite_index),
+    so equality and hashing are ``object``'s identity.
     """
 
-    __slots__ = ("datum", "translation", "finite_index", "_hash")
+    __slots__ = ("datum", "translation", "finite_index")
 
-    def __init__(self, datum, translation, finite_index: int):
-        self.datum = datum
-        self.translation = tuple(translation)
-        self.finite_index = finite_index
-        self._hash = hash((self.translation, finite_index))
+    def __new__(cls, datum, translation, finite_index: int):
+        key = (tuple(translation), finite_index)
+        x = datum._element_cache.get(key)
+        if x is None:
+            x = datum._element_cache[key] = object.__new__(cls)
+            x.datum = datum
+            x.translation, x.finite_index = key
+        return x
+
+    def __copy__(self, memo=None):
+        return self
+
+    __deepcopy__ = __copy__
 
     @property
     def finite(self):
         return self.datum._finite_matrix_cache[self.finite_index]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AffineElement)
-            and self.datum is other.datum
-            and self.finite_index == other.finite_index
-            and self.translation == other.translation
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __mul__(self, other):
         return multiply(self, other)

@@ -173,7 +173,7 @@ def iter_elements(
     s_i y has length k - 1 or k + 1, and every element of length k + 1
     has a left descent. ``budget`` caps the number of elements; the cap
     error names the length reached. Only the yielded elements enter the
-    length cache. Within one length the order is a set's: callers sort.
+    length cache. Within one length the order is the walk's: callers sort.
     """
     from .levi import length_zero_elements
 
@@ -191,10 +191,11 @@ def iter_elements(
     if len(start) > budget:
         raise CapExceededError(budget, "corpus enumeration at length 0")
     total = len(start)
-    levels = [set(start)]
+    # dicts keep the walk's order; a set of elements iterates by address
+    levels = [dict.fromkeys(start)]
     for k in range(max_length):
-        below = levels[k - 1] if k else set()
-        above = set()
+        below = levels[k - 1] if k else {}
+        above = {}
         for y in levels[k]:
             for i in range(datum.rank + 1):
                 x = left_by_simple(y, i)
@@ -202,7 +203,7 @@ def iter_elements(
                     total += 1
                     if total > budget:
                         raise CapExceededError(budget, f"corpus enumeration at length {k + 1}")
-                    above.add(x)
+                    above[x] = None
         levels.append(above)
 
     length_cache = datum._length_cache

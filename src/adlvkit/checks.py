@@ -328,9 +328,9 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
 
     members = conjugacy.shift_class(w, cap=bfs_cap)
     inv = class_invariant(w)
-    for member in members:
-        if class_invariant(member) != inv:
-            fail("class_invariance", text, f"invariant moved at {format_element(member)}")
+    # sorted: a set of elements iterates in address order
+    for moved in sorted(format_element(m) for m in members if class_invariant(m) != inv):
+        fail("class_invariance", text, f"invariant moved at {moved}")
     bump("class_invariance", len(members))
 
     if is_straight(w):

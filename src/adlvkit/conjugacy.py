@@ -332,12 +332,12 @@ def _ratio_text(num: int, den: int) -> str:
 class ClassInvariant(NamedTuple):
     """Key of a twisted conjugacy class: dominant Newton point + Kottwitz point.
 
-    Built only by :func:`class_invariant`, in integers. The Newton point
-    is nu = dom / period with gcd(period, *dom) = 1, so equal classes have
-    equal fields. ``coords`` pairs ``dom`` with the numerators d omega_j
-    of the fundamental weights (nu's coefficients over the simple
-    coroots, times period * d) and ``central`` with the central
-    covectors; two classes compare by cross multiplying their periods.
+    Built only by :func:`invariant_from_sum`, in integers, one object per
+    datum and value: nu = dom / period with gcd(period, *dom) = 1, and the
+    Kottwitz point ``kottwitz``. ``coords`` pairs ``dom`` with the
+    numerators d omega_j of the fundamental weights (nu's coefficients
+    over the simple coroots, times period * d) and ``central`` with the
+    central covectors; two classes compare by cross multiplying periods.
     ``pairing_two_rho`` is <nu, 2 rho>; ``zero_set`` is I(nu), the i with
     <nu, alpha_i> = 0. ``newton`` is nu in ``Fraction`` coordinates, built
     on demand; ``central_sum`` is the coordinate sum of the class's
@@ -353,21 +353,14 @@ class ClassInvariant(NamedTuple):
     pairing_two_rho: int
     zero_set: frozenset
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ClassInvariant)
-            and self.datum is other.datum
-            and self.dom == other.dom
-            and self.period == other.period
-            and self.kottwitz == other.kottwitz
-        )
+    # invariant_from_sum interns: equal classes are one object, so equality
+    # and hashing are object's identity, and a copy is the object itself
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
-    def __ne__(self, other):
-        # tuple's own __ne__ would compare the fields, datum included
-        return not self.__eq__(other)
+    def __copy__(self, memo=None):
+        return self
 
-    def __hash__(self):
-        return hash((self.dom, self.period, self.kottwitz))
+    __deepcopy__ = __copy__
 
     @property
     def newton(self):
@@ -413,7 +406,8 @@ def invariant_from_sum(datum, period: int, total, kottwitz) -> ClassInvariant:
     """The class invariant with Newton point dom(total) / period and Kottwitz point ``kottwitz``.
 
     ``total`` is any Weyl conjugate of period * nu: an orbit sum, or a
-    Newton numerator built directly (``levi.levi_classes``).
+    Newton numerator built directly (``levi.levi_classes``). The datum
+    keeps one object per value, built on first use.
     """
     dom = datum.dominant(total)
     if mat_vec(datum.delta, dom) != dom:
@@ -425,18 +419,20 @@ def invariant_from_sum(datum, period: int, total, kottwitz) -> ClassInvariant:
         raise InternalInvariantError("<nu, 2 rho> is not an integer")
     g = math.gcd(period, *dom)
     dom = tuple(c // g for c in dom)
-    return ClassInvariant(
-        datum,
-        dom,
-        period // g,
-        kottwitz,
-        tuple(dot(dom, w) for w in datum.weight_numerators),
-        tuple(dot(dom, a) for a in datum.central_covectors),
-        two_rho,
-        frozenset(
-            i for i, alpha in enumerate(datum.simple_roots, 1) if dot(dom, alpha) == 0
-        ),
-    )
+    key = (dom, period // g, kottwitz)
+    c = datum._class_value_cache.get(key)
+    if c is None:
+        c = datum._class_value_cache[key] = ClassInvariant(
+            datum,
+            *key,
+            tuple(dot(dom, w) for w in datum.weight_numerators),
+            tuple(dot(dom, a) for a in datum.central_covectors),
+            two_rho,
+            frozenset(
+                i for i, alpha in enumerate(datum.simple_roots, 1) if dot(dom, alpha) == 0
+            ),
+        )
+    return c
 
 
 def same_class(x: AffineElement, y: AffineElement) -> bool:

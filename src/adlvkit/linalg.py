@@ -97,10 +97,6 @@ def as_int_vector(v: Sequence) -> Vector:
     return tuple(out)
 
 
-def as_int_matrix(m) -> Matrix:
-    return tuple(as_int_vector(row) for row in m)
-
-
 def mat_rank(m: Matrix) -> int:
     """Rank of an integer matrix, by fraction-free (Bareiss) elimination.
 

@@ -18,10 +18,10 @@ of a tree is itself the root of a smaller tree, so the datum memoizes
 per (node, index order): the node's expansion (its two edges, or None at
 an endpoint) and its path summary. Trees of one order share their edges
 and summaries across seeds and across roots. Orders that pick the same
-move share its edges, and the edges' endpoints and equal summaries are
-interned, one object per value and datum. A tree is a walk over that
-memo from its root; pipelines still build each seed's tree once and hand
-it to every function that reads it.
+move share its edges, and equal summaries are interned, one object per
+value and datum, as elements and class invariants are. A tree is a walk
+over that memo from its root; pipelines still build each seed's tree
+once and hand it to every function that reads it.
 
 Different seeds often build the same tree. :func:`share_equal_trees`
 replaces every seed's tree whose expansions equal an earlier seed's by
@@ -125,7 +125,6 @@ def _expansion(w: AffineElement, order: tuple, cap: int):
         ShiftClass.of(w, cap)
         return exp
     move = first_drop(w, order, cap)
-    w = datum._node_cache.setdefault(w, w)
     exp = None if move is None else _edges(w, *move)
     memo[(w, order)] = exp
     return exp
@@ -135,21 +134,19 @@ def _edges(w: AffineElement, pivot: AffineElement, a: int, shifts: tuple):
     """The two edges of the move (pivot, a, shifts) from w.
 
     Different orders often pick the same move, and all of them get one
-    pair of edges per (w, a, shifts) on the datum, whose targets are
-    interned: one object per element, whichever order met it first.
+    pair of edges per (w, a, shifts) on the datum.
     """
     datum = w.datum
     key = (w, a, shifts)
     exp = datum._edge_cache.get(key)
     if exp is None:
-        nodes = datum._node_cache
         child_one = right_by_simple(pivot, sigma_on_affine_index(datum, a))
         child_two = left_by_simple(child_one, a)
         if length(child_one) != length(w) - 1 or length(child_two) != length(w) - 2:
             raise InternalInvariantError("reduction move produced wrong lengths")
         exp = datum._edge_cache[key] = (
-            Edge(w, nodes.setdefault(child_one, child_one), "I", shifts, a),
-            Edge(w, nodes.setdefault(child_two, child_two), "II", shifts, a),
+            Edge(w, child_one, "I", shifts, a),
+            Edge(w, child_two, "II", shifts, a),
         )
     return exp
 

@@ -21,17 +21,18 @@ presets are supported:
 Construction runs in integers. The Cartan matrix and the positive
 roots' coefficient vectors come from the integer ambient realization;
 every root and coroot is an integer vector mapped from them;
-the dual bases come from two integer inverses by fraction-free
-elimination (:func:`adlvkit.linalg.integer_inverse`), of the pairing
-matrix and of the Cartan matrix. The Smith normal form runs only for
-the lattice quotients: the Kottwitz quotient, and ``omega_quotient`` on
-first read. No system is solved over Q. ``Fraction`` appears
-only in the rational views ``rho``, ``two_rho``, ``fundamental_weights``
-and ``fundamental_coweights``; class invariants read Newton points with
-the integer numerators ``weight_numerators`` instead. These views, the
-matrices ``weyl_generators`` and the quotient ``omega_quotient`` are
-computed on first read (``functools.cached_property``), so building a
-datum constructs no ``Fraction``.
+the dual bases come from the integer inverse of the Cartan matrix by
+fraction-free elimination (:func:`adlvkit.linalg.integer_inverse`), and
+on gl from that of the pairing matrix too. The Smith normal form runs
+only for the lattice quotients: the Kottwitz quotient, and
+``omega_quotient`` on first read. No system is solved over Q.
+``Fraction`` appears only in the rational views ``rho``, ``two_rho``,
+``fundamental_weights`` and ``fundamental_coweights``; class invariants
+read Newton points with the integer numerators ``weight_numerators``
+instead. These views, the matrices ``weyl_generators`` and the quotient
+``omega_quotient`` are computed on first read
+(``functools.cached_property``), so building a datum constructs no
+``Fraction``.
 
 The lattice data are fixed at construction. The per-datum caches are
 not: construction leaves every one of them empty, any call may fill them
@@ -62,15 +63,17 @@ several threads. They are plain dicts named ``*_cache``:
 ``_mincox_cache``, ``_defect_cache``, ``_straight_cache``,
 ``_class_set_cache``
     per-element and per-class results of the layers above.
-``_move_cache``, ``_summary_cache``, ``_edge_cache``, ``_node_cache``,
+``_element_cache``, ``_class_value_cache``
+    one element per (translation, finite index) and one class invariant
+    per (dom, period, kottwitz), so equality is identity; a live object
+    must stay the one of its value, so these go only with the datum.
+``_move_cache``, ``_summary_cache``, ``_edge_cache``,
 ``_summary_value_cache``
     the reduction tree memos of :mod:`adlvkit.reduction_tree`: per
     (element, index order), the element's expansion (its two edges, or
     None at an endpoint) and its path summary; per move (element, index,
     shifts), its pair of edges, which every order that picks the move
-    shares; and the interned objects: one per element that a tree has
-    reached, which every edge points at, and one per distinct path
-    summary.
+    shares; and one interned object per distinct path summary.
 ``_levi_cache``
     per connected set of simple indices, the fundamental coweights of
     its minuscule nodes, read by :mod:`adlvkit.levi`.
@@ -272,23 +275,28 @@ class RootDatum:
         # the class poset reads Newton points in these coordinates
         self.central_covectors = (self.central_vector,) if self.central_rank else ()
 
+        # the covectors dual to the simple coroots: column j of A^(-1) for
+        # the Cartan matrix A holds the root coefficients of omega_j; class
+        # invariants pair with the integer numerators d omega_j
+        self._weight_denominator, cartan_adj = integer_inverse(self.cartan_matrix)
+        self.weight_numerators = tuple(vec_mat(col, roots) for col in zip(*cartan_adj))
+
         # (d, columns): the inverse of the pairing matrix P, whose rows are
         # the simple roots and, on gl, (1,...,1). The lattice vector with
         # simple-root pairings p_k (and, on gl, coordinate sum s) is
         # (sum p_k columns[k] + s columns[rank]) / d. The first rank
         # columns over d pair to delta_kj with the simple roots and to 0
         # with (1,...,1): they are the fundamental coweights in the coroot
-        # span.
-        pairing = roots + ((self.central_vector,) if self.central_rank else ())
-        denom, adj = integer_inverse(pairing)
-        columns = tuple(zip(*adj))
+        # span. P is the identity on sc and A^T on adj, whose inverse has
+        # the rows of A^(-1) as its columns; only gl inverts P itself.
+        if spec.lattice_preset == "gl":
+            denom, adj = integer_inverse(roots + (self.central_vector,))
+            columns = tuple(zip(*adj))
+        elif spec.lattice_preset == "adjoint":
+            denom, columns = self._weight_denominator, cartan_adj
+        else:
+            denom, columns = 1, roots
         self.pairing_inverse = (denom, columns)
-
-        # the covectors dual to the simple coroots: column j of A^(-1) for
-        # the Cartan matrix A holds the root coefficients of omega_j; class
-        # invariants pair with the integer numerators d omega_j
-        self._weight_denominator, cartan_adj = integer_inverse(self.cartan_matrix)
-        self.weight_numerators = tuple(vec_mat(col, roots) for col in zip(*cartan_adj))
 
         # integer vector with strictly positive pairing against every
         # positive root (the sum of the fundamental coweights in the
@@ -341,6 +349,8 @@ class RootDatum:
         self._finite_sigma_cache = {}
         self._reflection_length_cache = {}
         self._simple_cache = {}
+        self._element_cache = {}
+        self._class_value_cache = {}
         self._weyl_words = None
         self._weyl_elements = None
         self._length_cache = {}
@@ -349,7 +359,6 @@ class RootDatum:
         self._move_cache = {}
         self._summary_cache = {}
         self._edge_cache = {}
-        self._node_cache = {}
         self._summary_value_cache = {}
         self._mincox_cache = {}
         self._defect_cache = {}

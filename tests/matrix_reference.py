@@ -37,10 +37,14 @@ work its report does not read: ``bg_poset.interval`` as a filter of
 without the skip of (member, K) pairs by the length of u, and the
 rational views that ``RootDatum`` built eagerly.
 
-The last section is how a datum was built and filled before masks were
+The next section is how a datum was built and filled before masks were
 derived per generator: the inversion mask by one pairing per positive
 root, the integer inverse read off the Smith normal form, and the
 positive root closure that applies every simple reflection.
+
+The last section is the value equality that elements and class
+invariants had before each datum interned them: ``structural_key`` and
+``class_key``.
 """
 
 import functools
@@ -62,7 +66,7 @@ from adlvkit.errors import (
 from adlvkit.linalg import (
     LatticeQuotient,
     Matrix,
-    as_int_matrix,
+    as_int_vector,
     dot,
     identity_matrix,
     integer_inverse,
@@ -98,6 +102,11 @@ def _rref(rows):
         if r == nrows:
             break
     return rows, pivots
+
+
+def as_int_matrix(m) -> Matrix:
+    """m with every entry an int; ValueError when one is not integral."""
+    return tuple(as_int_vector(row) for row in m)
 
 
 def mat_inv(m: Matrix) -> Matrix:
@@ -854,3 +863,20 @@ def closure_positive_roots(simple):
         seen,
         key=lambda c: (sum(c), tuple(sum(c[k] * a[j] for k, a in enumerate(simple)) for j in range(len(simple[0])))),
     )
+
+
+# -- value equality before elements and class invariants were interned ---------
+
+
+def structural_key(x):
+    """What ``AffineElement.__eq__`` compared: the datum, the translation and z.
+
+    It read z's finite index; the lattice matrix is the value that index
+    stands for, so the key does not trust the finite-index table either.
+    """
+    return x.datum, x.translation, x.finite
+
+
+def class_key(c):
+    """What ``ClassInvariant.__eq__`` compared: the datum, nu = dom / period and kappa."""
+    return c.datum, c.dom, c.period, c.kottwitz

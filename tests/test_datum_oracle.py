@@ -19,8 +19,11 @@ The dual bases (``pairing_inverse``, the fundamental weights and
 coweights, the central covectors and the positivity probe) used to come
 from ``Fraction`` Gauss-Jordan elimination: ``mat_inv`` of the Cartan
 matrix, ``nullspace`` of the coroots and a least common denominator.
-They now come from two integer inverses by fraction-free elimination
-(``linalg.integer_inverse``). The rational construction is kept here and
+They now come from the integer inverse of the Cartan matrix by
+fraction-free elimination (``linalg.integer_inverse``), and on gl from
+that of the pairing matrix too; on sc and adj the pairing inverse is read
+off the Cartan inverse, and is checked against inverting the pairing
+matrix. The rational construction is kept here and
 compared on ``DATA`` and five larger data.
 """
 
@@ -200,6 +203,15 @@ def test_pairing_inverse_solves_the_pairing_system(spec):
         assert [dot(column, row) for row in rows] == [denom * (j == k) for j in range(len(rows))]
     # the least common denominator of the inverse matrix
     assert math.gcd(denom, *(c for column in columns for c in column)) == 1
+
+
+@pytest.mark.parametrize("spec", DATA + ("E7:sc", "E7:adj", "E8:sc"))
+def test_pairing_inverse_is_the_inverse_of_the_pairing_matrix(spec):
+    """Read off the Cartan inverse on sc and adj, it is what inverting P gives."""
+    datum = RootDatum(parse_spec(spec))
+    rows = datum.simple_roots + ((datum.central_vector,) if datum.central_rank else ())
+    denom, adj = integer_inverse(rows)
+    assert datum.pairing_inverse == (denom, tuple(zip(*adj)))
 
 
 # -- the dual bases ------------------------------------------------------------

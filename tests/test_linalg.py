@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adlvkit import linalg as la
-from matrix_reference import _rref, mat_inv, nullspace, solve
+from matrix_reference import _rref, as_int_matrix, mat_inv, nullspace, solve
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -105,7 +105,7 @@ def _is_unimodular(m):
     if la.mat_rank(m) < len(m):
         return False
     try:
-        la.as_int_matrix(mat_inv(m))
+        as_int_matrix(mat_inv(m))
     except ValueError:
         return False
     return True

@@ -3,6 +3,9 @@
 A name that starts with an underscore is free to change with its own
 module; a relative ``from .m import _name`` would tie a second module to
 it. Dunder names such as ``__version__`` are public.
+
+Elements and class invariants are interned per datum, so the package
+builds them only through their interning constructors.
 """
 
 import ast
@@ -36,3 +39,70 @@ def test_no_module_imports_a_private_name():
 def test_the_scan_sees_function_local_imports():
     source = "def f():\n    from .levi import _levi\n    from . import __version__\n"
     assert private_imports(source) == [(2, "levi", "_levi")]
+
+
+# -- who may build the interned records ---------------------------------------
+
+
+def calls(source, matches):
+    """The enclosing (class and) function names of each call whose callee ``matches``."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Call) and matches(child.func):
+                out.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def _named(func, name):
+    return getattr(func, "id", getattr(func, "attr", None)) == name
+
+
+def _record_copy(func):
+    return isinstance(func, ast.Attribute) and func.attr in ("_make", "_replace")
+
+
+def _object_new(func):
+    return isinstance(func, ast.Attribute) and func.attr == "__new__" and _named(func.value, "object")
+
+
+def package_calls(matches):
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope in calls(path.read_text(), matches):
+            found.setdefault(path.name, []).append(scope)
+    return found
+
+
+def test_class_invariants_are_built_only_by_invariant_from_sum():
+    """Any other constructor would bypass the datum's intern table."""
+    assert package_calls(lambda f: _named(f, "ClassInvariant")) == {
+        "conjugacy.py": [("invariant_from_sum",)]
+    }
+    # a static scan cannot tell a ClassInvariant from another record, so
+    # no record is copied by _make or _replace
+    assert package_calls(_record_copy) == {}
+
+
+def test_elements_are_allocated_only_by_their_interning_constructor():
+    assert package_calls(_object_new) == {"affine_weyl.py": [("AffineElement", "__new__")]}
+
+
+def test_the_construction_scan_sees_every_scope():
+    source = (
+        "x = ClassInvariant(1)\n"
+        "class C:\n"
+        "    def f(self):\n"
+        "        def g():\n"
+        "            return object.__new__(C), c._replace(period=2)\n"
+    )
+    assert calls(source, lambda f: _named(f, "ClassInvariant")) == [()]
+    assert calls(source, _object_new) == [("C", "f", "g")]
+    assert calls(source, _record_copy) == [("C", "f", "g")]
