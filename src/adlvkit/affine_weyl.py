@@ -40,21 +40,8 @@ import re
 from itertools import compress, repeat
 from operator import gt, mul
 
-from .errors import (
-    DatumMismatchError,
-    ElementParseError,
-    InternalInvariantError,
-    UsageError,
-)
-from .linalg import (
-    dot,
-    identity_matrix,
-    mat_vec,
-    vec_add,
-    vec_mat,
-    vec_neg,
-    as_int_vector,
-)
+from .errors import DatumMismatchError, ElementParseError, InternalInvariantError, UsageError
+from .linalg import as_int_vector, identity_matrix, mat_vec, vec_add, vec_neg
 from .root_datum import RootDatum
 
 
@@ -150,9 +137,7 @@ def multiply(x: AffineElement, y: AffineElement) -> AffineElement:
     lam = x.translation
     if any(y.translation):
         lam = vec_add(lam, mat_vec(x.finite, y.translation))
-    return AffineElement(
-        datum, lam, _finite_product(datum, x.finite_index, y.finite_index)
-    )
+    return AffineElement(datum, lam, _finite_product(datum, x.finite_index, y.finite_index))
 
 
 def translation_pairings(datum: RootDatum, lam):
@@ -253,22 +238,7 @@ def affine_reflection(datum: RootDatum, a) -> AffineElement:
     if coroot is None:
         raise UsageError(f"gradient {alpha} is not a root")
     refl = datum._reflection_matrix(alpha, coroot)
-    return AffineElement(
-        datum, tuple(k * c for c in coroot), datum.finite_index(refl)
-    )
-
-
-def act_on_affine_root(x: AffineElement, a):
-    """Image of the affine root a = (k, alpha) under x = t^lambda z.
-
-    Derived from s_(x.a) = x s_a x^(-1): the result is
-    (k + <lambda, z alpha>, z alpha).
-    """
-    k, alpha = a
-    datum = x.datum
-    zinv = datum._finite_matrix_cache[datum.finite_inverse(x.finite_index)]
-    za = vec_mat(alpha, zinv)
-    return (k + dot(x.translation, za), za)
+    return AffineElement(datum, tuple(k * c for c in coroot), datum.finite_index(refl))
 
 
 def sigma_act(x: AffineElement) -> AffineElement:
@@ -279,9 +249,7 @@ def sigma_act(x: AffineElement) -> AffineElement:
     d = x.datum
     if d.spec.twist_order == 1:
         return x
-    return AffineElement(
-        d, mat_vec(d.delta, x.translation), d.finite_sigma(x.finite_index)
-    )
+    return AffineElement(d, mat_vec(d.delta, x.translation), d.finite_sigma(x.finite_index))
 
 
 def sigma_on_affine_index(datum: RootDatum, i: int) -> int:
@@ -293,33 +261,65 @@ def sigma_on_affine_index(datum: RootDatum, i: int) -> int:
     return datum.delta_diagram[i]
 
 
+# -- descents by root signs ---------------------------------------------------
+#
+# len(s w) < len(w) iff w^(-1)(a) < 0, and len(w s) < len(w) iff w(a) < 0,
+# for the simple affine root a of s (Humphreys, Reflection Groups and
+# Coxeter Groups, 5.4). (k, alpha) > 0 iff k > 0, or k = 0 and alpha < 0,
+# as the simple affine roots are (0, -alpha_i) and (1, theta); x sends
+# (k, alpha) to (k + <lambda, z alpha>, z alpha) and x^(-1) sends it to
+# (k - <lambda, alpha>, z^(-1) alpha). So with q = <lambda, alpha>:
+#   x^(-1)(0, -alpha_i) = (q, -z^(-1) alpha_i) < 0 iff q < 0, or q = 0 and
+#   alpha_i in N(z); x^(-1)(1, theta) = (1 - q, z^(-1) theta) < 0 iff
+#   q > 1, or q = 1 and theta not in N(z).
+# With beta = z alpha_j and p = <lambda, beta>:
+#   x(0, -alpha_j) = (-p, -beta) < 0 iff p > 0, or p = 0 and beta < 0;
+#   x(1, theta) = (1 + p, beta) < 0 iff p < -1, or p = -1 and beta > 0.
+
+
+def left_descent(x: AffineElement, i: int) -> bool:
+    """len(s_i x) < len(x), by one pairing and one inversion mask bit."""
+    datum = x.datum
+    q = sum(map(mul, x.translation, datum._reflection_roots[i][0]))
+    mask = datum._inversion_cache[x.finite_index]
+    if i:
+        return q < 0 or (q == 0 and bool(mask & datum._simple_bits[i - 1]))
+    # theta is the last positive root
+    return q > 1 or (q == 1 and not mask & datum.root_bits[-1])
+
+
+def right_descent(x: AffineElement, j: int) -> bool:
+    """len(x s_j) < len(x), by one pairing with the root z(alpha_j)."""
+    beta, positive = x.datum.root_image(x.finite_index, j)
+    p = sum(map(mul, x.translation, beta))
+    if j:
+        return p > 0 or (p == 0 and not positive)
+    return p < -1 or (p == -1 and positive)
+
+
 # -- greedy descents and length-zero elements ----------------------------
 
 
 def strip_left_descents(x: AffineElement, indices):
     """Strip left descents s_i, i in ``indices``, until none is left.
 
-    Each step strips the first index, in the given order, whose simple
-    reflection shortens the element. Returns (y, letters) with
-    x = s_(letters[0]) ... s_(letters[-1]) y and len(y) = len(x) -
-    len(letters). Over all affine indices y has length zero, since an
-    element of positive length has a left descent; applied to a pure
-    translation this lands on the unique length-zero element of its coset
-    modulo the coroot lattice.
+    Each step strips the first index, in the given order, with
+    :func:`left_descent`; only the stripped elements are built. Returns
+    (y, letters) with x = s_(letters[0]) ... s_(letters[-1]) y and len(y)
+    = len(x) - len(letters). Over all affine indices y has length zero,
+    since an element of positive length has a left descent; applied to a
+    pure translation this lands on the unique length-zero element of its
+    coset modulo the coroot lattice.
     """
     letters = []
-    cur_len = length(x)
-    while cur_len > 0:
+    while True:
         for i in indices:
-            y = left_by_simple(x, i)
-            ylen = length(y)
-            if ylen < cur_len:
-                x, cur_len = y, ylen
+            if left_descent(x, i):
+                x = left_by_simple(x, i)
                 letters.append(i)
                 break
         else:
-            break
-    return x, tuple(letters)
+            return x, tuple(letters)
 
 
 def omega_element(datum: RootDatum, k: int) -> AffineElement:
@@ -342,9 +342,7 @@ def omega_element(datum: RootDatum, k: int) -> AffineElement:
         raise UsageError(
             f"tau{k} does not exist: fundamental coweight {k} is not in the lattice"
         )
-    tau, _letters = strip_left_descents(
-        translation(datum, omega), range(datum.rank + 1)
-    )
+    tau, _letters = strip_left_descents(translation(datum, omega), range(datum.rank + 1))
     if length(tau) != 0:
         raise InternalInvariantError("descent from a coweight missed length zero")
     return tau
@@ -407,8 +405,9 @@ def parse_element(datum: RootDatum, text: str) -> AffineElement:
                 raise ElementParseError(
                     text, pos, f"generator index {i} exceeds rank {datum.rank}"
                 )
-            factor = simple_reflection(datum, i)
-        elif token.startswith("tau") and ASCII_DIGITS.fullmatch(token[3:]):
+            result = right_by_simple(result, i)
+            continue
+        if token.startswith("tau") and ASCII_DIGITS.fullmatch(token[3:]):
             try:
                 factor = omega_element(datum, int(token[3:]))
             except UsageError as exc:

@@ -25,7 +25,6 @@ from typing import NamedTuple
 
 from .affine_weyl import (
     AffineElement,
-    act_on_affine_root,
     format_element,
     length,
     multiply,
@@ -52,6 +51,7 @@ from .errors import (
     NoUniqueExtremumError,
     UsageError,
 )
+from .linalg import dot
 from .reduction_tree import (
     build_tree,
     enumerate_paths,
@@ -114,9 +114,8 @@ def _coset_split(w: AffineElement, K, u_length=None):
     u = reduce(right_by_simple, letters, AffineElement(datum, (0,) * datum.n, 0))
     if multiply(u, x) != w:
         raise InternalInvariantError("coset decomposition does not recompose")
-    x_len = length(x)
-    if any(length(right_by_simple(x, sigma_on_affine_index(datum, i))) < x_len for i in K):
-        return None
+    # x(a_j) < 0 exactly when x s_j is shorter, and twist stability sends
+    # every a_j, j in sigma(K), to a simple affine root: it implies right-minimality
     perm = twist_permutation(x, K)
     if perm is None:
         return None
@@ -128,12 +127,16 @@ def twist_permutation(x: AffineElement, K):
 
     Index transport convention: sigma acts first on the affine simple
     root, then x moves it; membership of every image in K is exactly the
-    stability x sigma(K) = K.
+    stability x sigma(K) = K. With beta = z(alpha_j), x = t^lambda z sends
+    a_0 to (1 + <lambda, beta>, beta) and a_j, j >= 1, to (-<lambda, beta>, -beta).
     """
     datum = x.datum
     perm = {}
     for i in K:
-        image = act_on_affine_root(x, datum.affine_simple[sigma_on_affine_index(datum, i)])
+        j = sigma_on_affine_index(datum, i)
+        beta, _positive = datum.root_image(x.finite_index, j)
+        p = dot(x.translation, beta)
+        image = (-p, tuple([-c for c in beta])) if j else (1 + p, beta)
         j = datum.affine_simple_index.get(image)
         if j not in K:
             return None
@@ -301,16 +304,9 @@ def dim_formula(w: AffineElement, c: ClassInvariant):
     classes in their endpoint set; evaluating elsewhere is allowed but
     flagged by callers as outside the guarantee.
     """
-    value = (
-        length(w)
-        + classical_reflection_length(w)
-        - c.pairing_two_rho
-        - defect(c)
-    )
+    value = length(w) + classical_reflection_length(w) - c.pairing_two_rho - defect(c)
     if value % 2 != 0 or value < 0:
-        raise InternalInvariantError(
-            f"dimension formula gave {value}/2 for {format_element(w)}"
-        )
+        raise InternalInvariantError(f"dimension formula gave {value}/2 for {format_element(w)}")
     return value // 2
 
 
@@ -332,22 +328,13 @@ def ell2_formula(w: AffineElement, c: ClassInvariant, c_max: ClassInvariant) -> 
     The same number is the chain length from c to the top class; both
     expressions are evaluated and must agree.
     """
-    value = (
-        length(w)
-        - classical_reflection_length(w)
-        - c.pairing_two_rho
-        + defect(c)
-    )
+    value = length(w) - classical_reflection_length(w) - c.pairing_two_rho + defect(c)
     if value % 2 != 0 or value < 0:
-        raise InternalInvariantError(
-            f"type-II formula gave {value}/2 for {format_element(w)}"
-        )
+        raise InternalInvariantError(f"type-II formula gave {value}/2 for {format_element(w)}")
     value //= 2
     alt = chain_length(c, c_max)
     if alt != value:
-        raise InternalInvariantError(
-            f"type-II count {value} disagrees with chain length {alt}"
-        )
+        raise InternalInvariantError(f"type-II count {value} disagrees with chain length {alt}")
     return value
 
 

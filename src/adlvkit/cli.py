@@ -22,21 +22,9 @@ import sys
 from pathlib import Path
 
 from . import __version__, bg_poset, classifier, conjugacy
-from .affine_weyl import (
-    ASCII_DIGITS,
-    format_element,
-    left_by_simple,
-    length,
-    omega_element,
-    parse_element,
-)
+from .affine_weyl import ASCII_DIGITS, format_element, left_descent, omega_element, parse_element
 from .classifier import REPORT_SCHEMA, classify, report_to_dict
-from .errors import (
-    AdlvkitError,
-    CapExceededError,
-    InternalInvariantError,
-    UsageError,
-)
+from .errors import AdlvkitError, CapExceededError, InternalInvariantError, UsageError
 from .linalg import LatticeQuotient
 from .reduction_tree import build_tree, export_tree
 from .root_datum import build_root_datum
@@ -397,14 +385,7 @@ def _cmd_scan(args, out):
         indices = _integer_list(args.left_minimal, "index list")
         if any(not 1 <= i <= datum.rank for i in indices):
             raise UsageError("--left-minimal expects finite simple indices")
-        elements = [
-            x
-            for x in elements
-            if all(
-                length(left_by_simple(x, i)) > length(x)
-                for i in indices
-            )
-        ]
+        elements = [x for x in elements if not any(left_descent(x, i) for i in indices)]
     texts = [format_element(x) for x in elements]
 
     jobs = args.jobs or _available_cpus()

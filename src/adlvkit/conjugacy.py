@@ -28,8 +28,10 @@ from typing import NamedTuple
 from .affine_weyl import (
     AffineElement,
     left_by_simple,
+    left_descent,
     length,
     right_by_simple,
+    right_descent,
     sigma_on_affine_index,
 )
 from .errors import (
@@ -72,9 +74,7 @@ def cyclic_shift(x: AffineElement, i: int) -> ShiftMove:
     after = conjugate_by_simple(x, i)
     delta = length(after) - length(x)
     if delta > 0:
-        raise NotAShiftError(
-            f"conjugation by s{i} increases length by {delta}"
-        )
+        raise NotAShiftError(f"conjugation by s{i} increases length by {delta}")
     if delta not in (-2, 0):
         raise InternalInvariantError(f"length drop {delta} is impossible")
     return ShiftMove(index=i, before=x, after=after, delta_length=delta)
@@ -90,11 +90,21 @@ class ShiftClass:
     by 2; the class is minimal exactly when ``drops`` is empty.
     Minimality, certificates, reduction moves and the Coxeter witness
     search only read this graph; none of them conjugates again.
+
+    With j = sigma(i), s_i x s_j = x if x(a_j) = +-a_i, and otherwise its
+    length is len(x) plus the left sign at i and the right sign at j. So
+    only equal-length conjugates are built, and those with z(alpha_j) =
+    +-alpha_i, whose length is measured.
     """
 
     def __init__(self, x: AffineElement, cap: int):
+        datum = x.datum
         base = length(x)
-        indices = range(x.datum.rank + 1)
+        # (i, sigma(i), the roots +-alpha_i of r_i)
+        moves = [
+            (i, sigma_on_affine_index(datum, i), (alpha, tuple([-c for c in alpha])))
+            for i, (alpha, _coroot) in enumerate(datum._reflection_roots)
+        ]
         self.neighbours = {}
         self.drops = {}
         queue = deque([x])
@@ -103,18 +113,27 @@ class ShiftClass:
             cur = queue.popleft()
             flat = {}
             drops = []
-            for i in indices:
-                y = conjugate_by_simple(cur, i)
-                ylen = length(y)
-                if ylen == base:
-                    flat[i] = y
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-                        if len(seen) > cap:
-                            raise CapExceededError(cap, "shift class BFS")
-                elif ylen < base:
-                    drops.append(i)
+            for i, j, roots in moves:
+                left = left_descent(cur, i)
+                if left != right_descent(cur, j):
+                    y = conjugate_by_simple(cur, i)
+                elif datum.root_image(cur.finite_index, j)[0] in roots:
+                    y = conjugate_by_simple(cur, i)
+                    ylen = length(y)
+                    if ylen != base:
+                        if ylen < base:
+                            drops.append(i)
+                        continue
+                else:
+                    if left:
+                        drops.append(i)
+                    continue
+                flat[i] = y
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                    if len(seen) > cap:
+                        raise CapExceededError(cap, "shift class BFS")
             self.neighbours[cur] = flat
             if drops:
                 self.drops[cur] = frozenset(drops)
@@ -283,9 +302,7 @@ def is_straight(x: AffineElement) -> bool:
     p len(x) == sum |<s, beta>|, with no dominance descent.
     """
     period, total = _orbit_sum(x)
-    return period * length(x) == sum(
-        abs(dot(total, beta)) for beta in x.datum.positive_roots
-    )
+    return period * length(x) == sum(abs(dot(total, beta)) for beta in x.datum.positive_roots)
 
 
 def reflection_length(datum, z, twist=None) -> int:

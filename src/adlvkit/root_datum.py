@@ -51,6 +51,9 @@ several threads. They are plain dicts named ``*_cache``:
 ``_root_permutation_cache``
     per affine index i, the signed permutation of the positive roots by
     r_i, built the first time a left product r_i z is new.
+``_root_image_cache``
+    per (index, affine index j), the root z(alpha_j) and its sign, for
+    right descents and twist permutations (:meth:`RootDatum.root_image`).
 
 ``_word_cache``, ``_finite_inverse_cache``, ``_finite_sigma_cache``,
 ``_reflection_length_cache``
@@ -342,6 +345,7 @@ class RootDatum:
         self._finite_matrix_cache = {}
         self._inversion_cache = {}
         self._root_permutation_cache = {}
+        self._root_image_cache = {}
         self._left_cache = {}
         self._right_cache = {}
         self._word_cache = {}
@@ -594,6 +598,17 @@ class RootDatum:
             self._right_cache[w][i] = u
             self._right_cache[u][i] = w
         return u
+
+    def root_image(self, w: int, j: int):
+        """(beta, positive) for the root beta = z(alpha_j) of z = w, alpha_0 = theta."""
+        image = self._root_image_cache.get((w, j))
+        if image is None:
+            coroot = mat_vec(self._finite_matrix_cache[w], self._reflection_roots[j][1])
+            beta = self.positive_roots[self._coroot_bit[coroot].bit_length() - 1]
+            positive = self.root_coroot[beta] == coroot
+            image = (beta if positive else tuple([-c for c in beta]), positive)
+            self._root_image_cache[w, j] = image
+        return image
 
     def finite_word(self, w: int) -> tuple:
         """Lexicographically least reduced word of w, as generator indices.

@@ -42,9 +42,14 @@ derived per generator: the inversion mask by one pairing per positive
 root, the integer inverse read off the Smith normal form, and the
 positive root closure that applies every simple reflection.
 
-The last section is the value equality that elements and class
+The next section is the value equality that elements and class
 invariants had before each datum interned them: ``structural_key`` and
 ``class_key``.
+
+The last section is what the package read off lengths before it read
+descents and shift moves off root signs: ``act_on_affine_root`` and the
+twist permutation built on it, the shift class graph that measures every
+conjugate, and ``parse_element`` that multiplies by each ``sK`` factor.
 """
 
 import functools
@@ -550,7 +555,7 @@ def coset_decompose(w, K):
     for j in sigma_K:
         if aw.length(aw.right_by_simple(x, j)) < aw.length(x):
             return None
-    if cl.twist_permutation(x, K) is None:
+    if affine_root_twist_permutation(x, K) is None:
         return None
     return u, x, tuple(letters)
 
@@ -577,7 +582,7 @@ def reduced_word_in_parabolic(u, K):
 
 def is_twisted_coxeter(u, K, x):
     """One generator from each orbit of the transported twist on K."""
-    perm = cl.twist_permutation(x, K)
+    perm = affine_root_twist_permutation(x, K)
     if perm is None:
         return False
     word = reduced_word_in_parabolic(u, K)
@@ -880,3 +885,78 @@ def structural_key(x):
 def class_key(c):
     """What ``ClassInvariant.__eq__`` compared: the datum, nu = dom / period and kappa."""
     return c.datum, c.dom, c.period, c.kottwitz
+
+
+# -- lengths and affine root images before root signs ---------------------------
+
+
+def act_on_affine_root(x, a):
+    """Image of the affine root a = (k, alpha) under x = t^lambda z.
+
+    Derived from s_(x.a) = x s_a x^(-1): the result is
+    (k + <lambda, z alpha>, z alpha).
+    """
+    k, alpha = a
+    datum = x.datum
+    zinv = datum._finite_matrix_cache[datum.finite_inverse(x.finite_index)]
+    za = vec_mat(alpha, zinv)
+    return (k + dot(x.translation, za), za)
+
+
+def affine_root_twist_permutation(x, K):
+    """``classifier.twist_permutation`` as it read ``act_on_affine_root``."""
+    datum = x.datum
+    perm = {}
+    for i in K:
+        image = act_on_affine_root(x, datum.affine_simple[aw.sigma_on_affine_index(datum, i)])
+        j = datum.affine_simple_index.get(image)
+        if j not in K:
+            return None
+        perm[i] = j
+    return perm if sorted(perm.values()) == sorted(K) else None
+
+
+def length_shift_class(x):
+    """(members, neighbours, drops) of ``conjugacy.ShiftClass`` by lengths.
+
+    Every conjugate s_i x sigma(s_i) of every member is built and its
+    length compared with the class's; nothing is cached across calls.
+    """
+    base = aw.length(x)
+    neighbours = {}
+    drops = {}
+    queue = [x]
+    seen = {x}
+    while queue:
+        cur = queue.pop(0)
+        flat = {}
+        dropped = []
+        for i in range(x.datum.rank + 1):
+            y = cj.conjugate_by_simple(cur, i)
+            ylen = aw.length(y)
+            if ylen == base:
+                flat[i] = y
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+            elif ylen < base:
+                dropped.append(i)
+        neighbours[cur] = flat
+        if dropped:
+            drops[cur] = frozenset(dropped)
+    return frozenset(seen), neighbours, drops
+
+
+def multiply_parse_element(datum, text):
+    """``affine_weyl.parse_element`` as it multiplied by every factor, s_i included."""
+    result = aw.identity(datum)
+    for token in text.split():
+        if token.startswith("tau"):
+            factor = aw.omega_element(datum, int(token[3:]))
+        elif token.startswith("t("):
+            body = token[2:-1]
+            factor = aw.translation(datum, [int(c) for c in body.split(",")] if body else [])
+        else:
+            factor = aw.simple_reflection(datum, int(token[1:]))
+        result = aw.multiply(result, factor)
+    return result
