@@ -98,18 +98,13 @@ class AffineElement:
 
 
 def identity(datum: RootDatum) -> AffineElement:
-    return from_finite(datum, identity_matrix(datum.n))
+    return AffineElement(datum, (0,) * datum.n, datum.finite_index(identity_matrix(datum.n)))
 
 
 def translation(datum: RootDatum, lam) -> AffineElement:
     return AffineElement(
         datum, as_int_vector(lam), datum.finite_index(identity_matrix(datum.n))
     )
-
-
-def from_finite(datum: RootDatum, z) -> AffineElement:
-    """t^0 z for the finite Weyl element with lattice matrix z."""
-    return AffineElement(datum, (0,) * datum.n, datum.finite_index(z))
 
 
 def _finite_product(datum: RootDatum, u: int, w: int) -> int:
@@ -216,19 +211,11 @@ def affine_simple_roots(datum: RootDatum):
 def simple_reflection(datum: RootDatum, i: int) -> AffineElement:
     """s_i for an affine index; s_0 = t^(theta^) s_theta.
 
-    The rank+1 reflections are built once per datum. Their twist images
-    are among them: sigma(s_i) = s_j for j = sigma_on_affine_index(i).
+    One left-table step from the identity. The twist images of the
+    rank+1 reflections are among them: sigma(s_i) = s_j for
+    j = sigma_on_affine_index(i).
     """
-    s = datum._simple_cache.get(i)
-    if s is None:
-        if i == 0:
-            s = affine_reflection(datum, (1, datum.theta))
-        elif 1 <= i <= datum.rank:
-            s = from_finite(datum, datum.weyl_generators[i - 1])
-        else:
-            raise UsageError(f"no simple reflection with index {i}")
-        datum._simple_cache[i] = s
-    return s
+    return left_by_simple(identity(datum), i)
 
 
 def affine_reflection(datum: RootDatum, a) -> AffineElement:

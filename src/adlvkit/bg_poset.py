@@ -227,19 +227,11 @@ def enumerate_straight(
     by class invariant and sorted canonically; two runs return equal
     lists. ``kottwitz`` may be a ClassInvariant used as a filter; the
     enumeration reads only its Kottwitz point and, on a central line, its
-    central sum, so filters that share these share one cached result.
+    central sum, so filters that share these give equal results.
     """
     if max_pairing < 0:
         raise UsageError("max_pairing must be nonnegative")
     bound = math.floor(max_pairing)
-    if kottwitz is None:
-        key = (bound, None, None)
-    else:
-        central = kottwitz.central_sum if datum.central_rank else None
-        key = (bound, kottwitz.kottwitz, central)
-    cached = datum._straight_cache.get(key)
-    if cached is not None:
-        return cached
     records = {}
     elements = sorted(
         iter_elements(datum, bound, kottwitz=kottwitz, budget=budget),
@@ -258,9 +250,7 @@ def enumerate_straight(
             continue
         if inv not in records:
             records[inv] = ClassRecord(inv, x, classical_reflection_length(x))
-    out = tuple(sort_classes(records.values(), key=attrgetter("invariant")))
-    datum._straight_cache[key] = out
-    return out
+    return tuple(sort_classes(records.values(), key=attrgetter("invariant")))
 
 
 def interval(c_lo: ClassInvariant, c_hi: ClassInvariant):

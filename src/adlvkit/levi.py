@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .affine_weyl import AffineElement, format_element
+from .affine_weyl import AffineElement, format_element, identity
 from .bg_poset import DEFAULT_ENUM_BUDGET, sort_classes
 from .conjugacy import (
     ClassInvariant,
@@ -41,7 +41,7 @@ from .conjugacy import (
     permutation_orbits,
 )
 from .errors import CapExceededError, InternalInvariantError, UsageError
-from .linalg import dot, identity_matrix, reflect_left
+from .linalg import dot
 
 
 def _twist_orbits(datum, indices):
@@ -70,7 +70,7 @@ def _components(datum, J):
 
 
 def _minuscule_coweights(datum, comp):
-    """{k: (scale, pairings)} for a connected set of simple indices, cached.
+    """{k: (scale, pairings)} for a connected set of simple indices.
 
     One entry per node k of ``comp`` whose coefficient in the highest
     root of ``comp`` (its root of greatest height) is 1, for the
@@ -82,26 +82,23 @@ def _minuscule_coweights(datum, comp):
     v = sum of beta^ over the positive roots beta of comp with
     <omega_k, beta> = 1 is a multiple of omega_k, and scale = <v, alpha_k>.
     """
-    cached = datum._levi_cache.get(comp)
-    if cached is None:
-        inside = [
-            (c, beta)
-            for c, beta in zip(datum.root_coefficients, datum.positive_roots)
-            if not any(ck for k, ck in enumerate(c, 1) if k not in comp)
-        ]
-        theta = max(inside, key=lambda item: sum(item[0]))[0]
-        cached = {}
-        for k in sorted(comp):
-            if theta[k - 1] != 1:
-                continue
-            v = [0] * datum.n
-            for c, beta in inside:
-                if c[k - 1]:
-                    v = [a + b for a, b in zip(v, datum.root_coroot[beta])]
-            pairings = tuple(dot(v, alpha) for alpha in datum.simple_roots)
-            cached[k] = (pairings[k - 1], pairings)
-        datum._levi_cache[comp] = cached
-    return cached
+    inside = [
+        (c, beta)
+        for c, beta in zip(datum.root_coefficients, datum.positive_roots)
+        if not any(ck for k, ck in enumerate(c, 1) if k not in comp)
+    ]
+    theta = max(inside, key=lambda item: sum(item[0]))[0]
+    out = {}
+    for k in sorted(comp):
+        if theta[k - 1] != 1:
+            continue
+        v = [0] * datum.n
+        for c, beta in inside:
+            if c[k - 1]:
+                v = [a + b for a, b in zip(v, datum.root_coroot[beta])]
+        pairings = tuple(dot(v, alpha) for alpha in datum.simple_roots)
+        out[k] = (pairings[k - 1], pairings)
+    return out
 
 
 def _levi(datum, J):
@@ -165,18 +162,18 @@ def _levi_translations(datum, ones, orbits, totals, central):
             yield tuple(a // denom for a in num)
 
 
-def longest_word(datum, J):
-    """Letters j_1, j_2, ... with w_(0,J) = s_(j_k) ... s_(j_1).
+def longest_word(datum, nodes):
+    """Letters j_1, j_2, ... with w_(0,J) = s_(j_k) ... s_(j_1), J the set of ``nodes``.
 
-    Greedy left ascents from the identity, read off u = w(probe) for the
-    datum's regular dominant probe: s_j w is longer than w exactly when
+    Greedy left ascents from the identity, each time the first ascent in
+    the order of ``nodes``, read off u = w(probe) for the datum's regular
+    dominant probe: s_j w is longer than w exactly when
     <u, alpha_j> = <probe, w^(-1) alpha_j> > 0, and then s_j w sends the
     probe to u - <u, alpha_j> alpha_j^. The walk stops at the element of
     W_J with every j in J a left descent, the longest one. Nothing is
     interned.
     """
     u = datum._probe
-    nodes = sorted(J)
     word = []
     while True:
         for j in nodes:
@@ -228,13 +225,21 @@ def levi_witness(c: ClassInvariant) -> AffineElement:
 def _levi_element(datum, J, ones, lam):
     """t^lam w_(0,J_lam) w_(0,J), with J_lam = J - ones the J-nodes where lam pairs to 0.
 
-    The matrix of z is built by rank-one updates, r_j z = z - alpha_j^
-    (alpha_j z), and only z itself is interned.
+    With the nodes of J_lam first, the walk of :func:`longest_word` takes
+    a node of J_lam while one is an ascent, so it reaches w_(0,J_lam) just
+    before its first letter in ``ones``, at position k:
+    w_(0,J) = s_(j_m) ... s_(j_(k+1)) w_(0,J_lam). Both longest elements
+    are involutions, so w_(0,J_lam) w_(0,J) = (w_(0,J) w_(0,J_lam))^(-1)
+    = s_(j_(k+1)) ... s_(j_m), a reduced word, walked through the datum's
+    right table from the identity. A new right product flips one bit of
+    its neighbour's inversion mask.
     """
-    z = identity_matrix(datum.n)
-    for j in longest_word(datum, J) + longest_word(datum, J - ones):
-        z = reflect_left(z, datum.simple_roots[j - 1], datum.simple_coroots[j - 1])
-    return AffineElement(datum, lam, datum.finite_index(z))
+    word = longest_word(datum, sorted(J - ones) + sorted(ones))
+    k = next((t for t, j in enumerate(word) if j in ones), len(word))
+    w = identity(datum).finite_index
+    for j in word[k:]:
+        w = datum.finite_right(w, j)
+    return AffineElement(datum, lam, w)
 
 
 def length_zero_elements(datum, central_values):

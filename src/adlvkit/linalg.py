@@ -28,7 +28,8 @@ Matrix = tuple
 
 
 def identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    zero = (0,) * n
+    return tuple(zero[:i] + (1,) + zero[i + 1 :] for i in range(n))
 
 
 def mat_from_rows(rows) -> Matrix:

@@ -59,12 +59,8 @@ several threads. They are plain dicts named ``*_cache``:
 ``_reflection_length_cache``
     per index, its least reduced word, inverse, twist image and the
     twisted reflection length of z o delta.
-``_simple_cache``
-    the rank+1 affine simple reflections, filled by
-    :func:`adlvkit.affine_weyl.simple_reflection`.
 ``_length_cache``, ``_shift_class_cache``, ``_class_cache``,
-``_mincox_cache``, ``_defect_cache``, ``_straight_cache``,
-``_class_set_cache``
+``_mincox_cache``, ``_defect_cache``, ``_class_set_cache``
     per-element and per-class results of the layers above.
 ``_element_cache``, ``_class_value_cache``
     one element per (translation, finite index) and one class invariant
@@ -77,9 +73,6 @@ several threads. They are plain dicts named ``*_cache``:
     None at an endpoint) and its path summary; per move (element, index,
     shifts), its pair of edges, which every order that picks the move
     shares; and one interned object per distinct path summary.
-``_levi_cache``
-    per connected set of simple indices, the fundamental coweights of
-    its minuscule nodes, read by :mod:`adlvkit.levi`.
 
 Each of these grows at most linearly in the elements, classes or
 bounds that calls have met; none holds pairwise products. Entries are
@@ -352,7 +345,6 @@ class RootDatum:
         self._finite_inverse_cache = {}
         self._finite_sigma_cache = {}
         self._reflection_length_cache = {}
-        self._simple_cache = {}
         self._element_cache = {}
         self._class_value_cache = {}
         self._weyl_words = None
@@ -366,8 +358,6 @@ class RootDatum:
         self._summary_value_cache = {}
         self._mincox_cache = {}
         self._defect_cache = {}
-        self._straight_cache = {}
-        self._levi_cache = {}
         self._class_set_cache = {}
 
     # -- views computed on first read -------------------------------------

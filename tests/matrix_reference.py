@@ -46,10 +46,16 @@ The next section is the value equality that elements and class
 invariants had before each datum interned them: ``structural_key`` and
 ``class_key``.
 
-The last section is what the package read off lengths before it read
+The next section is what the package read off lengths before it read
 descents and shift moves off root signs: ``act_on_affine_root`` and the
 twist permutation built on it, the shift class graph that measures every
 conjugate, and ``parse_element`` that multiplies by each ``sK`` factor.
+
+The last section builds finite Weyl parts from lattice matrices, as the
+package did before it built them only through the datum's tables: the
+Levi witness's finite part letter by letter with ``reflect_left``, and
+the affine simple reflections from ``weyl_generators`` and
+``affine_reflection``.
 """
 
 import functools
@@ -62,6 +68,7 @@ from adlvkit import affine_weyl as aw
 from adlvkit import bg_poset as bg
 from adlvkit import classifier as cl
 from adlvkit import conjugacy as cj
+from adlvkit import levi
 from adlvkit.errors import (
     InternalInvariantError,
     NotComparableError,
@@ -77,6 +84,7 @@ from adlvkit.linalg import (
     integer_inverse,
     mat_mul,
     mat_vec,
+    reflect_left,
     smith_normal_form,
     vec_add,
     vec_mat,
@@ -960,3 +968,33 @@ def multiply_parse_element(datum, text):
             factor = aw.simple_reflection(datum, int(token[1:]))
         result = aw.multiply(result, factor)
     return result
+
+
+# -- finite Weyl parts from lattice matrices -------------------------------------
+
+
+def matrix_levi_element(datum, J, ones, lam):
+    """``levi._levi_element`` as it multiplied lattice matrices.
+
+    z starts as the identity matrix and is multiplied on the left by
+    s_j = 1 - alpha_j^ (x) alpha_j for each letter of the word of w_(0,J)
+    and then of the word of w_(0,J - ones); only z is interned.
+    """
+    z = identity_matrix(datum.n)
+    for j in levi.longest_word(datum, sorted(J)) + levi.longest_word(datum, sorted(J - ones)):
+        z = reflect_left(z, datum.simple_roots[j - 1], datum.simple_coroots[j - 1])
+    return aw.AffineElement(datum, lam, datum.finite_index(z))
+
+
+def matrix_simple_reflection(datum, i):
+    """``affine_weyl.simple_reflection`` as it built s_i from a matrix.
+
+    s_i, i >= 1, is t^0 times the lattice matrix ``weyl_generators[i - 1]``;
+    s_0 = t^(theta^) s_theta is ``affine_reflection(datum, (1, theta))``.
+    """
+    if i == 0:
+        return aw.affine_reflection(datum, (1, datum.theta))
+    if 1 <= i <= datum.rank:
+        z = datum.weyl_generators[i - 1]
+        return aw.AffineElement(datum, (0,) * datum.n, datum.finite_index(z))
+    raise UsageError(f"no simple reflection with index {i}")

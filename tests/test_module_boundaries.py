@@ -5,10 +5,14 @@ module; a relative ``from .m import _name`` would tie a second module to
 it. Dunder names such as ``__version__`` are public.
 
 Elements and class invariants are interned per datum, so the package
-builds them only through their interning constructors.
+builds them only through their interning constructors. Finite Weyl parts
+are built only through the datum's tables, so only ``root_datum`` calls
+``reflect_left``; and the ``root_datum`` docstring lists exactly the
+caches that ``RootDatum.__init__`` makes.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import adlvkit
@@ -106,3 +110,35 @@ def test_the_construction_scan_sees_every_scope():
     assert calls(source, lambda f: _named(f, "ClassInvariant")) == [()]
     assert calls(source, _object_new) == [("C", "f", "g")]
     assert calls(source, _record_copy) == [("C", "f", "g")]
+
+
+# -- one builder of finite Weyl parts, and the datum's caches -------------------
+
+
+def test_only_the_datum_multiplies_finite_matrices():
+    """A finite Weyl part is built through the datum's tables, never beside them."""
+    assert package_calls(lambda f: _named(f, "reflect_left")) == {
+        "root_datum.py": [("RootDatum", "finite_left"), ("RootDatum", "weyl_elements")]
+    }
+
+
+def init_caches(source):
+    """The ``self.*_cache`` attributes that ``RootDatum.__init__`` assigns."""
+    tree = ast.parse(source)
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RootDatum")
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    return {
+        target.attr
+        for node in ast.walk(init)
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Attribute)
+        and _named(target.value, "self")
+        and target.attr.endswith("_cache")
+    }
+
+
+def test_the_datum_docstring_lists_every_cache():
+    source = (PACKAGE / "root_datum.py").read_text()
+    listed = set(re.findall(r"``(_\w+_cache)``", ast.get_docstring(ast.parse(source))))
+    assert init_caches(source) == listed
