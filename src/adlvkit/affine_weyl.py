@@ -6,14 +6,13 @@ interns them, one object per (lambda, z), so equality is identity. z is
 stored as an int: its index among the datum's interned finite Weyl
 elements (:meth:`RootDatum.finite_index`), with the identity at 0. The
 datum memoizes, per index, the products with the finite parts
-r_0..r_rank of the affine simple reflections (r_0 = s_theta), the
-inverse, the twist image and the least reduced word, so the group law
-runs on table lookups:
+r_0..r_rank of the affine simple reflections (r_0 = s_theta) and the
+least reduced word, so the group law runs on table lookups:
 
 * ``conjugacy.conjugate_by_simple`` is two lookups and a rank-one update
   of lambda;
-* :func:`sigma_act` is one lookup and delta lambda (nothing at all on an
-  untwisted datum);
+* :func:`sigma_act` walks the word of z with permuted letters and applies
+  delta to lambda (nothing at all on an untwisted datum);
 * :func:`multiply` walks the shorter factor's word through the tables and
   applies z to the right translation only when that is nonzero.
 
@@ -98,13 +97,13 @@ class AffineElement:
 
 
 def identity(datum: RootDatum) -> AffineElement:
-    return AffineElement(datum, (0,) * datum.n, datum.finite_index(identity_matrix(datum.n)))
+    # the finite table interns the identity first, as index 0
+    w = 0 if datum._finite_index_cache else datum.finite_index(identity_matrix(datum.n))
+    return AffineElement(datum, (0,) * datum.n, w)
 
 
 def translation(datum: RootDatum, lam) -> AffineElement:
-    return AffineElement(
-        datum, as_int_vector(lam), datum.finite_index(identity_matrix(datum.n))
-    )
+    return AffineElement(datum, as_int_vector(lam), identity(datum).finite_index)
 
 
 def _finite_product(datum: RootDatum, u: int, w: int) -> int:
@@ -163,41 +162,49 @@ def length(x: AffineElement) -> int:
     return total
 
 
-def left_by_simple(x: AffineElement, i: int) -> AffineElement:
-    """s_i x, by one left-table lookup and a rank-one update of lambda.
+def left_step(datum: RootDatum, lam, w: int, i: int):
+    """(lambda', u) with t^lambda' u = s_i t^lambda w; interns no element.
 
-    With r_i the finite part of s_i and (alpha, alpha^) its root pair,
-    r_i lambda = lambda - <lambda, alpha> alpha^; s_0 = t^(theta^) s_theta
-    adds theta^ on top.
+    One left-table lookup and a rank-one update of lambda: with r_i the
+    finite part of s_i and (alpha, alpha^) its root pair, r_i lambda =
+    lambda - <lambda, alpha> alpha^; s_0 = t^(theta^) s_theta adds theta^
+    on top.
     """
-    datum = x.datum
     if not 0 <= i <= datum.rank:
         raise UsageError(f"no simple reflection with index {i}")
-    w = x.finite_index
     u = datum._left_cache[w][i]
     if u is None:
         u = datum.finite_left(w, i)
     alpha, coroot = datum._reflection_roots[i]
-    lam = x.translation
     p = (0 if i else 1) - sum(map(mul, lam, alpha))
     if p:
         lam = tuple([a + p * c for a, c in zip(lam, coroot)])
-    return AffineElement(datum, lam, u)
+    return lam, u
 
 
-def right_by_simple(x: AffineElement, i: int) -> AffineElement:
-    """x s_i, by one right-table lookup; s_0 also adds z theta^ to lambda."""
-    datum = x.datum
+def right_step(datum: RootDatum, lam, w: int, i: int):
+    """(lambda', u) with t^lambda' u = t^lambda w s_i; interns no element.
+
+    One right-table lookup; s_0 also adds z theta^ to lambda.
+    """
     if not 0 <= i <= datum.rank:
         raise UsageError(f"no simple reflection with index {i}")
-    w = x.finite_index
     u = datum._right_cache[w][i]
     if u is None:
         u = datum.finite_right(w, i)
-    lam = x.translation
     if not i:
-        lam = vec_add(lam, mat_vec(x.finite, datum.theta_coroot))
-    return AffineElement(datum, lam, u)
+        lam = vec_add(lam, mat_vec(datum._finite_matrix_cache[w], datum.theta_coroot))
+    return lam, u
+
+
+def left_by_simple(x: AffineElement, i: int) -> AffineElement:
+    """s_i x, by :func:`left_step`."""
+    return AffineElement(x.datum, *left_step(x.datum, x.translation, x.finite_index, i))
+
+
+def right_by_simple(x: AffineElement, i: int) -> AffineElement:
+    """x s_i, by :func:`right_step`."""
+    return AffineElement(x.datum, *right_step(x.datum, x.translation, x.finite_index, i))
 
 
 # -- affine roots ----------------------------------------------------------

@@ -26,10 +26,11 @@ finite Weyl table.
 
 :func:`iter_elements` enumerates the elements up to a length bound, the
 corpora of the audit suites, ``check`` and ``scan``, breadth-first from
-the length-zero elements; it measures no length and builds no finite
-Weyl table. :func:`enumerate_straight` keeps one straight witness per
-class from it and stays as the oracle of the Levi path: every class has
-a straight element of length exactly <nu, 2 rho> (He, Ann. Math. 2014).
+the length-zero elements along left ascents read off root signs; it
+measures no length and builds no finite Weyl table.
+:func:`enumerate_straight` keeps one straight witness per class from it
+and stays as the oracle of the Levi path: every class has a straight
+element of length exactly <nu, 2 rho> (He, Ann. Math. 2014).
 Straightness is an integer test on the orbit sum of the translation
 (see :func:`conjugacy.is_straight`).
 """
@@ -40,7 +41,7 @@ import math
 from operator import attrgetter
 from typing import NamedTuple
 
-from .affine_weyl import AffineElement, format_element, left_by_simple, length
+from .affine_weyl import AffineElement, format_element, left_by_simple, left_descent, length
 from .conjugacy import (
     ClassInvariant,
     class_invariant,
@@ -169,11 +170,11 @@ def iter_elements(
     simple reflections. The start set is the elements of
     ``levi.length_zero_elements`` whose Kottwitz point and central sum
     pass the filter; both are constant on the coset.
-    Level k+1 is every s_i y with y in level k that is not in level k-1:
-    s_i y has length k - 1 or k + 1, and every element of length k + 1
+    Level k+1 is every s_i y with y in level k and i not a left descent
+    of y: s_i y then has length k + 1, and every element of length k + 1
     has a left descent. ``budget`` caps the number of elements; the cap
-    error names the length reached. Only the yielded elements enter the
-    length cache. Within one length the order is the walk's: callers sort.
+    error names the length reached. No length is written here; within
+    one length the order is the walk's: callers sort.
     """
     from .levi import length_zero_elements
 
@@ -194,23 +195,20 @@ def iter_elements(
     # dicts keep the walk's order; a set of elements iterates by address
     levels = [dict.fromkeys(start)]
     for k in range(max_length):
-        below = levels[k - 1] if k else {}
         above = {}
         for y in levels[k]:
             for i in range(datum.rank + 1):
+                if left_descent(y, i):
+                    continue
                 x = left_by_simple(y, i)
-                if x not in below and x not in above:
+                if x not in above:
                     total += 1
                     if total > budget:
                         raise CapExceededError(budget, f"corpus enumeration at length {k + 1}")
                     above[x] = None
         levels.append(above)
-
-    length_cache = datum._length_cache
-    for k, level in enumerate(levels[: max_length + 1]):
-        for x in level:
-            length_cache[x] = k
-            yield x
+    for level in levels:
+        yield from level
 
 
 def enumerate_straight(

@@ -27,11 +27,11 @@ from typing import NamedTuple
 
 from .affine_weyl import (
     AffineElement,
-    left_by_simple,
     left_descent,
+    left_step,
     length,
-    right_by_simple,
     right_descent,
+    right_step,
     sigma_on_affine_index,
 )
 from .errors import (
@@ -65,9 +65,11 @@ def conjugate_by_simple(x: AffineElement, i: int) -> AffineElement:
 
     Two table lookups and rank-one updates of the translation: for
     i >= 1 it becomes r_i lambda; for i = 0, with mu = lambda + z theta^,
-    it becomes mu + (1 - <mu, theta>) theta^.
+    it becomes mu + (1 - <mu, theta>) theta^. Only the result is interned.
     """
-    return left_by_simple(right_by_simple(x, sigma_on_affine_index(x.datum, i)), i)
+    datum = x.datum
+    lam, w = right_step(datum, x.translation, x.finite_index, sigma_on_affine_index(datum, i))
+    return AffineElement(datum, *left_step(datum, lam, w, i))
 
 
 def cyclic_shift(x: AffineElement, i: int) -> ShiftMove:

@@ -55,10 +55,9 @@ several threads. They are plain dicts named ``*_cache``:
     per (index, affine index j), the root z(alpha_j) and its sign, for
     right descents and twist permutations (:meth:`RootDatum.root_image`).
 
-``_word_cache``, ``_finite_inverse_cache``, ``_finite_sigma_cache``,
-``_reflection_length_cache``
-    per index, its least reduced word, inverse, twist image and the
-    twisted reflection length of z o delta.
+``_word_cache``, ``_reflection_length_cache``
+    per index, its least reduced word and the twisted reflection length
+    of z o delta.
 ``_length_cache``, ``_shift_class_cache``, ``_class_cache``,
 ``_mincox_cache``, ``_defect_cache``, ``_class_set_cache``
     per-element and per-class results of the layers above.
@@ -342,8 +341,6 @@ class RootDatum:
         self._left_cache = {}
         self._right_cache = {}
         self._word_cache = {}
-        self._finite_inverse_cache = {}
-        self._finite_sigma_cache = {}
         self._reflection_length_cache = {}
         self._element_cache = {}
         self._class_value_cache = {}
@@ -625,13 +622,9 @@ class RootDatum:
 
     def finite_inverse(self, w: int) -> int:
         """The index of z^(-1): the reversed word walked through the right table."""
-        inv = self._finite_inverse_cache.get(w)
-        if inv is None:
-            inv = 0
-            for i in reversed(self.finite_word(w)):
-                inv = self.finite_right(inv, i)
-            self._finite_inverse_cache[w] = inv
-            self._finite_inverse_cache[inv] = w
+        inv = 0
+        for i in reversed(self.finite_word(w)):
+            inv = self.finite_right(inv, i)
         return inv
 
     def finite_sigma(self, w: int) -> int:
@@ -641,12 +634,9 @@ class RootDatum:
         image is the word of z with its letters permuted, walked through
         the right table.
         """
-        img = self._finite_sigma_cache.get(w)
-        if img is None:
-            img = 0
-            for i in self.finite_word(w):
-                img = self.finite_right(img, self.delta_diagram[i])
-            self._finite_sigma_cache[w] = img
+        img = 0
+        for i in self.finite_word(w):
+            img = self.finite_right(img, self.delta_diagram[i])
         return img
 
     def weyl_word(self, z):

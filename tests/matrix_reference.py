@@ -51,11 +51,17 @@ descents and shift moves off root signs: ``act_on_affine_root`` and the
 twist permutation built on it, the shift class graph that measures every
 conjugate, and ``parse_element`` that multiplies by each ``sK`` factor.
 
-The last section builds finite Weyl parts from lattice matrices, as the
+The next section builds finite Weyl parts from lattice matrices, as the
 package did before it built them only through the datum's tables: the
 Levi witness's finite part letter by letter with ``reflect_left``, and
 the affine simple reflections from ``weyl_generators`` and
 ``affine_reflection``.
+
+The last section is what the corpus walk and the shift moves built
+before they read ascents off root signs and interned only the elements
+they keep: ``bg_poset.iter_elements`` as a walk that builds every s_i y
+and drops those found one level down, and ``conjugacy.conjugate_by_simple``
+as two interning steps, x s_j and then s_i (x s_j).
 """
 
 import functools
@@ -998,3 +1004,45 @@ def matrix_simple_reflection(datum, i):
         z = datum.weyl_generators[i - 1]
         return aw.AffineElement(datum, (0,) * datum.n, datum.finite_index(z))
     raise UsageError(f"no simple reflection with index {i}")
+
+
+# -- the corpus walk and shift moves before ascents by root signs ------------
+
+
+def level_iter_elements(datum, max_length, kottwitz=None):
+    """(x, k) for the old ``bg_poset.iter_elements``, in its order.
+
+    Level k+1 is every s_i y with y in level k that is in neither level
+    k-1 nor level k+1 so far; no sign is read, so k is the distance from
+    the length-zero elements in the Cayley graph. Nothing is written to
+    the length cache.
+    """
+    if not datum.central_rank:
+        central_values = [None]
+    elif kottwitz is not None:
+        central_values = [kottwitz.central_sum]
+    else:
+        central_values = range(datum.n)
+    start = [
+        x
+        for x in levi.length_zero_elements(datum, central_values)
+        if kottwitz is None or datum.kottwitz_quotient.key(x.translation) == kottwitz.kottwitz
+    ]
+    levels = [dict.fromkeys(start)]
+    for k in range(max_length):
+        below = levels[k - 1] if k else {}
+        above = {}
+        for y in levels[k]:
+            for i in range(datum.rank + 1):
+                x = aw.left_by_simple(y, i)
+                if x not in below and x not in above:
+                    above[x] = None
+        levels.append(above)
+    for k, level in enumerate(levels):
+        for x in level:
+            yield x, k
+
+
+def two_step_conjugate_by_simple(x, i):
+    """s_i x sigma(s_i), interning x s_j on the way, j = sigma(i)."""
+    return aw.left_by_simple(aw.right_by_simple(x, aw.sigma_on_affine_index(x.datum, i)), i)

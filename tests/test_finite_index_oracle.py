@@ -87,6 +87,23 @@ def test_finite_words_spell_their_elements():
     assert sorted(datum._finite_index_cache.values()) == list(range(len(elements)))
 
 
+def test_identity_is_index_0_after_an_affine_reflection(monkeypatch):
+    # the first matrix a fresh datum meets is not the identity's
+    datum = RootDatum(parse_spec("C2:sc"))
+    r = aw.affine_reflection(datum, (1, datum.theta))
+    assert r.finite_index == 1
+    assert datum._finite_matrix_cache[0] == ref.identity(datum)[1]
+
+    def forbidden(_z):
+        raise AssertionError("finite_index called")
+
+    # once the table holds the identity, no matrix is built to find it
+    monkeypatch.setattr(datum, "finite_index", forbidden)
+    assert aw.identity(datum).finite_index == 0
+    assert aw.translation(datum, (1, 0)).finite_index == 0
+    assert aw.multiply(r, r).is_identity()
+
+
 # -- group axioms on both representations ------------------------------------
 
 AXIOM_DATA = ("A2:adj", "C2:sc", "G2:sc", "A3:gl", "2A3:sc", "3D4:sc")

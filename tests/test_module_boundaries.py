@@ -8,7 +8,8 @@ Elements and class invariants are interned per datum, so the package
 builds them only through their interning constructors. Finite Weyl parts
 are built only through the datum's tables, so only ``root_datum`` calls
 ``reflect_left``; and the ``root_datum`` docstring lists exactly the
-caches that ``RootDatum.__init__`` makes.
+caches that ``RootDatum.__init__`` makes. Lengths have one writer: only
+``affine_weyl.length`` stores into ``_length_cache``.
 """
 
 import ast
@@ -48,8 +49,8 @@ def test_the_scan_sees_function_local_imports():
 # -- who may build the interned records ---------------------------------------
 
 
-def calls(source, matches):
-    """The enclosing (class and) function names of each call whose callee ``matches``."""
+def scopes(source, matches):
+    """The enclosing (class and) function names of each node that ``matches``."""
     out = []
 
     def visit(node, scope):
@@ -57,12 +58,17 @@ def calls(source, matches):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 inner = scope + (child.name,)
-            elif isinstance(child, ast.Call) and matches(child.func):
+            elif matches(child):
                 out.append(scope)
             visit(child, inner)
 
     visit(ast.parse(source), ())
     return out
+
+
+def calls(source, matches):
+    """The enclosing (class and) function names of each call whose callee ``matches``."""
+    return scopes(source, lambda node: isinstance(node, ast.Call) and matches(node.func))
 
 
 def _named(func, name):
@@ -77,12 +83,16 @@ def _object_new(func):
     return isinstance(func, ast.Attribute) and func.attr == "__new__" and _named(func.value, "object")
 
 
-def package_calls(matches):
+def package_scopes(matches):
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        for scope in calls(path.read_text(), matches):
+        for scope in scopes(path.read_text(), matches):
             found.setdefault(path.name, []).append(scope)
     return found
+
+
+def package_calls(matches):
+    return package_scopes(lambda node: isinstance(node, ast.Call) and matches(node.func))
 
 
 def test_class_invariants_are_built_only_by_invariant_from_sum():
@@ -142,3 +152,41 @@ def test_the_datum_docstring_lists_every_cache():
     source = (PACKAGE / "root_datum.py").read_text()
     listed = set(re.findall(r"``(_\w+_cache)``", ast.get_docstring(ast.parse(source))))
     assert init_caches(source) == listed
+
+
+# -- one writer of lengths --------------------------------------------------------
+
+
+def _names_length_cache(node):
+    return isinstance(node, ast.Attribute) and node.attr == "_length_cache"
+
+
+def _stores_a_length(node):
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Store)
+        and _names_length_cache(node.value)
+    )
+
+
+def test_only_length_writes_lengths():
+    # every scope that names the cache is listed, so an alias of it
+    # cannot hide a store
+    named = package_scopes(_names_length_cache)
+    assert {name: set(found) for name, found in named.items()} == {
+        "affine_weyl.py": {("length",)},
+        "root_datum.py": {("RootDatum", "__init__")},
+    }
+    assert package_scopes(_stores_a_length) == {"affine_weyl.py": [("length",)]}
+
+
+def test_the_length_scan_sees_stores_and_aliases():
+    source = (
+        "def f(d):\n"
+        "    d._length_cache[1] = 0\n"
+        "def g(d):\n"
+        "    cache = d._length_cache\n"
+        "    cache[1] = 0\n"
+    )
+    assert scopes(source, _stores_a_length) == [("f",)]
+    assert scopes(source, _names_length_cache) == [("f",), ("g",)]
