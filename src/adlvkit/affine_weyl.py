@@ -96,14 +96,17 @@ class AffineElement:
         return f"<{format_element(self)} in {self.datum.spec.datum_string()}>"
 
 
-def identity(datum: RootDatum) -> AffineElement:
+def _identity_index(datum: RootDatum) -> int:
     # the finite table interns the identity first, as index 0
-    w = 0 if datum._finite_index_cache else datum.finite_index(identity_matrix(datum.n))
-    return AffineElement(datum, (0,) * datum.n, w)
+    return 0 if datum._finite_index_cache else datum.finite_index(identity_matrix(datum.n))
+
+
+def identity(datum: RootDatum) -> AffineElement:
+    return AffineElement(datum, (0,) * datum.n, _identity_index(datum))
 
 
 def translation(datum: RootDatum, lam) -> AffineElement:
-    return AffineElement(datum, as_int_vector(lam), identity(datum).finite_index)
+    return AffineElement(datum, as_int_vector(lam), _identity_index(datum))
 
 
 def _finite_product(datum: RootDatum, u: int, w: int) -> int:
@@ -273,9 +276,13 @@ def sigma_on_affine_index(datum: RootDatum, i: int) -> int:
 
 def left_descent(x: AffineElement, i: int) -> bool:
     """len(s_i x) < len(x), by one pairing and one inversion mask bit."""
-    datum = x.datum
-    q = sum(map(mul, x.translation, datum._reflection_roots[i][0]))
-    mask = datum._inversion_cache[x.finite_index]
+    return pair_left_descent(x.datum, x.translation, x.finite_index, i)
+
+
+def pair_left_descent(datum: RootDatum, lam, w: int, i: int) -> bool:
+    """:func:`left_descent` of t^lambda w, given as the pair (lambda, w); interns nothing."""
+    q = sum(map(mul, lam, datum._reflection_roots[i][0]))
+    mask = datum._inversion_cache[w]
     if i:
         return q < 0 or (q == 0 and bool(mask & datum._simple_bits[i - 1]))
     # theta is the last positive root
@@ -298,22 +305,25 @@ def strip_left_descents(x: AffineElement, indices):
     """Strip left descents s_i, i in ``indices``, until none is left.
 
     Each step strips the first index, in the given order, with
-    :func:`left_descent`; only the stripped elements are built. Returns
+    :func:`pair_left_descent` and :func:`left_step` on (lambda, index)
+    pairs, so only y is interned. Returns
     (y, letters) with x = s_(letters[0]) ... s_(letters[-1]) y and len(y)
     = len(x) - len(letters). Over all affine indices y has length zero,
     since an element of positive length has a left descent; applied to a
     pure translation this lands on the unique length-zero element of its
     coset modulo the coroot lattice.
     """
+    datum = x.datum
+    lam, w = x.translation, x.finite_index
     letters = []
     while True:
         for i in indices:
-            if left_descent(x, i):
-                x = left_by_simple(x, i)
+            if pair_left_descent(datum, lam, w, i):
+                lam, w = left_step(datum, lam, w, i)
                 letters.append(i)
                 break
         else:
-            return x, tuple(letters)
+            return AffineElement(datum, lam, w), tuple(letters)
 
 
 def omega_element(datum: RootDatum, k: int) -> AffineElement:

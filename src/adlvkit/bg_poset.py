@@ -31,8 +31,8 @@ measures no length and builds no finite Weyl table.
 :func:`enumerate_straight` keeps one straight witness per class from it
 and stays as the oracle of the Levi path: every class has a straight
 element of length exactly <nu, 2 rho> (He, Ann. Math. 2014).
-Straightness is an integer test on the orbit sum of the translation
-(see :func:`conjugacy.is_straight`).
+Straightness compares the length with <nu, 2 rho>, read off the memoized
+class invariant (see :func:`conjugacy.is_straight`).
 """
 
 from __future__ import annotations

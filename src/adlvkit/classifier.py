@@ -43,6 +43,7 @@ from .conjugacy import (
     is_straight,
     permutation_orbits,
     replay_moves,
+    twist_orbits,
 )
 from .errors import (
     InternalInvariantError,
@@ -90,8 +91,8 @@ def coset_decompose(w: AffineElement, K):
     x is the unique minimal-length element of W_K w (greedy descents
     inside K, :func:`strip_left_descents`), u = w x^(-1) is the product
     of the stripped generators.
-    Returns None when x fails right-minimality against sigma(K) or does
-    not stabilize K through the twist.
+    Returns None when x does not stabilize K through the twist (which
+    implies that x is minimal on the right against sigma(K) as well).
     """
     dec = _coset_split(w, K)
     return None if dec is None else dec[:3]
@@ -218,7 +219,7 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
     # len(letters) and len(x) = <nu_w, 2 rho>, so len(letters) is exactly
     # len(w) - <nu_w, 2 rho>: a (member, K) pair whose stripped letters
     # number otherwise is skipped before u is recomposed and x is tested
-    # for right-minimality, twist stability and straightness.
+    # for twist stability and straightness.
     smallest = length(w) - class_invariant(w).pairing_two_rho
     witness = None
     for K in spherical_subsets(datum):
@@ -294,7 +295,7 @@ def is_geometric_coxeter_type(trees, cap=DEFAULT_BFS_CAP):
 
 def count_orbit_classes(datum, indices) -> int:
     """Number of twist orbits on a twist-stable set of finite indices."""
-    return len(permutation_orbits({i: datum.delta_diagram[i] for i in indices}))
+    return len(twist_orbits(datum, indices))
 
 
 def dim_formula(w: AffineElement, c: ClassInvariant):

@@ -138,7 +138,7 @@ def _build_parser():
         if seeds:
             p.add_argument(
                 "--seeds",
-                default="0,1,2,3,4,5,6,7,8,9",
+                default=",".join(map(str, classifier.DEFAULT_SEEDS)),
                 help="comma separated strategy seeds: distinct nonnegative integers",
             )
         p.add_argument("--cap-bfs", default=conjugacy.DEFAULT_BFS_CAP)

@@ -253,6 +253,12 @@ def permutation_orbits(perm: dict):
     return orbits
 
 
+def twist_orbits(datum, indices):
+    """The twist orbits on a twist-stable set of simple indices, as sorted tuples."""
+    perm = {i: datum.delta_diagram[i] for i in indices}
+    return tuple(tuple(sorted(orbit)) for orbit in permutation_orbits(perm))
+
+
 # -- class invariants --------------------------------------------------------
 
 
@@ -296,15 +302,8 @@ def kottwitz_point(x: AffineElement):
 
 
 def is_straight(x: AffineElement) -> bool:
-    """Length equals the pairing of the Newton point with 2 rho.
-
-    For any v in the Weyl orbit of the dominant dom v,
-    <dom v, 2 rho> = sum over positive roots beta of |<v, beta>|, so with
-    (p, s) from the orbit sum the test is the integer identity
-    p len(x) == sum |<s, beta>|, with no dominance descent.
-    """
-    period, total = _orbit_sum(x)
-    return period * length(x) == sum(abs(dot(total, beta)) for beta in x.datum.positive_roots)
+    """Length equals <nu, 2 rho>, read off the memoized class invariant."""
+    return length(x) == class_invariant(x).pairing_two_rho
 
 
 def reflection_length(datum, z, twist=None) -> int:
@@ -431,8 +430,9 @@ def invariant_from_sum(datum, period: int, total, kottwitz) -> ClassInvariant:
     dom = datum.dominant(total)
     if mat_vec(datum.delta, dom) != dom:
         raise InternalInvariantError("Newton point is not twist-fixed")
-    # every class has a straight element of length <nu, 2 rho>
-    pairing = sum(abs(dot(total, beta)) for beta in datum.positive_roots)
+    # every class has a straight element of length <nu, 2 rho>; for any v
+    # in the Weyl orbit of dom v, <dom v, 2 rho> = sum over beta > 0 of |<v, beta>|
+    pairing = sum(map(abs, datum.root_pairings(total)))
     two_rho, rest = divmod(pairing, period)
     if rest:
         raise InternalInvariantError("<nu, 2 rho> is not an integer")

@@ -38,16 +38,10 @@ from .conjugacy import (
     ClassInvariant,
     class_invariant,
     invariant_from_sum,
-    permutation_orbits,
+    twist_orbits,
 )
 from .errors import CapExceededError, InternalInvariantError, UsageError
 from .linalg import dot
-
-
-def _twist_orbits(datum, indices):
-    """The twist orbits on a twist-stable set of simple indices, as sorted tuples."""
-    perm = {i: datum.delta_diagram[i] for i in indices}
-    return tuple(tuple(sorted(orbit)) for orbit in permutation_orbits(perm))
 
 
 def _components(datum, J):
@@ -101,7 +95,7 @@ def _minuscule_coweights(datum, comp):
     return out
 
 
-def _levi(datum, J):
+def _levi(datum, J, coweights=None):
     """Length-zero patterns of the standard Levi with simple indices J.
 
     Returns (orbits, patterns). ``orbits`` are the twist orbits of the
@@ -113,11 +107,18 @@ def _levi(datum, J):
     orbit O the integer scale * sum over i in O of <lambda_J, alpha_i>,
     where lambda_J, the sum of the components' fundamental coweights at
     ``ones``, is the combination of J-coroots with those J-pairings.
+    ``coweights``, when given, maps each component met so far to its
+    options, so a caller that runs many J computes each component's
+    coweights once.
     """
-    outside = _twist_orbits(datum, set(range(1, datum.rank + 1)) - J)
-    options = [
-        [None, *_minuscule_coweights(datum, comp).items()] for comp in _components(datum, J)
-    ]
+    outside = twist_orbits(datum, set(range(1, datum.rank + 1)) - J)
+    coweights = {} if coweights is None else coweights
+    options = []
+    for comp in _components(datum, J):
+        parts = coweights.get(comp)
+        if parts is None:
+            parts = coweights[comp] = [None, *_minuscule_coweights(datum, comp).items()]
+        options.append(parts)
     patterns = []
     for choice in itertools.product(*options):
         chosen = [part for part in choice if part]
@@ -261,7 +262,7 @@ def length_zero_elements(datum, central_values):
 
 def _stable_subsets(datum):
     """Every twist-stable set of simple indices, as unions of twist orbits."""
-    orbits = _twist_orbits(datum, range(1, datum.rank + 1))
+    orbits = twist_orbits(datum, range(1, datum.rank + 1))
     for picks in itertools.product((False, True), repeat=len(orbits)):
         yield frozenset(i for orbit, pick in zip(orbits, picks) if pick for i in orbit)
 
@@ -309,8 +310,9 @@ def levi_classes(
     two_rho = [sum(col) for col in zip(*datum.root_coefficients)]
     found = set()
     visited = 0
+    coweights = {}
     for J in _stable_subsets(datum):
-        orbits, patterns = _levi(datum, J)
+        orbits, patterns = _levi(datum, J, coweights)
         weights = [two_rho[orbit[0] - 1] for orbit in orbits]
         size = math.lcm(*(len(orbit) for orbit in orbits))
         for ones, scale, excess in patterns:

@@ -57,11 +57,15 @@ Levi witness's finite part letter by letter with ``reflect_left``, and
 the affine simple reflections from ``weyl_generators`` and
 ``affine_reflection``.
 
-The last section is what the corpus walk and the shift moves built
+The next section is what the corpus walk and the shift moves built
 before they read ascents off root signs and interned only the elements
 they keep: ``bg_poset.iter_elements`` as a walk that builds every s_i y
 and drops those found one level down, and ``conjugacy.conjugate_by_simple``
 as two interning steps, x s_j and then s_i (x s_j).
+
+The last section is ``conjugacy.is_straight`` as it was before it read
+<nu, 2 rho> off the memoized class invariant: its own orbit sum, paired
+with every positive root.
 """
 
 import functools
@@ -1046,3 +1050,16 @@ def level_iter_elements(datum, max_length, kottwitz=None):
 def two_step_conjugate_by_simple(x, i):
     """s_i x sigma(s_i), interning x s_j on the way, j = sigma(i)."""
     return aw.left_by_simple(aw.right_by_simple(x, aw.sigma_on_affine_index(x.datum, i)), i)
+
+
+# -- straightness by its own orbit sum ------------------------------------------
+
+
+def orbit_sum_is_straight(x):
+    """p len(x) == sum over beta > 0 of |<s, beta>|, with (p, s) the orbit sum of x.
+
+    For any v in the Weyl orbit of the dominant dom v, <dom v, 2 rho> is
+    the sum over the positive roots beta of |<v, beta>|.
+    """
+    period, total = cj._orbit_sum(x)
+    return period * aw.length(x) == sum(abs(dot(total, beta)) for beta in x.datum.positive_roots)

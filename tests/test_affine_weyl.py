@@ -5,6 +5,7 @@ import pytest
 import matrix_reference as ref
 from adlvkit import affine_weyl as aw
 from adlvkit.errors import ElementParseError, DatumMismatchError, UsageError
+from adlvkit.root_datum import RootDatum, parse_spec
 from conftest import length_ball
 
 
@@ -175,6 +176,17 @@ def test_omega_group_covers_quotient(c2sc, a4tw):
         quot = datum.omega_quotient
         keys = {quot.key(aw.omega_element(datum, k).translation) for k in range(datum.rank + 1)}
         assert len(keys) == size or len(keys) == datum.rank + 1
+
+
+@pytest.mark.parametrize("spec,k", [("E7:sc", 7), ("E6:sc", 1), ("A7:gl", 3), ("2A3:sc", 2)])
+def test_omega_interns_only_the_translation_and_tau(spec, k):
+    # the descent walks (lambda, index) pairs: its start and its end are
+    # the only elements it interns
+    datum = RootDatum(parse_spec(spec))
+    before = len(datum._element_cache)
+    tau = aw.omega_element(datum, k)
+    assert aw.length(tau) == 0
+    assert len(datum._element_cache) - before <= 2
 
 
 # -- the twist ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from adlvkit import cli, root_datum
+from adlvkit import classifier, cli, root_datum
 
 
 def run(argv):
@@ -39,6 +39,20 @@ def test_classify_usage_errors():
     assert code == 1
     code, _ = run(["classify", "--datum", "A1:adj", "s1", "--seeds", "1,1"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--datum", "A1:adj", "s1"],
+        ["bgw", "--datum", "A1:adj", "s1"],
+        ["scan", "--datum", "A1:adj", "--max-length", "2"],
+        ["check", "--datum", "A1:adj", "--max-length", "2"],
+    ],
+)
+def test_seeds_default_is_the_classifier_default(argv):
+    args = cli._build_parser().parse_args(argv)
+    assert cli._parse_seeds(args.seeds) == classifier.DEFAULT_SEEDS
 
 
 @pytest.mark.parametrize("seeds", ["1,-1", "\u0663,4", "1_0", "0,,1", "", " 1", "+1"])

@@ -4,7 +4,7 @@
 stripped the smallest left descent: the one behind ``omega_element``,
 the one inside ``classifier.coset_decompose`` and the one inside
 ``classifier.reduced_word_in_parabolic``. ``classifier.count_orbit_classes``
-now counts the orbits of ``conjugacy.permutation_orbits`` instead of walking the
+now counts the orbits of ``conjugacy.twist_orbits`` instead of walking the
 twist itself. ``matrix_reference`` keeps the replaced code; here the two
 are compared on every fundamental coweight coset of a range of data, on
 every element of the acceptance corpora against every spherical K, and

@@ -202,3 +202,19 @@ def test_the_package_import_leaves_the_levi_module_for_first_use():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+def test_levi_classes_computes_each_component_once(monkeypatch):
+    """A7's 128 twist-stable J have 28 distinct components, the intervals of nodes."""
+    datum = RootDatum(parse_spec("A7:gl"))
+    calls = []
+    coweights = levi._minuscule_coweights
+
+    def counted(datum, comp):
+        calls.append(comp)
+        return coweights(datum, comp)
+
+    monkeypatch.setattr(levi, "_minuscule_coweights", counted)
+    levi.levi_classes(datum, 2, class_invariant(aw.identity(datum)))
+    assert len(calls) <= 28
+    assert len(set(calls)) == len(calls)

@@ -21,6 +21,7 @@ import matrix_reference as ref
 from adlvkit import affine_weyl as aw
 from adlvkit import bg_poset as bg
 from adlvkit import checks
+from adlvkit import conjugacy as cj
 from adlvkit.conjugacy import class_invariant, is_straight, newton_point
 from adlvkit.errors import UsageError
 from adlvkit.linalg import dot
@@ -64,6 +65,40 @@ def test_class_invariants_match_the_fraction_newton_point(spec, max_length):
         assert c.zero_set == frozenset(
             i + 1 for i, alpha in enumerate(datum.simple_roots) if dot(nu, alpha) == 0
         )
+
+
+# the corpora above, and the rank-6 to rank-8 data of the Coxeter checks
+STRAIGHT_DATA = CORPORA + (
+    ("E6:sc", 2),
+    ("2E6:sc", 2),
+    ("E7:sc", 2),
+    ("E8:sc", 2),
+    ("A7:gl", 2),
+)
+
+
+@pytest.mark.parametrize("spec,max_length", STRAIGHT_DATA)
+def test_straightness_matches_the_orbit_sum_test(spec, max_length):
+    _datum, elements = corpus(spec, max_length)
+    assert any(is_straight(x) for x in elements)
+    for x in elements:
+        assert is_straight(x) == ref.orbit_sum_is_straight(x), aw.format_element(x)
+
+
+@pytest.mark.parametrize("spec,text", [("A3:gl", "s0 s1 s2 t(1,0,0,0)"), ("2A3:sc", "s1 tau1")])
+def test_straightness_and_the_class_invariant_share_one_orbit_sum(spec, text, monkeypatch):
+    walked = []
+    orbit_sum = cj._orbit_sum
+
+    def counted(x):
+        walked.append(x)
+        return orbit_sum(x)
+
+    monkeypatch.setattr(cj, "_orbit_sum", counted)
+    x = aw.parse_element(fresh(spec), text)
+    cj.is_straight(x)
+    cj.class_invariant(x)
+    assert walked == [x]
 
 
 def _filters(datum, elements):
