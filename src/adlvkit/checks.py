@@ -134,7 +134,7 @@ def audit(
     def bump(name, k=1):
         results[name].checked += k
 
-    _audit_datum(datum, results, fail, bump)
+    _audit_datum(datum, fail, bump)
 
     elements = corpus(datum, max_length, budget=enum_budget)
     geo_count = 0
@@ -150,7 +150,7 @@ def audit(
             fail("integrality", format_element(w), f"{type(exc).__name__}: {exc}")
     bump("integrality", len(elements))
 
-    _audit_length_properties(datum, elements, results, fail, bump)
+    _audit_length_properties(datum, elements, fail, bump)
     bound = min(max_length, 4)
     straight = [x for x in elements if length(x) <= bound and is_straight(x)]
     _audit_rankedness(datum, straight, fail, bump)
@@ -170,7 +170,7 @@ def audit(
 # -- per-datum checks ----------------------------------------------------------
 
 
-def _audit_datum(datum, results, fail, bump):
+def _audit_datum(datum, fail, bump):
     name = "datum_invariants"
     tag = datum.spec.datum_string()
     for i, coroot in enumerate(datum.simple_coroots):
@@ -213,7 +213,7 @@ def _audit_datum(datum, results, fail, bump):
     bump(name)
 
 
-def _audit_length_properties(datum, elements, results, fail, bump):
+def _audit_length_properties(datum, elements, fail, bump):
     name = "length_properties"
     tag = datum.spec.datum_string()
     sample = elements[:: max(1, len(elements) // 40)]
@@ -395,7 +395,7 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
 
     # slack of the characterizing inequality, and its equality case: zero
     # slack needs the element itself minimal and a witness on its class
-    mct = classifier.mct_inequality(w, cap=bfs_cap)
+    mct = classifier.mct_inequality(w)
     minimal_rep, _moves = conjugacy.descend_to_min_len(w, cap=bfs_cap)
     witness = classifier.is_minimal_coxeter_type(minimal_rep, cap=bfs_cap)
     w_minimal = is_min_len(w, cap=bfs_cap).is_min_len

@@ -26,6 +26,7 @@ from typing import NamedTuple
 from .affine_weyl import (
     AffineElement,
     format_element,
+    identity,
     length,
     multiply,
     right_by_simple,
@@ -93,7 +94,12 @@ def coset_decompose(w: AffineElement, K):
     of the stripped generators.
     Returns None when x does not stabilize K through the twist (which
     implies that x is minimal on the right against sigma(K) as well).
+    K may be any iterable of indices; it is validated here, and a set
+    that is not a proper subset of the affine indices raises UsageError.
     """
+    K = tuple(sorted(K))
+    if len(set(K)) != len(K) or not set(K) < set(range(w.datum.rank + 1)):
+        raise UsageError(f"index set {K} is not spherical")
     dec = _coset_split(w, K)
     return None if dec is None else dec[:3]
 
@@ -101,18 +107,16 @@ def coset_decompose(w: AffineElement, K):
 def _coset_split(w: AffineElement, K, u_length=None):
     """:func:`coset_decompose` and the twist permutation of x on K; ``letters`` spell u reduced.
 
-    With ``u_length`` given, a split whose u has another length is None
-    at once, before u is built and the recomposition is checked.
+    K is trusted: a sorted tuple of distinct affine indices forming a
+    proper subset, as :func:`spherical_subsets` yields and
+    :func:`coset_decompose` checks. With ``u_length`` given, a split
+    whose u has another length is None at once, before u is built and
+    the recomposition is checked.
     """
-    datum = w.datum
-    K = tuple(sorted(K))
-    if len(set(K)) != len(K) or not set(K) < set(range(datum.rank + 1)):
-        raise UsageError(f"index set {K} is not spherical")
     x, letters = strip_left_descents(w, K)
     if u_length is not None and len(letters) != u_length:
         return None
-    # index 0 is the identity of the finite Weyl group
-    u = reduce(right_by_simple, letters, AffineElement(datum, (0,) * datum.n, 0))
+    u = reduce(right_by_simple, letters, identity(w.datum))
     if multiply(u, x) != w:
         raise InternalInvariantError("coset decomposition does not recompose")
     # x(a_j) < 0 exactly when x s_j is shorter, and twist stability sends
@@ -293,11 +297,6 @@ def is_geometric_coxeter_type(trees, cap=DEFAULT_BFS_CAP):
 # -- closed formulas -------------------------------------------------------------
 
 
-def count_orbit_classes(datum, indices) -> int:
-    """Number of twist orbits on a twist-stable set of finite indices."""
-    return len(twist_orbits(datum, indices))
-
-
 def dim_formula(w: AffineElement, c: ClassInvariant):
     """(len(w) + refl(cl w) - <nu, 2 rho> - def(c)) / 2, asserted integral.
 
@@ -320,7 +319,7 @@ def ell1_formula(datum, c_min: ClassInvariant, c: ClassInvariant) -> int:
     zero sets are incomparable) and the difference count is what the
     reduction trees realize.
     """
-    return count_orbit_classes(datum, c_min.zero_set - c.zero_set)
+    return len(twist_orbits(datum, c_min.zero_set - c.zero_set))
 
 
 def ell2_formula(w: AffineElement, c: ClassInvariant, c_max: ClassInvariant) -> int:
@@ -339,7 +338,7 @@ def ell2_formula(w: AffineElement, c: ClassInvariant, c_max: ClassInvariant) -> 
     return value
 
 
-def mct_inequality(w: AffineElement, cap=DEFAULT_BFS_CAP):
+def mct_inequality(w: AffineElement):
     """Slack of len(w) >= <nu, 2 rho> + refl(cl w) - def([w]).
 
     The slack is invariant under twisted conjugation of the right side
@@ -407,7 +406,7 @@ def purity_report(tree):
                 "min_follows_type_II": node_min == two_min,
                 "max_follows_type_I": node_max == one_max,
                 "i_set_difference_is_one_orbit": (
-                    count_orbit_classes(datum, node_min.zero_set - one_min.zero_set) == 1
+                    len(twist_orbits(datum, node_min.zero_set - one_min.zero_set)) == 1
                 ),
             }
         )
@@ -538,7 +537,7 @@ def classify(
         min_cox=min_cox,
         smo=geo.smo,
         geo_cox=geo.is_geo_cox,
-        mct=mct_inequality(w, cap=cap),
+        mct=mct_inequality(w),
         bgw_table=rows,
         purity=purity,
         outside_guarantee=not geo.is_geo_cox,

@@ -138,7 +138,13 @@ def smith_normal_form(a: Matrix):
     """Return (u, d, v) with u @ a @ v = d, u and v unimodular over Z.
 
     ``d`` is diagonal with nonnegative entries and each diagonal entry
-    divides the next. Standard pivoting algorithm; inputs are small.
+    divides the next. Standard pivoting algorithm, without reduction of
+    the transforms. The package gives it only the generators of a
+    datum's lattice quotients, as columns: the simple coroots, the
+    nonzero columns of delta - 1 and, for ``scan --coset`` on gl, the
+    central vector. On those, u and v stay small: entries at most 14 up
+    to rank 8, which the tests bound at 64. General integer matrices are
+    unsupported: their transform entries can grow to thousands of digits.
     """
     nr = len(a)
     nc = len(a[0]) if nr else 0

@@ -13,7 +13,8 @@ Three shortcuts, each kept exact:
   stripped letters do not number len(w) - <nu_w, 2 rho>.
   ``matrix_reference.letter_unpruned_minimal_coxeter_type`` decomposes
   every pair; the witnesses agree on every minimal element of the ten
-  acceptance corpora, and the skip saves recompositions there.
+  acceptance corpora and of three rank 6-7 corpora (``WITNESS_RANK67``),
+  and the skip saves recompositions there.
 * ``RootDatum`` computes ``rho``, ``two_rho``, ``weyl_generators``,
   ``fundamental_coweights``, ``fundamental_weights`` and
   ``omega_quotient`` on first read; ``matrix_reference.eager_rational_views``
@@ -36,6 +37,9 @@ from test_acceptance_rank4 import CORPORA as ACCEPTANCE_RANK4
 from test_datum_oracle import DATA
 
 PAPER_EXAMPLES = (("A5:gl", "s4 tau3"), ("C2:sc", "s1 tau2"), ("2A4:sc", "s1 tau1"))
+# the ranks where the witness search dominates an audit, with many basic
+# classes: 85, 268 and 212 minimal elements
+WITNESS_RANK67 = (("E7:sc", 2), ("A7:gl", 2), ("E6:sc", 3))
 
 
 def minimal_elements(spec, max_length):
@@ -67,7 +71,7 @@ def test_paper_examples_classify_without_the_levi_class_walk(datum_string, text,
     assert c_min == c_max
 
 
-@pytest.mark.parametrize("spec,max_length", ACCEPTANCE + ACCEPTANCE_RANK4)
+@pytest.mark.parametrize("spec,max_length", ACCEPTANCE + ACCEPTANCE_RANK4 + WITNESS_RANK67)
 def test_letter_pruned_witness_search_matches_the_unpruned_one(spec, max_length, monkeypatch):
     # the searches visit the same pairs up to the same witness; each pair
     # the reference decomposes is one recomposition, so the difference in

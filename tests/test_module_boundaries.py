@@ -9,7 +9,8 @@ builds them only through their interning constructors. Finite Weyl parts
 are built only through the datum's tables, so only ``root_datum`` calls
 ``reflect_left``; and the ``root_datum`` docstring lists exactly the
 caches that ``RootDatum.__init__`` makes. Lengths have one writer: only
-``affine_weyl.length`` stores into ``_length_cache``.
+``affine_weyl.length`` stores into ``_length_cache``. Every parameter of a
+package function is read in its body.
 """
 
 import ast
@@ -190,3 +191,62 @@ def test_the_length_scan_sees_stores_and_aliases():
     )
     assert scopes(source, _stores_a_length) == [("f",)]
     assert scopes(source, _names_length_cache) == [("f",), ("g",)]
+
+
+# -- every parameter is read --------------------------------------------------
+
+
+def unread_parameters(source):
+    """(line, function, parameter) for each parameter its function never reads.
+
+    ``self``, ``cls``, names starting with an underscore and the
+    parameters of dunder methods (fixed by protocol) are exempt. A read
+    in a nested function counts as a read.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for param in params:
+            if param not in read and param not in ("self", "cls") and not param.startswith("_"):
+                out.append((node.lineno, name, param))
+    return out
+
+
+def test_every_parameter_is_read():
+    found = {
+        path.name: unread_parameters(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_parameter_scan_sees_every_kind_of_parameter():
+    source = (
+        "def f(a, /, b, *args, c=1, d, **kw):\n"
+        "    def g(e):\n"
+        "        return b\n"
+        "    return lambda h: d\n"
+        "class C:\n"
+        "    def m(self, x, _y):\n"
+        "        return self\n"
+        "    def __copy__(self, memo):\n"
+        "        return self\n"
+    )
+    assert sorted(unread_parameters(source)) == [
+        (1, "f", "a"), (1, "f", "args"), (1, "f", "c"), (1, "f", "kw"),
+        (2, "g", "e"), (4, "<lambda>", "h"), (6, "m", "x"),
+    ]

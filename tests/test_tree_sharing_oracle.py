@@ -151,7 +151,7 @@ def ref_purity_report(w, seed, cap=DEFAULT_BFS_CAP):
                 "min_follows_type_II": node_min == sub_min["II"][0],
                 "max_follows_type_I": node_max == sub_min["I"][1],
                 "i_set_difference_is_one_orbit": (
-                    cl.count_orbit_classes(datum, i_min - i_one) == 1
+                    len(conjugacy.twist_orbits(datum, i_min - i_one)) == 1
                 ),
             }
         )
@@ -437,7 +437,7 @@ def ref_audit_element(w, seeds, bfs_cap, results, fail, bump, _additivity=None) 
     if geo.smo != smo:
         fail("seed_invariance", text, "smo flag disagrees with raw multiplicity count")
 
-    mct = cl.mct_inequality(w, cap=bfs_cap)
+    mct = cl.mct_inequality(w)
     minimal_rep, _moves = conjugacy.descend_to_min_len(w, cap=bfs_cap)
     witness = cl.is_minimal_coxeter_type(minimal_rep, cap=bfs_cap)
     w_minimal = checks.is_min_len(w, cap=bfs_cap).is_min_len
