@@ -22,7 +22,9 @@ length-zero elements of Levi subgroups (:mod:`adlvkit.levi`, imported by
 twisted reflection length of the classical part of the class's Levi
 witness, and the interval filters the Levi class set below the upper
 class (a point interval needs no Levi class set). Neither builds the
-finite Weyl table.
+finite Weyl table. Reduction trees ask for few distinct class sets and
+intervals many times, so :func:`extrema` and :func:`interval` memoize
+them per datum past their one-class and point cases.
 
 :func:`iter_elements` enumerates the elements up to a length bound, the
 corpora of the audit suites, ``check`` and ``scan``, breadth-first from
@@ -173,8 +175,9 @@ def iter_elements(
     Level k+1 is every s_i y with y in level k and i not a left descent
     of y: s_i y then has length k + 1, and every element of length k + 1
     has a left descent. ``budget`` caps the number of elements; the cap
-    error names the length reached. No length is written here; within
-    one length the order is the walk's: callers sort.
+    error names the length and the element count reached. No length is
+    written here; within one length the order is the walk's: callers
+    sort.
     """
     from .levi import length_zero_elements
 
@@ -190,7 +193,7 @@ def iter_elements(
         if kottwitz is None or datum.kottwitz_quotient.key(x.translation) == kottwitz.kottwitz
     ]
     if len(start) > budget:
-        raise CapExceededError(budget, "corpus enumeration at length 0")
+        raise CapExceededError(budget, "corpus enumeration at length 0", len(start))
     total = len(start)
     # dicts keep the walk's order; a set of elements iterates by address
     levels = [dict.fromkeys(start)]
@@ -204,7 +207,7 @@ def iter_elements(
                 if x not in above:
                     total += 1
                     if total > budget:
-                        raise CapExceededError(budget, f"corpus enumeration at length {k + 1}")
+                        raise CapExceededError(budget, f"corpus enumeration at length {k + 1}", total)
                     above[x] = None
         levels.append(above)
     for level in levels:
@@ -255,19 +258,30 @@ def interval(c_lo: ClassInvariant, c_hi: ClassInvariant):
     """All classes between c_lo and c_hi, read off ``levi.levi_classes``.
 
     The point case c_lo == c_hi returns [c_lo] without the Levi class
-    walk: the order is antisymmetric, so nothing else lies between.
+    walk: the order is antisymmetric, so nothing else lies between. Other
+    intervals are memoized per datum and (c_lo, c_hi); every call returns
+    a fresh list.
     """
-    if not leq(c_lo, c_hi):
-        raise NotComparableError(f"{c_lo} is not below {c_hi}")
-    if c_lo == c_hi:
+    if c_lo is c_hi:
         return [c_lo]
-    from .levi import levi_classes
+    datum = c_lo.datum
+    if c_hi.datum is not datum:
+        raise DatumMismatchError("class invariants from different root data")
+    found = datum._interval_cache.get((c_lo, c_hi))
+    if found is None:
+        if not leq(c_lo, c_hi):
+            raise NotComparableError(f"{c_lo} is not below {c_hi}")
+        from .levi import levi_classes
 
-    return [
-        c
-        for c in levi_classes(c_lo.datum, c_hi.pairing_two_rho, c_lo)
-        if leq(c_lo, c) and leq(c, c_hi)
-    ]
+        found = datum._interval_cache[c_lo, c_hi] = tuple(
+            c
+            for c in levi_classes(datum, c_hi.pairing_two_rho, c_lo)
+            if leq(c_lo, c) and leq(c, c_hi)
+        )
+    return list(found)
+
+
+_MISSING = object()
 
 
 def extrema(classes):
@@ -275,12 +289,38 @@ def extrema(classes):
 
     Errors when either fails to exist; for endpoint-class sets of
     reduction trees that would signal a bug, not a legitimate outcome.
+    A single class is its own extrema. Larger sets are memoized per datum
+    and set, the missing extremum too, which raises again on every call.
     """
-    classes = list(classes)
+    classes = frozenset(classes)
+    if len(classes) == 1:
+        (c,) = classes
+        return c, c
     if not classes:
         raise UsageError("empty class set")
-    lo = [c for c in classes if all(leq(c, d) for d in classes)]
-    hi = [c for c in classes if all(leq(d, c) for d in classes)]
-    if len(lo) != 1 or len(hi) != 1:
+    datum = next(iter(classes)).datum
+    if any(c.datum is not datum for c in classes):
+        raise DatumMismatchError("class invariants from different root data")
+    found = datum._extrema_cache.get(classes, _MISSING)
+    if found is _MISSING:
+        found = datum._extrema_cache[classes] = _least_and_greatest(classes)
+    if found is None:
         raise NoUniqueExtremumError("class set has no unique minimum or maximum")
-    return lo[0], hi[0]
+    return found
+
+
+def _least_and_greatest(classes):
+    """(least, greatest) of ``classes``, or None when either is missing.
+
+    A least element ends any pass as the candidate, so a second pass
+    checks the one candidate; likewise for the greatest.
+    """
+    lo = hi = None
+    for c in classes:
+        if lo is None or not leq(lo, c):
+            lo = c
+        if hi is None or not leq(c, hi):
+            hi = c
+    if all(leq(lo, c) and leq(c, hi) for c in classes):
+        return lo, hi
+    return None

@@ -31,13 +31,7 @@ from .affine_weyl import (
 from .conjugacy import class_invariant, is_min_len, is_straight
 from .errors import AdlvkitError, InternalInvariantError, NoUniqueExtremumError, UsageError
 from .linalg import dot, mat_mul, mat_vec, vec_mat
-from .reduction_tree import (
-    build_tree,
-    path_summary,
-    share_equal_trees,
-    summary_classes,
-    verify_edge,
-)
+from .reduction_tree import path_summary, seed_trees, summary_classes, verify_edge
 from .root_datum import build_root_datum
 
 CHECK_NAMES = (
@@ -303,20 +297,50 @@ class _AuditMemo:
         self.verdicts = {}  # Edge -> verify_edge(edge)
 
 
+class _TreeReading(NamedTuple):
+    """What the audit reads off one distinct tree, replayed for every seed that built it."""
+
+    summary: dict  # the interned path summary
+    classes: set  # its endpoint classes
+    paths: int
+    misses: list  # conservation misses, "len(w) != lend+c1+2*c2"
+    certificate_failures: list  # why each failing endpoint or edge fails
+    certificates: int  # endpoints plus edges
+
+
+def _read_tree(tree, base_len, bfs_cap, verdicts) -> _TreeReading:
+    summary = path_summary(tree)
+    misses = [
+        f"{base_len} != {lend}+{c1}+2*{c2}"
+        for (_cls, c1, c2, lend) in summary
+        if base_len != lend + c1 + 2 * c2
+    ]
+    certificates = _certificate_failures(tree, bfs_cap, verdicts)
+    return _TreeReading(
+        summary,
+        summary_classes(summary),
+        sum(summary.values()),
+        misses,
+        [detail for detail in certificates if detail is not None],
+        len(certificates),
+    )
+
+
 def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
     """Run the tree, class and formula suites on one element.
 
-    Seeds whose trees are equal share one tree (:func:`share_equal_trees`).
-    Endpoint certificates and edge replays run once per distinct tree, the
-    multiplicity count and the formula scan once per distinct path
-    summary, and each seed reports their stored outcomes in seed order,
-    so the suites read as if every seed had been checked on its own.
-    ``memo`` (an :class:`_AuditMemo`) holds the edge replay verdicts and
-    the witness additivity failures (:func:`_check_witness_additivity`)
-    across the elements of one audit, whose trees share their edges
-    through the datum's memo. The extrema and the saturation verdict of
-    the endpoint classes come from the first tree's
-    :func:`classifier.purity_report`.
+    Each distinct index order's tree is built once and seeds whose trees
+    are equal share one tree (:func:`seed_trees`). The path summary,
+    conservation misses, endpoint certificates and edge replays of each
+    distinct tree are read once (:class:`_TreeReading`), the formula scan
+    runs once per distinct path summary, and each seed reports the stored
+    outcomes in seed order, so the suites read as if every seed had been
+    checked on its own. ``memo`` (an :class:`_AuditMemo`) holds the edge
+    replay verdicts and the witness additivity failures
+    (:func:`_check_witness_additivity`) across the elements of one audit,
+    whose trees share their edges through the datum's memo. The extrema
+    and the saturation verdict of the endpoint classes come from the
+    first tree's :func:`classifier.purity_report`.
 
     Returns 1 when the element has geometric Coxeter type.
     """
@@ -338,56 +362,49 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
             fail("straight_implies_minlen", text, "straight but not minimal")
         bump("straight_implies_minlen")
 
-    trees = share_equal_trees([build_tree(w, seed=seed, cap=bfs_cap) for seed in seeds])
-    summaries = {}
-    certified = {}  # tree -> _certificate_failures(tree, ...)
+    trees = seed_trees(w, seeds, bfs_cap)
+    readings = {}  # tree -> its _TreeReading
+    per_seed = []
     for seed, tree in zip(seeds, trees):
-        summary = path_summary(tree)
-        summaries[seed] = summary
-        for (cls, c1, c2, lend), mult in summary.items():
-            if base_len != lend + c1 + 2 * c2:
-                fail("conservation", text, f"seed {seed}: {base_len} != {lend}+{c1}+2*{c2}")
-            bump("conservation", mult)
-        failures = certified.get(tree)
-        if failures is None:
-            failures = certified[tree] = _certificate_failures(tree, bfs_cap, memo.verdicts)
-        for detail in failures:
-            if detail is not None:
-                fail("endpoint_certificates", text, detail)
-            bump("endpoint_certificates")
-    # the datum interns path summaries, so identity finds the repeats
-    distinct = list({id(summary): summary for summary in summaries.values()}.values())
+        reading = readings.get(tree)
+        if reading is None:
+            reading = readings[tree] = _read_tree(tree, base_len, bfs_cap, memo.verdicts)
+        for miss in reading.misses:
+            fail("conservation", text, f"seed {seed}: {miss}")
+        for detail in reading.certificate_failures:
+            fail("endpoint_certificates", text, detail)
+        per_seed.append(reading)
+    bump("conservation", sum(reading.paths for reading in per_seed))
+    bump("endpoint_certificates", sum(reading.certificates for reading in per_seed))
 
-    first = summaries[seeds[0]]
-    key_set = summary_classes(first)
+    first = per_seed[0]
+    key_set = first.classes
     if inv not in key_set:
         fail("contains_own_class", text, "own class missing from endpoint classes")
     bump("contains_own_class")
 
+    # the datum interns path summaries, so identity finds the repeats
+    distinct = list({id(r.summary): r.summary for r in readings.values()}.values())
     smo = all(
-        sum(
-            mult
-            for (cls2, _a, _b, _l), mult in summary.items()
-            if cls2 == cls
-        ) == 1
+        sum(mult for (cls2, _a, _b, _l), mult in summary.items() if cls2 == cls) == 1
         for summary in distinct
         for cls in summary_classes(summary)
     )
-    for seed, summary in summaries.items():
-        if summary_classes(summary) != key_set:
+    for seed, reading in zip(seeds, per_seed):
+        if reading.summary is first.summary:
+            continue
+        if reading.classes != key_set:
             fail("seed_invariance", text, f"seed {seed} changed the endpoint class set")
         if smo:
-            if summary != first:
-                fail("seed_invariance", text, f"seed {seed} changed the path multiset")
+            fail("seed_invariance", text, f"seed {seed} changed the path multiset")
         else:
-            if summary != first:
-                results["seed_invariance"].findings.append(
-                    {
-                        "element": text,
-                        "detail": f"per-class count multiset varies between seeds {seeds[0]} and {seed}",
-                    }
-                )
-        bump("seed_invariance")
+            results["seed_invariance"].findings.append(
+                {
+                    "element": text,
+                    "detail": f"per-class count multiset varies between seeds {seeds[0]} and {seed}",
+                }
+            )
+    bump("seed_invariance", len(seeds))
 
     geo = classifier.is_geometric_coxeter_type(trees, cap=bfs_cap)
     if geo.smo != smo:
@@ -433,15 +450,17 @@ def _audit_element(w, seeds, bfs_cap, results, fail, bump, memo=None) -> int:
         ell2 = classifier.ell2_formula(w, cls, c_max)
         dim = classifier.dim_formula(w, cls)
         scans = {id(summary): _formula_scan(summary, cls, (ell1, ell2)) for summary in distinct}
-        for seed, summary in summaries.items():
-            mismatches, paths, _top = scans[id(summary)]
+        checked = 0
+        for seed, reading in zip(seeds, per_seed):
+            mismatches, paths, _top = scans[id(reading.summary)]
             for c1, c2 in mismatches:
                 fail(
                     "formula_type_counts",
                     text,
                     f"seed {seed} class {cls}: path ({c1},{c2}) != formulas ({ell1},{ell2})",
                 )
-            bump("formula_type_counts", paths)
+            checked += paths
+        bump("formula_type_counts", checked)
         tops = [top for _m, _p, top in scans.values() if top is not None]
         best = max(tops) if tops else None
         if best != dim:

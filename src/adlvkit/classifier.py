@@ -55,10 +55,9 @@ from .errors import (
 )
 from .linalg import dot
 from .reduction_tree import (
-    build_tree,
     enumerate_paths,
     path_summary,
-    share_equal_trees,
+    seed_trees,
     summary_classes,
 )
 
@@ -249,7 +248,7 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
 def strong_multiplicity_one(trees):
     """One path per endpoint class, in every given tree.
 
-    A tree object given more than once (see :func:`share_equal_trees`) is
+    A tree object given more than once (see :func:`seed_trees`) is
     read once, in first-occurrence order. Returns (bool, the first
     offending class in tree order or None).
     """
@@ -455,15 +454,16 @@ def classify(
 ) -> ClassificationReport:
     """Run the whole pipeline on one element.
 
-    Builds one tree per seed; seeds whose trees are equal share the first
-    one (:func:`share_equal_trees`), so the tree readers do its work once.
+    Builds one tree per index order; seeds whose trees are equal share
+    the first one (:func:`seed_trees`), so the tree readers do its work
+    once.
     The extrema of the first tree's endpoint classes, which the formulas
     read, come from its :func:`purity_report`.
     """
     datum = w.datum
     minimal = is_min_len(w, cap=cap).is_min_len
     min_cox = is_minimal_coxeter_type(w, cap=cap) if minimal else None
-    trees = share_equal_trees([build_tree(w, seed=s, cap=cap) for s in seeds])
+    trees = seed_trees(w, seeds, cap)
     geo = is_geometric_coxeter_type(trees, cap=cap)
 
     first_tree = trees[0]

@@ -135,7 +135,7 @@ class ShiftClass:
                     seen.add(y)
                     queue.append(y)
                     if len(seen) > cap:
-                        raise CapExceededError(cap, "shift class BFS")
+                        raise CapExceededError(cap, "shift class BFS", len(seen))
             self.neighbours[cur] = flat
             if drops:
                 self.drops[cur] = frozenset(drops)
@@ -156,7 +156,7 @@ class ShiftClass:
             for member in graph.members:
                 cache[member] = graph
         if len(graph.members) > cap:
-            raise CapExceededError(cap, "shift class BFS")
+            raise CapExceededError(cap, "shift class BFS", len(graph.members))
         return graph
 
     def bfs(self, root: AffineElement, order):

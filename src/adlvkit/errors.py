@@ -48,12 +48,18 @@ class NoUniqueExtremumError(AdlvkitError):
 
 
 class CapExceededError(AdlvkitError):
-    """A search exceeded its configured node or enumeration budget."""
+    """A search exceeded its configured node or enumeration budget.
 
-    def __init__(self, cap, what="search"):
+    ``reached`` is how far it got before stopping: the members, elements
+    or tuples it had counted, or None when the raise site does not say.
+    """
+
+    def __init__(self, cap, what="search", reached=None):
         self.cap = cap
         self.what = what
-        super().__init__(f"{what} exceeded the configured cap of {cap}")
+        self.reached = reached
+        tail = "" if reached is None else f" (reached {reached})"
+        super().__init__(f"{what} exceeded the configured cap of {cap}{tail}")
 
 
 class InternalInvariantError(AdlvkitError):

@@ -327,7 +327,7 @@ def levi_classes(
                 for lam in _levi_translations(datum, ones, orbits, totals, central):
                     visited += 1
                     if visited > budget:
-                        raise CapExceededError(budget, "Levi class enumeration")
+                        raise CapExceededError(budget, "Levi class enumeration", visited)
                     if datum.kottwitz_quotient.key(lam) == kottwitz.kottwitz:
                         break
                 else:

@@ -20,10 +20,11 @@ an endpoint) and its path summary. Trees of one order share their edges
 and summaries across seeds and across roots. Orders that pick the same
 move share its edges, and equal summaries are interned, one object per
 value and datum, as elements and class invariants are. A tree is a walk
-over that memo from its root; pipelines still build each seed's tree
-once and hand it to every function that reads it.
+over that memo from its root. Pipelines build one tree per index order
+with :func:`seed_trees`, not one per seed, and hand it to every function
+that reads it.
 
-Different seeds often build the same tree. :func:`share_equal_trees`
+Different orders often build the same tree too. :func:`share_equal_trees`
 replaces every seed's tree whose expansions equal an earlier seed's by
 that earlier object, so the readers can do each distinct tree's work once
 (skipping objects they have met) and replay the result for every seed.
@@ -198,6 +199,25 @@ def build_tree(
     return ReductionTree(w, seed, order, expansions)
 
 
+def seed_trees(w: AffineElement, seeds, cap: int = DEFAULT_BFS_CAP) -> list:
+    """The tree of w for each seed, as :func:`share_equal_trees` shares them.
+
+    A seed only fixes an index order, so each distinct order's tree is
+    built once, by the first seed that gives it, and is that seed's
+    tree for every later seed of the same order.
+    """
+    size = w.datum.rank + 1
+    by_order = {}
+    trees = []
+    for seed in seeds:
+        order = _index_order(size, seed)
+        tree = by_order.get(order)
+        if tree is None:
+            tree = by_order[order] = build_tree(w, seed=seed, cap=cap)
+        trees.append(tree)
+    return share_equal_trees(trees)
+
+
 def share_equal_trees(trees):
     """The trees in their order, each repeat replaced by its first occurrence.
 
@@ -213,7 +233,9 @@ def share_equal_trees(trees):
     shared = []
     for tree in trees:
         for earlier in distinct:
-            if earlier.root == tree.root and earlier.expansions == tree.expansions:
+            if earlier is tree or (
+                earlier.root == tree.root and earlier.expansions == tree.expansions
+            ):
                 tree = earlier
                 break
         else:

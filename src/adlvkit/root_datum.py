@@ -61,6 +61,10 @@ several threads. They are plain dicts named ``*_cache``:
 ``_length_cache``, ``_shift_class_cache``, ``_class_cache``,
 ``_mincox_cache``, ``_defect_cache``, ``_class_set_cache``
     per-element and per-class results of the layers above.
+``_extrema_cache``, ``_interval_cache``
+    per set of two or more classes, its extrema (None when it has no
+    unique minimum or maximum), and per pair of distinct classes, the
+    classes between them: the class poset's readings of reduction trees.
 ``_element_cache``, ``_class_value_cache``
     one element per (translation, finite index) and one class invariant
     per (dom, period, kottwitz), so equality is identity; a live object
@@ -356,6 +360,8 @@ class RootDatum:
         self._mincox_cache = {}
         self._defect_cache = {}
         self._class_set_cache = {}
+        self._extrema_cache = {}
+        self._interval_cache = {}
 
     # -- views computed on first read -------------------------------------
 

@@ -63,9 +63,14 @@ they keep: ``bg_poset.iter_elements`` as a walk that builds every s_i y
 and drops those found one level down, and ``conjugacy.conjugate_by_simple``
 as two interning steps, x s_j and then s_i (x s_j).
 
-The last section is ``conjugacy.is_straight`` as it was before it read
+The next section is ``conjugacy.is_straight`` as it was before it read
 <nu, 2 rho> off the memoized class invariant: its own orbit sum, paired
 with every positive root.
+
+The last section is ``bg_poset.extrema`` and ``bg_poset.interval`` as
+they were before the datum memoized them: the extrema by comparing every
+pair of classes, and the interval as a filter of ``levi.levi_classes``
+on every call.
 """
 
 import functools
@@ -81,6 +86,7 @@ from adlvkit import conjugacy as cj
 from adlvkit import levi
 from adlvkit.errors import (
     InternalInvariantError,
+    NoUniqueExtremumError,
     NotComparableError,
     NotMinLenError,
     UsageError,
@@ -1063,3 +1069,31 @@ def orbit_sum_is_straight(x):
     """
     period, total = cj._orbit_sum(x)
     return period * aw.length(x) == sum(abs(dot(total, beta)) for beta in x.datum.positive_roots)
+
+
+# -- the class poset's extrema and intervals without a memo ----------------------
+
+
+def pairwise_extrema(classes):
+    """The least and greatest elements of a set of classes, every pair compared."""
+    classes = list(classes)
+    if not classes:
+        raise UsageError("empty class set")
+    lo = [c for c in classes if all(bg.leq(c, d) for d in classes)]
+    hi = [c for c in classes if all(bg.leq(d, c) for d in classes)]
+    if len(lo) != 1 or len(hi) != 1:
+        raise NoUniqueExtremumError("class set has no unique minimum or maximum")
+    return lo[0], hi[0]
+
+
+def unmemoized_interval(c_lo, c_hi):
+    """All classes between c_lo and c_hi, a filter of ``levi.levi_classes`` past the point case."""
+    if not bg.leq(c_lo, c_hi):
+        raise NotComparableError(f"{c_lo} is not below {c_hi}")
+    if c_lo == c_hi:
+        return [c_lo]
+    return [
+        c
+        for c in levi.levi_classes(c_lo.datum, c_hi.pairing_two_rho, c_lo)
+        if bg.leq(c_lo, c) and bg.leq(c, c_hi)
+    ]

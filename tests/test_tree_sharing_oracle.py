@@ -8,12 +8,19 @@ own trees from ``(w, seeds, cap)``, path summaries share one memo keyed
 by ``(node, seed)`` across every tree of every datum, and the zero sets
 I(nu) come from ``Fraction`` dots instead of the class invariant.
 
-Seeds whose trees are equal now share one tree object
-(``share_equal_trees``), and ``checks._audit_element`` certifies each
-distinct tree and scans each distinct summary once, replaying the counts
-and failures per seed. ``ref_audit_element`` is the per-seed form it
-replaced, which checks every seed's tree on its own; the suites must
-come out the same, also when a check is made to fail.
+Each index order's tree is now built once and seeds whose trees are
+equal share one tree object (``seed_trees``), and
+``checks._audit_element`` reads each distinct tree and scans each
+distinct summary once, replaying the counts and failures per seed.
+``ref_audit_element`` is the per-seed form it replaced, which builds and
+checks every seed's tree on its own; the suites must come out the same,
+also when a check is made to fail.
+
+``bg_poset.extrema`` and ``bg_poset.interval`` memoize per datum; on
+every node class set of the audit corpora they must match the unmemoized
+forms ``matrix_reference.pairwise_extrema`` and
+``matrix_reference.unmemoized_interval``, and a whole audit computes each
+class set's extrema and each interval once.
 """
 
 import functools
@@ -22,7 +29,7 @@ import types
 import pytest
 
 import matrix_reference as ref
-from adlvkit import bg_poset, checks, conjugacy
+from adlvkit import bg_poset, checks, conjugacy, levi
 from adlvkit import classifier as cl
 from adlvkit import reduction_tree as rt
 from adlvkit.affine_weyl import format_element, length, multiply, parse_element
@@ -229,20 +236,27 @@ def test_strong_multiplicity_one_reads_every_tree():
     assert cl.strong_multiplicity_one([good]) == (True, None)
 
 
-# -- each pipeline builds one tree per seed ---------------------------------------
+# -- each pipeline builds one tree per index order -----------------------------
 
 
 @pytest.fixture
 def build_count(monkeypatch):
     calls = []
+    build_tree = rt.build_tree
 
     def counting(w, seed=0, cap=DEFAULT_BFS_CAP):
         calls.append(seed)
-        return rt.build_tree(w, seed=seed, cap=cap)
+        return build_tree(w, seed=seed, cap=cap)
 
-    monkeypatch.setattr(cl, "build_tree", counting)
-    monkeypatch.setattr(checks, "build_tree", counting)
+    monkeypatch.setattr(rt, "build_tree", counting)
     return calls
+
+
+def first_seed_of_each_order(datum, seeds):
+    firsts = {}
+    for seed in seeds:
+        firsts.setdefault(rt._index_order(datum.rank + 1, seed), seed)
+    return sorted(firsts.values())
 
 
 # the first is not of geometric Coxeter type, so its audit stops before purity
@@ -250,15 +264,17 @@ ELEMENTS = (("s0 s1 s2 s1 s0", 0), ("t(1,1) s1 s2", 1))
 
 
 @pytest.mark.parametrize("text,_geo", ELEMENTS)
-def test_classify_builds_one_tree_per_seed(build_count, text, _geo):
-    w = parse_element(build_root_datum("A2:adj"), text)
-    cl.classify(w, seeds=SEEDS)
-    assert sorted(build_count) == list(SEEDS)
+def test_classify_builds_one_tree_per_index_order(build_count, text, _geo):
+    datum = build_root_datum("A2:adj")
+    cl.classify(parse_element(datum, text), seeds=SEEDS)
+    assert sorted(build_count) == first_seed_of_each_order(datum, SEEDS)
+    assert len(build_count) == 6
 
 
 @pytest.mark.parametrize("text,geo", ELEMENTS)
-def test_audit_element_builds_one_tree_per_seed(build_count, text, geo):
-    w = parse_element(build_root_datum("A2:adj"), text)
+def test_audit_element_builds_one_tree_per_index_order(build_count, text, geo):
+    datum = build_root_datum("A2:adj")
+    w = parse_element(datum, text)
     results = {name: checks.SuiteResult(name) for name in checks.CHECK_NAMES}
     failures = []
 
@@ -270,7 +286,24 @@ def test_audit_element_builds_one_tree_per_seed(build_count, text, geo):
 
     assert checks._audit_element(w, SEEDS, DEFAULT_BFS_CAP, results, fail, bump) == geo
     assert failures == []
-    assert sorted(build_count) == list(SEEDS)
+    assert sorted(build_count) == first_seed_of_each_order(datum, SEEDS)
+    assert len(build_count) == 6
+
+
+def sharing(trees):
+    """Each tree's seed and expansions, and the position of its first occurrence."""
+    return [
+        (tree.seed, tree.expansions, next(i for i, t in enumerate(trees) if t is tree))
+        for tree in trees
+    ]
+
+
+def test_seed_trees_share_as_every_seed_built():
+    seeds = tuple(range(20))
+    for w in corpus("A2:adj", 6):
+        trees = rt.seed_trees(w, seeds)
+        per_seed = rt.share_equal_trees([rt.build_tree(w, seed=s) for s in seeds])
+        assert sharing(trees) == sharing(per_seed), format_element(w)
 
 
 # -- the purity report reads the endpoint extrema and interval once ------------
@@ -551,7 +584,9 @@ def audit_both(monkeypatch, spec, max_length, seeds):
 AUDIT_CORPORA = (("A2:adj", 6), ("C2:sc", 6), ("G2:sc", 6), ("2A3:sc", 4))
 
 
-@pytest.mark.parametrize("seeds", [SEEDS, tuple(range(10, 20))], ids=["0-9", "10-19"])
+@pytest.mark.parametrize(
+    "seeds", [SEEDS, tuple(range(10, 20)), tuple(range(20))], ids=["0-9", "10-19", "0-19"]
+)
 @pytest.mark.parametrize("spec,max_length", AUDIT_CORPORA)
 def test_audit_matches_per_seed_reference(monkeypatch, spec, max_length, seeds):
     shared, reference = audit_both(monkeypatch, spec, max_length, seeds)
@@ -672,3 +707,71 @@ def test_interval_fault_gives_the_reference_violations(monkeypatch, spec, fault)
     _checked, violations, _findings = shared["saturation"]
     assert violations
     assert all(v["detail"].startswith("interval has ") for v in violations)
+
+
+# -- the class poset's memos -----------------------------------------------------
+
+
+@pytest.mark.parametrize("spec,max_length", AUDIT_CORPORA)
+def test_memoized_extrema_and_interval_match_the_reference_on_tree_nodes(spec, max_length):
+    # a fresh datum, so every class set and pair meets an empty memo first
+    datum = RootDatum(parse_spec(spec))
+    sets, pairs = set(), set()
+    for w in checks.corpus(datum, max_length):
+        for tree in dict.fromkeys(rt.seed_trees(w, SEEDS)):
+            for node in tree.expansions:
+                classes = frozenset(rt.summary_classes(rt.path_summary(tree, start=node)))
+                if classes in sets:
+                    continue
+                sets.add(classes)
+                assert classes not in datum._extrema_cache
+                try:
+                    want = ref.pairwise_extrema(classes)
+                except NoUniqueExtremumError:
+                    for _ in range(2):
+                        with pytest.raises(NoUniqueExtremumError):
+                            extrema(classes)
+                    continue
+                assert extrema(classes) == want == extrema(classes)
+                if want in pairs:
+                    continue
+                pairs.add(want)
+                assert want not in datum._interval_cache
+                between = ref.unmemoized_interval(*want)
+                assert interval(*want) == between == interval(*want)
+    assert len(datum._extrema_cache) == sum(len(c) > 1 for c in sets)
+    assert len(datum._interval_cache) == sum(lo is not hi for lo, hi in pairs)
+
+
+@pytest.fixture
+def poset_work(monkeypatch):
+    """The class sets whose extrema are computed and the Levi walks of the intervals."""
+    work = {"extrema": [], "levi_classes": 0}
+    least_and_greatest = bg_poset._least_and_greatest
+    levi_classes = levi.levi_classes
+
+    def counting_extrema(classes):
+        work["extrema"].append(classes)
+        return least_and_greatest(classes)
+
+    def counting_levi_classes(*args, **kw):
+        work["levi_classes"] += 1
+        return levi_classes(*args, **kw)
+
+    monkeypatch.setattr(bg_poset, "_least_and_greatest", counting_extrema)
+    monkeypatch.setattr(levi, "levi_classes", counting_levi_classes)
+    return work
+
+
+def test_audit_computes_each_extrema_and_interval_once(poset_calls, poset_work):
+    datum = RootDatum(parse_spec("A2:adj"))
+    assert checks.audit(datum, 8, seeds=SEEDS).passed
+    asked_sets = {frozenset(classes) for classes in poset_calls["extrema"]}
+    asked_pairs = {pair for pair in poset_calls["interval"] if pair[0] is not pair[1]}
+    computed = poset_work["extrema"]
+    assert len(computed) == len(set(computed))
+    assert set(computed) == {classes for classes in asked_sets if len(classes) > 1}
+    assert poset_work["levi_classes"] == len(asked_pairs) == len(datum._interval_cache)
+    # the memos are read: more requests than computations
+    assert len(poset_calls["extrema"]) > len(computed) > 0
+    assert len(poset_calls["interval"]) > len(asked_pairs) > 0
