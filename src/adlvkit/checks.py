@@ -6,7 +6,8 @@ closed formulas against brute-force tree enumeration, certify tree
 structure, and probe the poset and conjugation invariants. Each check
 returns its violations instead of raising, so a run reports everything
 at once; integrality assertions inside the library still raise, and the
-runner records those as violations of the integrality suite.
+runner records those as violations of the integrality suite. Resource
+caps and usage errors are not violations: they propagate.
 
 Soft observations (seed-to-seed variation of per-class edge-count
 multisets on elements without strong multiplicity one) are collected as
@@ -29,7 +30,13 @@ from .affine_weyl import (
     sigma_act,
 )
 from .conjugacy import class_invariant, is_min_len, is_straight
-from .errors import AdlvkitError, InternalInvariantError, NoUniqueExtremumError, UsageError
+from .errors import (
+    AdlvkitError,
+    CapExceededError,
+    InternalInvariantError,
+    NoUniqueExtremumError,
+    UsageError,
+)
 from .linalg import dot, mat_mul, mat_vec, vec_mat
 from .reduction_tree import path_summary, seed_trees, summary_classes, verify_edge
 from .root_datum import build_root_datum
@@ -138,6 +145,8 @@ def audit(
             progress(pos, len(elements), w)
         try:
             geo_count += _audit_element(w, seeds, bfs_cap, results, fail, bump, memo)
+        except (CapExceededError, UsageError):
+            raise
         except InternalInvariantError as exc:
             fail("integrality", format_element(w), str(exc))
         except AdlvkitError as exc:

@@ -222,7 +222,12 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
     # len(letters) and len(x) = <nu_w, 2 rho>, so len(letters) is exactly
     # len(w) - <nu_w, 2 rho>: a (member, K) pair whose stripped letters
     # number otherwise is skipped before u is recomposed and x is tested
-    # for twist stability and straightness.
+    # for twist stability. A pair that passes both has x straight, so
+    # straightness is not tested: x sigma permutes {a_i : i in K}, so it
+    # normalizes W_K, and some (x sigma)^N = t^(N nu_x) fixes every a_i,
+    # so W_K fixes nu_x; then (w' sigma)^N = v t^(N nu_x) with v in the
+    # finite W_K, which commutes with t^(N nu_x), so nu_w = nu_w' = nu_x,
+    # and len(x) = len(w') - len(u) = <nu_w, 2 rho> = <nu_x, 2 rho>.
     smallest = length(w) - class_invariant(w).pairing_two_rho
     witness = None
     for K in spherical_subsets(datum):
@@ -233,7 +238,7 @@ def is_minimal_coxeter_type(w: AffineElement, cap: int = DEFAULT_BFS_CAP):
             if dec is None:
                 continue
             u, x, letters, perm = dec
-            if is_straight(x) and _one_letter_per_orbit(letters, perm):
+            if _one_letter_per_orbit(letters, perm):
                 witness = MinCoxWitness(K, x, u, shifts)
                 break
         if witness is not None:

@@ -20,14 +20,11 @@ an endpoint) and its path summary. Trees of one order share their edges
 and summaries across seeds and across roots. Orders that pick the same
 move share its edges, and equal summaries are interned, one object per
 value and datum, as elements and class invariants are. A tree is a walk
-over that memo from its root. Pipelines build one tree per index order
-with :func:`seed_trees`, not one per seed, and hand it to every function
-that reads it.
-
-Different orders often build the same tree too. :func:`share_equal_trees`
-replaces every seed's tree whose expansions equal an earlier seed's by
-that earlier object, so the readers can do each distinct tree's work once
-(skipping objects they have met) and replay the result for every seed.
+over that memo from its root. Pipelines get their trees from
+:func:`seed_trees`, which builds one tree per index order and gives
+every seed whose tree equals an earlier one that earlier object, so the
+readers do each distinct tree's work once (skipping objects they have
+met) and replay the result for every seed.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from .conjugacy import (
     first_drop,
     replay_moves,
 )
-from .errors import InternalInvariantError
+from .errors import InternalInvariantError, UsageError
 
 
 class Edge(NamedTuple):
@@ -76,7 +73,11 @@ class ReductionPath(NamedTuple):
 
 
 class ReductionTree:
-    """A reduction DAG rooted at ``root`` for a fixed strategy seed."""
+    """A reduction DAG rooted at ``root`` for a fixed strategy seed.
+
+    A tree that :func:`seed_trees` shares between seeds keeps as ``seed``
+    the first seed that built it.
+    """
 
     def __init__(self, root, seed, order, expansions):
         self.root = root
@@ -200,48 +201,33 @@ def build_tree(
 
 
 def seed_trees(w: AffineElement, seeds, cap: int = DEFAULT_BFS_CAP) -> list:
-    """The tree of w for each seed, as :func:`share_equal_trees` shares them.
+    """The tree of w for each seed, one object per distinct tree.
 
     A seed only fixes an index order, so each distinct order's tree is
-    built once, by the first seed that gives it, and is that seed's
-    tree for every later seed of the same order.
+    built once, by the first seed that gives it, and replaced by an
+    earlier order's tree, ``seed`` included, when their ``expansions``
+    are equal. Equal expansions mean equal node order, since the build
+    inserts nodes by a walk that reads only the root and the expansions,
+    and are mostly the same edge objects, from the datum's memo, so the
+    comparison is quick. Raises UsageError when ``seeds`` is empty.
     """
     size = w.datum.rank + 1
     by_order = {}
+    distinct = []
     trees = []
     for seed in seeds:
         order = _index_order(size, seed)
         tree = by_order.get(order)
         if tree is None:
-            tree = by_order[order] = build_tree(w, seed=seed, cap=cap)
+            built = build_tree(w, seed=seed, cap=cap)
+            tree = next((t for t in distinct if t.expansions == built.expansions), built)
+            if tree is built:
+                distinct.append(tree)
+            by_order[order] = tree
         trees.append(tree)
-    return share_equal_trees(trees)
-
-
-def share_equal_trees(trees):
-    """The trees in their order, each repeat replaced by its first occurrence.
-
-    A tree whose root and ``expansions`` equal an earlier tree's is
-    replaced by that earlier object, ``seed`` included, so a reader that
-    skips objects it has met does each distinct tree's work once. For
-    trees from :func:`build_tree` equal expansions also mean equal node
-    order: the build inserts nodes by a walk that reads only the root and
-    the expansions. Their equal expansions are mostly the same edge
-    objects, from the datum's memo, so the comparison is quick.
-    """
-    distinct = []
-    shared = []
-    for tree in trees:
-        for earlier in distinct:
-            if earlier is tree or (
-                earlier.root == tree.root and earlier.expansions == tree.expansions
-            ):
-                tree = earlier
-                break
-        else:
-            distinct.append(tree)
-        shared.append(tree)
-    return shared
+    if not trees:
+        raise UsageError("at least one strategy seed is required")
+    return trees
 
 
 def verify_edge(edge: Edge) -> bool:
@@ -368,17 +354,14 @@ def export_tree(tree: ReductionTree, format: str = "json") -> str:
     if format == "json":
         return json.dumps(tree_to_dict(tree), sort_keys=True, separators=(",", ":"))
     if format == "dot":
+        data = tree_to_dict(tree)
+        ids = {text: f"n{i}" for i, text in enumerate(data["nodes"])}
         lines = ["digraph reduction {"]
-        nodes = sorted(tree.expansions, key=lambda x: (-length(x), format_element(x)))
-        ids = {x: f"n{i}" for i, x in enumerate(nodes)}
-        for x in nodes:
-            lines.append(f'  {ids[x]} [label="{format_element(x)}"];')
-        for x in nodes:
-            exp = tree.expansions[x]
-            if exp is None:
-                continue
-            for e in exp:
-                lines.append(f'  {ids[e.source]} -> {ids[e.target]} [label="{e.kind}"];')
+        lines += [f'  {ids[text]} [label="{text}"];' for text in data["nodes"]]
+        lines += [
+            f'  {ids[e["from"]]} -> {ids[e["to"]]} [label="{e["kind"]}"];'
+            for e in data["edges"]
+        ]
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown tree format {format!r}")

@@ -67,10 +67,15 @@ The next section is ``conjugacy.is_straight`` as it was before it read
 <nu, 2 rho> off the memoized class invariant: its own orbit sum, paired
 with every positive root.
 
-The last section is ``bg_poset.extrema`` and ``bg_poset.interval`` as
+The next section is ``bg_poset.extrema`` and ``bg_poset.interval`` as
 they were before the datum memoized them: the extrema by comparing every
 pair of classes, and the interval as a filter of ``levi.levi_classes``
 on every call.
+
+The last section is what ``reduction_tree`` ran before ``seed_trees``
+shared equal trees itself and the dot export read ``tree_to_dict``:
+``share_equal_trees``, a second pass over the per-seed tree list, and
+``dot_export``, which sorted and walked the nodes on its own.
 """
 
 import functools
@@ -1097,3 +1102,49 @@ def unmemoized_interval(c_lo, c_hi):
         for c in levi.levi_classes(c_lo.datum, c_hi.pairing_two_rho, c_lo)
         if bg.leq(c_lo, c) and bg.leq(c, c_hi)
     ]
+
+
+# -- sharing equal trees and the dot export of a tree -----------------------------
+
+
+def share_equal_trees(trees):
+    """The trees in their order, each repeat replaced by its first occurrence.
+
+    A tree whose root and ``expansions`` equal an earlier tree's is
+    replaced by that earlier object, ``seed`` included, so a reader that
+    skips objects it has met does each distinct tree's work once. For
+    trees from :func:`build_tree` equal expansions also mean equal node
+    order: the build inserts nodes by a walk that reads only the root and
+    the expansions. Their equal expansions are mostly the same edge
+    objects, from the datum's memo, so the comparison is quick.
+    """
+    distinct = []
+    shared = []
+    for tree in trees:
+        for earlier in distinct:
+            if earlier is tree or (
+                earlier.root == tree.root and earlier.expansions == tree.expansions
+            ):
+                tree = earlier
+                break
+        else:
+            distinct.append(tree)
+        shared.append(tree)
+    return shared
+
+
+def dot_export(tree):
+    """``export_tree(tree, "dot")`` with its own node sort and expansion walk."""
+    lines = ["digraph reduction {"]
+    nodes = sorted(tree.expansions, key=lambda x: (-aw.length(x), aw.format_element(x)))
+    ids = {x: f"n{i}" for i, x in enumerate(nodes)}
+    for x in nodes:
+        lines.append(f'  {ids[x]} [label="{aw.format_element(x)}"];')
+    for x in nodes:
+        exp = tree.expansions[x]
+        if exp is None:
+            continue
+        for e in exp:
+            lines.append(f'  {ids[e.source]} -> {ids[e.target]} [label="{e.kind}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

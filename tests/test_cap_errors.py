@@ -10,6 +10,7 @@ import pytest
 
 from adlvkit import affine_weyl as aw
 from adlvkit import bg_poset as bg
+from adlvkit import checks
 from adlvkit import conjugacy as cj
 from adlvkit import levi
 from adlvkit.conjugacy import class_invariant
@@ -73,3 +74,8 @@ def test_the_levi_class_walk_reports_the_tuples_it_visited():
     exc = raised(lambda: levi.levi_classes(datum, hi.pairing_two_rho, lo, budget=3))
     assert (exc.cap, exc.what, exc.reached) == (3, "Levi class enumeration", 4)
     assert str(exc).endswith("cap of 3 (reached 4)")
+
+
+def test_an_audit_raises_a_bfs_cap_hit_inside_its_element_loop():
+    exc = raised(lambda: checks.audit(fresh("A2:adj"), 4, bfs_cap=2))
+    assert (exc.cap, exc.what, exc.reached) == (2, "shift class BFS", 3)

@@ -91,6 +91,16 @@ def test_cap_bfs_zero_exceeds_the_cap_cold_and_warm(monkeypatch):
     assert run(argv + ["--cap-bfs", "0"])[0] == cli.EXIT_CAP
 
 
+def test_a_bfs_cap_inside_check_is_a_resource_cap(capsys):
+    # the cap is hit inside the element loop, not as an integrality violation
+    code, out = run(["check", "--datum", "A2:adj", "--max-length", "4", "--cap-bfs", "2"])
+    assert code == cli.EXIT_CAP
+    assert "FAIL integrality" not in out
+    assert capsys.readouterr().err == (
+        "resource cap exceeded: shift class BFS exceeded the configured cap of 2 (reached 3)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "datum,text",
     [("E6:sc", "s0 s1 s2 s3 s4 s5 s6"), ("A7:gl", "s0 s1 s2 s3 s4 s5 s6 s7")],

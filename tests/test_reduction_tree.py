@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+import matrix_reference as ref
 from adlvkit import affine_weyl as aw
+from adlvkit import checks
 from adlvkit import conjugacy as cj
 from adlvkit import reduction_tree as rt
+from adlvkit.root_datum import build_root_datum
 from conftest import length_ball
 
 
@@ -121,6 +124,14 @@ def test_export_single_node_dot(a1):
     dot = rt.export_tree(tree, format="dot")
     assert dot.count("label=") == 1
     assert "->" not in dot
+
+
+@pytest.mark.parametrize("spec, max_length", [("A2:adj", 6), ("2A3:sc", 4)])
+def test_export_dot_matches_its_own_sort_and_walk(spec, max_length):
+    for w in checks.corpus(build_root_datum(spec), max_length):
+        for seed in range(4):
+            tree = rt.build_tree(w, seed=seed)
+            assert rt.export_tree(tree, format="dot") == ref.dot_export(tree)
 
 
 def test_export_json_roundtrip(a1):

@@ -9,7 +9,8 @@ by ``(node, seed)`` across every tree of every datum, and the zero sets
 I(nu) come from ``Fraction`` dots instead of the class invariant.
 
 Each index order's tree is now built once and seeds whose trees are
-equal share one tree object (``seed_trees``), and
+equal share one tree object (``seed_trees``), as
+``matrix_reference.share_equal_trees`` shares every seed's own tree, and
 ``checks._audit_element`` reads each distinct tree and scans each
 distinct summary once, replaying the counts and failures per seed.
 ``ref_audit_element`` is the per-seed form it replaced, which builds and
@@ -40,7 +41,7 @@ from adlvkit.conjugacy import (
     is_straight,
     replay_moves,
 )
-from adlvkit.errors import NoUniqueExtremumError, NotComparableError
+from adlvkit.errors import NoUniqueExtremumError, NotComparableError, UsageError
 from adlvkit.linalg import dot, mat_mul
 from adlvkit.root_datum import RootDatum, build_root_datum, parse_spec
 
@@ -300,10 +301,25 @@ def sharing(trees):
 
 def test_seed_trees_share_as_every_seed_built():
     seeds = tuple(range(20))
-    for w in corpus("A2:adj", 6):
-        trees = rt.seed_trees(w, seeds)
-        per_seed = rt.share_equal_trees([rt.build_tree(w, seed=s) for s in seeds])
-        assert sharing(trees) == sharing(per_seed), format_element(w)
+    # twenty seeds give six index orders at rank 2 and fifteen at rank 3
+    for (spec, max_length), orders in ((("A2:adj", 6), 6), (("2A3:sc", 4), 15)):
+        size = build_root_datum(spec).rank + 1
+        assert len({rt._index_order(size, s) for s in seeds}) == orders
+        for w in corpus(spec, max_length):
+            trees = rt.seed_trees(w, seeds)
+            per_seed = ref.share_equal_trees([rt.build_tree(w, seed=s) for s in seeds])
+            assert sharing(trees) == sharing(per_seed), format_element(w)
+
+
+def test_an_empty_seed_list_is_a_usage_error():
+    datum = build_root_datum("A2:adj")
+    w = parse_element(datum, "s0 s1 s0")
+    with pytest.raises(UsageError, match="at least one strategy seed"):
+        rt.seed_trees(w, ())
+    with pytest.raises(UsageError, match="at least one strategy seed"):
+        cl.classify(w, seeds=())
+    with pytest.raises(UsageError, match="at least one strategy seed"):
+        checks.audit(datum, 2, seeds=())
 
 
 # -- the purity report reads the endpoint extrema and interval once ------------
@@ -351,10 +367,11 @@ def test_classify_reads_the_root_extrema_once(poset_calls):
 
 
 def test_share_equal_trees_keeps_one_object_per_distinct_tree():
+    # the oracle that test_seed_trees_share_as_every_seed_built reads
     for spec, max_length in CORPORA:
         for w in corpus(spec, max_length):
             trees = [rt.build_tree(w, seed=s) for s in SEEDS]
-            shared = rt.share_equal_trees(trees)
+            shared = ref.share_equal_trees(trees)
             assert len(shared) == len(trees)
             for tree, kept in zip(trees, shared):
                 first = next(t for t in trees if t.expansions == tree.expansions)
@@ -609,7 +626,7 @@ def element_suites(element_audit, w, seeds):
 def partly_shared(pick):
     """An A2:adj element and a ``pick`` of its first tree missing from a later tree."""
     for w in corpus("A2:adj", 6):
-        trees = rt.share_equal_trees([rt.build_tree(w, seed=s) for s in SEEDS])
+        trees = ref.share_equal_trees([rt.build_tree(w, seed=s) for s in SEEDS])
         for other in trees[1:]:
             missing = [x for x in pick(trees[0]) if x not in pick(other)]
             if missing:
